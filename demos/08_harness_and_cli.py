@@ -6,7 +6,7 @@ from the shell:
 
     tsrepr pretrain --config run.ini
     tsrepr evaluate --config run.ini
-    tsrepr export-metrics --run-dir runs/demo_mae --out metrics.csv
+    tsrepr export-metrics --out metrics.csv runs/demo/metrics.csv
 """
 
 import tempfile

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import DomainError, ShapeError
+from .tensor import ShapeError
 
 # ---------------------------------------------------------------------------
 # Daubechies filters
@@ -97,10 +97,6 @@ class Pyramid:
     @property
     def length(self) -> int:
         return len(self.approx) * (2 ** self.level)
-
-    def copy(self) -> "Pyramid":
-        return Pyramid(self.approx.copy(), [d.copy() for d in self.details],
-                       self.family)
 
 
 def _analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray):
@@ -234,12 +230,10 @@ def make_view_pair(batch: np.ndarray, cfg: DwtConfig, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# stochastic and physics transform families
+# stochastic transform families
 
 
 STOCHASTIC_FAMILIES = ("jitter", "amp_scale", "channel_dropout", "fft_mask")
-PHYSICS_FAMILIES = ("galilean", "drift", "rotation", "lorentz", "polar",
-                    "tanh_compress", "moebius")
 
 
 @dataclass
@@ -248,7 +242,7 @@ class TransformSpec:
     magnitude: float
 
     def __post_init__(self):
-        if self.family not in STOCHASTIC_FAMILIES + PHYSICS_FAMILIES:
+        if self.family not in STOCHASTIC_FAMILIES:
             raise ValueError(f"unknown transform family {self.family!r}")
 
 
@@ -288,45 +282,3 @@ def stochastic_suite(batch: np.ndarray, spec: TransformSpec,
                 out[i, kill] = 0.0
         return np.fft.irfft(out, n=batch.shape[1], axis=-1).astype(np.float32)
     raise ValueError(f"{spec.family} is not a stochastic family")
-
-
-def physics_suite(series: np.ndarray, spec: TransformSpec) -> np.ndarray:
-    """Deterministic physics/geometry warp of one series or a (B, T) batch."""
-    series = np.asarray(series, dtype=np.float32)
-    if series.ndim == 2:
-        return np.stack([physics_suite(row, spec) for row in series])
-    t_len = series.shape[0]
-    t_norm = np.arange(t_len, dtype=np.float64) / max(t_len - 1, 1)
-    x = series.astype(np.float64)
-    m = float(spec.magnitude)
-    fam = spec.family
-
-    if fam == "galilean":
-        # time axis stretched by (1 + m): x'(t) = x(t / (1 + m))
-        src = np.arange(t_len) / (1.0 + m)
-        src = np.clip(src, 0.0, t_len - 1)
-        out = np.interp(src, np.arange(t_len), x)
-    elif fam == "drift":
-        out = x + m * np.arange(t_len) / t_len
-    elif fam == "rotation":
-        out = np.sin(m) * t_norm + np.cos(m) * x
-    elif fam == "lorentz":
-        if abs(m) >= 1.0:
-            raise DomainError("lorentz velocity |v| must be < 1")
-        gamma = 1.0 / math.sqrt(1.0 - m * m)
-        out = gamma * (x - m * t_norm)
-    elif fam == "polar":
-        # swirl: rotate each (t_norm, x) point by an angle m * radius
-        r = np.hypot(t_norm, x)
-        theta = np.arctan2(x, t_norm)
-        out = r * np.sin(theta + m * r)
-    elif fam == "tanh_compress":
-        out = np.tanh(m * x) / m if m != 0.0 else x
-    elif fam == "moebius":
-        # real Moebius shift on the clamped value coordinate; the clamp
-        # residual is carried through so m=0 is the exact identity
-        u = np.clip(x, -0.999, 0.999)
-        out = (u + m) / (1.0 + m * u) + (x - u)
-    else:
-        raise ValueError(f"{fam} is not a physics family")
-    return out.astype(np.float32)

@@ -71,38 +71,9 @@ class PatchBatch:
             if self.pad_mask.shape != self.values.shape[:2]:
                 raise ShapeError("pad_mask shape mismatch")
 
-    @property
-    def n_patches(self) -> int:
-        return self.values.shape[1]
-
 
 # ---------------------------------------------------------------------------
 # input plumbing
-
-
-def flatten_channels(series: np.ndarray) -> list[np.ndarray]:
-    """Split a (T, C) multivariate series into C univariate series."""
-    series = np.asarray(series, dtype=np.float32)
-    if series.ndim == 1:
-        series = series[:, None]
-    if series.ndim != 2 or series.shape[0] == 0:
-        raise ShapeError("series must be a non-empty (T, C) array")
-    return [np.ascontiguousarray(series[:, c]) for c in range(series.shape[1])]
-
-
-def patchify(series: np.ndarray, patch_len: int) -> np.ndarray:
-    """Cut one univariate series into floor(T / patch_len) patches.
-
-    The trailing remainder shorter than one patch is dropped.
-    """
-    series = np.asarray(series, dtype=np.float32)
-    if series.ndim != 1:
-        raise ShapeError("patchify expects a 1-D series")
-    t = series.shape[0]
-    if t < patch_len:
-        raise ShapeError(f"series length {t} < patch_len {patch_len}")
-    n = t // patch_len
-    return series[: n * patch_len].reshape(n, patch_len)
 
 
 def instance_norm(window: np.ndarray, eps: float = 1e-5):

@@ -6,13 +6,11 @@ backbones alike, so measured deltas isolate the pretraining objective.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from . import optim, tsb
+from . import optim
 from . import tensor as T
 from .backbone import (
     BackboneConfig,
@@ -51,23 +49,6 @@ class ProbeSpec:
         if self.lr is not None:
             return self.lr
         return {"forecast": 2e-4, "classify": 1e-3, "anomaly": 1e-4}[self.task]
-
-
-@dataclass
-class ForecastTask:
-    context_len: int = 336
-    horizons: tuple[int, ...] = (96, 192, 336, 720)
-    stride: int = 1
-
-
-@dataclass
-class AnomalyEvalSpec:
-    threshold_percentile: float = 1.0  # 0.5 for SMD-class datasets
-    point_adjust: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold_percentile < 100.0:
-            raise ValueError("percentile must be in (0, 100)")
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +215,7 @@ def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
             opt.step()
             ep_loss += float(loss.data)
             n_batches += 1
-        with Tape():
-            val = float(batch_loss(val_idx, train=False).data)
+        val = float(batch_loss(val_idx, train=False).data)
         history.append({"epoch": epoch, "train_loss": ep_loss / max(1, n_batches),
                         "val_loss": val})
         if val < best_val:
@@ -369,20 +349,3 @@ def classify_head_eval(weights: Weights, cfg: BackboneConfig,
     if np.max(labels) >= logits.shape[1] or np.min(labels) < 0:
         raise ShapeError("unseen class index")
     return float(np.mean(np.argmax(logits, axis=1) == labels))
-
-
-def export_embeddings(weights: Weights, cfg: BackboneConfig, x: np.ndarray,
-                      labels: np.ndarray | None, out_path) -> np.ndarray:
-    """Mean-pooled per-sample embeddings written as TSB1 plus CSV."""
-    xn, _, _ = instance_norm(np.asarray(x, dtype=np.float32))
-    pooled = _encode_batched(xn, weights, cfg).mean(axis=1)
-    out_path = Path(out_path)
-    tsb.write_tensor(out_path.with_suffix(".tsb"), pooled)
-    with open(out_path.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "label"]
-                        + [f"dim{i}" for i in range(pooled.shape[1])])
-        for i, row in enumerate(pooled):
-            label = labels[i] if labels is not None else ""
-            writer.writerow([i, label] + [f"{v:.7g}" for v in row])
-    return pooled

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import evaluate, objectives, synthgen, tsb
 from .backbone import BackboneConfig, init_encoder, instance_norm
-from .objectives import ArrayCorpus, PretrainConfig
+from .objectives import DEFAULT_SEEDS, ArrayCorpus, PretrainConfig
 from .tensor import NumericError
 
 
@@ -33,7 +33,6 @@ class DataError(ValueError):
     """Missing or malformed input data (exit code 3)."""
 
 
-DEFAULT_SEEDS = (2003, 123, 456, 789, 1337)
 DATA_SOURCES = ("real", "synthetic", "hybrid")
 TASKS = ("classify", "anomaly", "forecast")
 
@@ -198,32 +197,21 @@ class DatasetManifest:
             raise DataError("splits must be ordered: train <= val <= total")
 
     def write(self, path) -> None:
-        lines = [f"n_channels={self.n_channels}",
-                 f"train_end={self.train_end}",
-                 f"val_end={self.val_end}",
-                 f"total={self.total}",
-                 f"checksum={self.checksum}",
-                 f"has_labels={int(self.has_labels)}"]
-        lines += [f"shard={s}:{c}"
-                  for s, c in zip(self.shards, self.sample_counts)]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tsb.write_manifest(path, {
+            "n_channels": self.n_channels,
+            "train_end": self.train_end,
+            "val_end": self.val_end,
+            "total": self.total,
+            "checksum": self.checksum,
+            "has_labels": int(self.has_labels),
+        }, self.shards, self.sample_counts)
 
     @classmethod
     def read(cls, path) -> "DatasetManifest":
         path = Path(path)
         if not path.exists():
             raise DataError(f"dataset manifest not found: {path}")
-        kv, shards, counts = {}, [], []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            key, _, value = line.partition("=")
-            if key == "shard":
-                name, _, count = value.rpartition(":")
-                shards.append(name)
-                counts.append(int(count))
-            else:
-                kv[key] = value
+        kv, shards, counts = tsb.read_manifest(path)
         return cls(shards, counts, int(kv["n_channels"]), int(kv["train_end"]),
                    int(kv["val_end"]), int(kv["total"]), kv["checksum"],
                    bool(int(kv.get("has_labels", "0"))))
@@ -502,9 +490,7 @@ def _pretrain_corpus(cfg: RunConfig, seed: int) -> ArrayCorpus:
         return ArrayCorpus(series)
     if cfg.synthetic_family == "gp":
         synth = np.stack([
-            synthgen._standardize(synthgen.sample_univariate(
-                np.random.default_rng(np.random.SeedSequence((seed, 13, i))),
-                cfg.corpus_length))
+            synthgen.standardized_series((seed, 13, i), cfg.corpus_length)
             for i in range(cfg.corpus_series)])
     else:
         synth = toy_pretrain_corpus(rng, cfg.corpus_series, cfg.corpus_length)

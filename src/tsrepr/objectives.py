@@ -147,7 +147,6 @@ class ObjectiveConfig:
     dino_teacher_temp: float = 0.04
     dino_center_momentum: float = 0.9
     dwt: augment.DwtConfig = field(default_factory=augment.DwtConfig)
-    lejepa_stochastic: bool = True
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -339,11 +338,9 @@ def _vicreg_terms(pooled: Tensor, margin: float = 1.0, eps: float = 1e-4):
 
 
 def jepa_loss(state: ObjectiveState, batch: np.ndarray, mask: MaskSpec,
-              rng: np.random.Generator,
-              vicreg_weights: tuple[float, float] | None = None
-              ) -> LossBreakdown:
-    lam_v, lam_c = vicreg_weights if vicreg_weights is not None else (
-        state.ocfg.vicreg_var_weight, state.ocfg.vicreg_cov_weight)
+              rng: np.random.Generator) -> LossBreakdown:
+    lam_v = state.ocfg.vicreg_var_weight
+    lam_c = state.ocfg.vicreg_cov_weight
     patches = _to_patches(batch, state.cfg.patch_len)
     b, n, _ = patches.values.shape
     pm = sample_mask(mask, rng, b, n)
@@ -366,9 +363,7 @@ def jepa_loss(state: ObjectiveState, batch: np.ndarray, mask: MaskSpec,
 
 
 def lejepa_loss(state: ObjectiveState, view_pair: augment.ViewPair,
-                ep_cfg: sigreg.EppsPulleyConfig | None = None,
                 lam: float | None = None, step: int = 0) -> LossBreakdown:
-    ep_cfg = state.ocfg.epps_pulley if ep_cfg is None else ep_cfg
     lam = state.ocfg.lejepa_lambda if lam is None else lam
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must be in [0, 1]")
@@ -379,7 +374,7 @@ def lejepa_loss(state: ObjectiveState, view_pair: augment.ViewPair,
     diff = T.sub(z_g, z_a)
     invariance = T.mean(T.mul(diff, diff))
     z_m = T.concat([z_g, z_a], axis=0)
-    stat = sigreg.epps_pulley_statistic(z_m, ep_cfg, step)
+    stat = sigreg.epps_pulley_statistic(z_m, state.ocfg.epps_pulley, step)
     total = T.add(T.mul(invariance, 1.0 - lam), T.mul(stat, lam))
     return LossBreakdown(
         total,
@@ -396,14 +391,11 @@ def _dino_logits(view: np.ndarray, enc: Weights,
     return _apply_linear(hidden, heads["proj2"])
 
 
-def dino_loss(state: ObjectiveState, view_pair: augment.ViewPair,
-              temps: tuple[float, float] | None = None,
-              center_state: np.ndarray | None = None) -> LossBreakdown:
-    t_s, t_t = temps if temps is not None else (
-        state.ocfg.dino_student_temp, state.ocfg.dino_teacher_temp)
-    if t_s <= 0 or t_t <= 0:
-        raise ValueError("temperatures must be positive")
-    center = center_state if center_state is not None else state.center
+def dino_loss(state: ObjectiveState, view_pair: augment.ViewPair
+              ) -> LossBreakdown:
+    t_s = state.ocfg.dino_student_temp
+    t_t = state.ocfg.dino_teacher_temp
+    center = state.center
     student_logits = _dino_logits(view_pair.student_view, state.encoder,
                                   state.heads, state)
     teacher_logits = _dino_logits(view_pair.teacher_view, state.teacher,
@@ -434,7 +426,6 @@ class PretrainConfig:
     seed: int = 2003
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     objective_cfg: ObjectiveConfig | None = None
-    val_fraction: float = 0.1
 
     def resolved_objective_cfg(self) -> ObjectiveConfig:
         if self.objective_cfg is not None:
@@ -488,8 +479,8 @@ def compute_loss(state: ObjectiveState, batch: np.ndarray,
     if obj == "jepa":
         return jepa_loss(state, batch, ocfg.jepa_mask, rng)
     if obj == "lejepa":
-        extra = augment.DEFAULT_STOCHASTIC if ocfg.lejepa_stochastic else None
-        pair = augment.make_view_pair(batch, ocfg.dwt, rng, extra=extra)
+        pair = augment.make_view_pair(batch, ocfg.dwt, rng,
+                                      extra=augment.DEFAULT_STOCHASTIC)
         return lejepa_loss(state, pair, step=step)
     if obj == "dino":
         pair = augment.make_view_pair(batch, ocfg.dwt, rng)
@@ -553,9 +544,8 @@ def pretrain(corpus: ArrayCorpus, cfg: PretrainConfig,
                 initial_loss = lb.value()
             epoch_loss += lb.value()
             step += 1
-        with Tape():
-            val_lb = compute_loss(state, val_batch, np.random.default_rng(
-                np.random.SeedSequence((cfg.seed, 997))), step)
+        val_lb = compute_loss(state, val_batch, np.random.default_rng(
+            np.random.SeedSequence((cfg.seed, 997))), step)
         val = val_lb.value()
         rec = {"epoch": epoch, "train_loss": epoch_loss / steps_per_epoch,
                "val_loss": val,

@@ -37,14 +37,11 @@ class MomentumSGD:
 
 class Adam:
     def __init__(self, params: Params, lr: float = 1e-3, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0,
-                 decoupled: bool = False):
+                 eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
-        self.decoupled = decoupled
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -58,22 +55,13 @@ class Adam:
             if p.grad is None:
                 continue
             g = p.grad.astype(np.float32)
-            if self.weight_decay and not self.decoupled:
-                g = g + np.float32(self.weight_decay) * p.data
             m, v = self._m[k], self._v[k]
             m *= self.b1
             m += (1.0 - self.b1) * g
             v *= self.b2
             v += (1.0 - self.b2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay and self.decoupled:
-                update = update + self.weight_decay * p.data
             p.data -= np.float32(lr) * update.astype(np.float32)
-
-
-def AdamW(params: Params, lr: float = 1e-3, weight_decay: float = 0.01,
-          **kw) -> Adam:
-    return Adam(params, lr=lr, weight_decay=weight_decay, decoupled=True, **kw)
 
 
 def one_cycle_lr(step: int, total_steps: int, lr_max: float,

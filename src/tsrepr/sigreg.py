@@ -22,7 +22,6 @@ class EppsPulleyConfig:
     n_projections: int = 1024
     n_grid: int = 17
     grid_range: float = 5.0
-    standardize: bool = False  # test raw embeddings so low variance is penalized
     seed_base: int = 0
 
     def grid(self) -> np.ndarray:
@@ -44,15 +43,6 @@ def sample_projections(d_model: int, cfg: EppsPulleyConfig,
     return a.astype(np.float32)
 
 
-def empirical_cf(projected: np.ndarray, t: float) -> tuple[float, float]:
-    """(real, imag) of the empirical characteristic function at t."""
-    projected = np.asarray(projected, dtype=np.float64).reshape(-1)
-    if projected.size < 1:
-        raise ValueError("need at least one sample")
-    return (float(np.mean(np.cos(t * projected))),
-            float(np.mean(np.sin(t * projected))))
-
-
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     dt = grid[1] - grid[0]
     w = np.full(grid.shape, dt)
@@ -72,26 +62,18 @@ def zero_sample_statistic(n: int, cfg: EppsPulleyConfig) -> float:
     return float(n * np.sum(integrand * _trapezoid_weights(grid)))
 
 
-def standardize_embeddings(z: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = T.mean(z, axis=0, keepdims=True)
-    centered = T.sub(z, mu)
-    var = T.mean(T.mul(centered, centered), axis=0, keepdims=True)
-    return T.div(centered, T.sqrt(T.add(var, eps)))
-
-
 def epps_pulley_statistic(embeddings, cfg: EppsPulleyConfig,
                           step: int = 0) -> Tensor:
     """Mean weighted CF residual over M random unit projections.
 
     Differentiable in the embeddings; float32 values with float64
-    reduction accumulators (see tensor reductions).
+    reduction accumulators (see tensor reductions).  The embeddings are
+    tested unstandardized, so low variance is penalized.
     """
     z = embeddings if isinstance(embeddings, Tensor) else Tensor(embeddings)
     if z.ndim != 2 or z.shape[0] < 2:
         raise ValueError("embeddings must be (N >= 2, D)")
     n = z.shape[0]
-    if cfg.standardize:
-        z = standardize_embeddings(z)
     directions = sample_projections(z.shape[1], cfg, step)  # (M, D)
     proj = T.matmul(z, T.transpose(Tensor(directions)))     # (N, M)
     grid = cfg.grid()

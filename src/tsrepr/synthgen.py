@@ -179,6 +179,14 @@ def _standardize(x: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     return ((x - mu) / np.maximum(sd, eps)).astype(np.float32)
 
 
+def standardized_series(entropy, t: int,
+                        bank: list[KernelAtom] | None = None) -> np.ndarray:
+    """One standardized univariate GP draw of length ``t``, from the RNG
+    stream seeded by ``entropy`` (a SeedSequence entropy value)."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    return _standardize(sample_univariate(rng, t, bank))
+
+
 @dataclass
 class CorpusManifest:
     shards: list[str]
@@ -191,32 +199,18 @@ class CorpusManifest:
     config_digest: str
 
     def write(self, path) -> None:
-        lines = [
-            f"seed={self.seed}",
-            f"univariate={int(self.univariate)}",
-            f"series_count={self.series_count}",
-            f"series_length={self.series_length}",
-            f"n_channels={self.n_channels}",
-            f"config_digest={self.config_digest}",
-        ]
-        for shard, count in zip(self.shards, self.shard_counts):
-            lines.append(f"shard={shard}:{count}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tsb.write_manifest(path, {
+            "seed": self.seed,
+            "univariate": int(self.univariate),
+            "series_count": self.series_count,
+            "series_length": self.series_length,
+            "n_channels": self.n_channels,
+            "config_digest": self.config_digest,
+        }, self.shards, self.shard_counts)
 
     @classmethod
     def read(cls, path) -> "CorpusManifest":
-        kv: dict[str, str] = {}
-        shards, counts = [], []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            key, _, value = line.partition("=")
-            if key == "shard":
-                name, _, count = value.rpartition(":")
-                shards.append(name)
-                counts.append(int(count))
-            else:
-                kv[key] = value
+        kv, shards, counts = tsb.read_manifest(path)
         return cls(shards, counts, int(kv["seed"]), bool(int(kv["univariate"])),
                    int(kv["series_count"]), int(kv["series_length"]),
                    int(kv["n_channels"]), kv["config_digest"])
@@ -242,9 +236,9 @@ def generate_corpus(cfg: LcmConfig, univariate: bool, out_dir,
     n = cfg.series_count
 
     def make(i: int) -> np.ndarray:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
         if univariate:
-            return _standardize(sample_univariate(rng, cfg.series_length, bank))
+            return standardized_series((seed, i), cfg.series_length, bank)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
         return _standardize(sample_multivariate_lcm(cfg, rng, bank))
 
     if n_workers > 1:

@@ -9,6 +9,7 @@ same ops run without recording anything.
 
 from __future__ import annotations
 
+import contextvars
 import math
 
 import numpy as np
@@ -44,6 +45,12 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # tape
 
 
+# one active tape per thread (and per asyncio task): threaded runs never
+# record into each other's tapes
+_ACTIVE: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar(
+    "tsrepr_active_tape", default=None)
+
+
 class Tape:
     """Ordered record of primitive ops for one backward pass.
 
@@ -51,24 +58,21 @@ class Tape:
     single reverse sweep is a valid topological traversal.
     """
 
-    _active: "Tape | None" = None
-
     def __init__(self):
         self.records: list[tuple["Tensor", tuple["Tensor", ...], object]] = []
-        self._prev = None
+        self._token = None
 
     def __enter__(self):
-        self._prev = Tape._active
-        Tape._active = self
+        self._token = _ACTIVE.set(self)
         return self
 
     def __exit__(self, *exc):
-        Tape._active = self._prev
+        _ACTIVE.reset(self._token)
         return False
 
     @staticmethod
     def active() -> "Tape | None":
-        return Tape._active
+        return _ACTIVE.get()
 
 
 def _record(out: "Tensor", inputs: tuple["Tensor", ...], bw) -> None:
@@ -117,14 +121,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def detach(self) -> "Tensor":
         return Tensor(self.data, _check=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
         if g.shape != self.data.shape:
@@ -136,36 +134,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return tslice(self, key)
@@ -265,17 +233,6 @@ def div(a, b) -> Tensor:
 
     _set_hi(out, a, b, lambda x, y: x / y)
     _record(out, (a, b), bw)
-    return out
-
-
-def square(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data * a.data, _check=False)
-
-    def bw(g):
-        a._accumulate(2.0 * g * a.data)
-
-    _record(out, (a,), bw)
     return out
 
 
@@ -384,55 +341,6 @@ def expand(a, shape) -> Tensor:
     return out
 
 
-def gather(table, idx) -> Tensor:
-    """Embedding-style row lookup: ``table[idx]`` along axis 0."""
-    table = as_tensor(table)
-    idx = np.asarray(idx)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ShapeError("gather index out of range")
-    out = Tensor(table.data[idx], _check=False)
-
-    def bw(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g.astype(np.float32))
-        table._accumulate(full)
-
-    _record(out, (table,), bw)
-    return out
-
-
-def masked_fill(a, mask, value: float) -> Tensor:
-    """Replace positions where ``mask`` is true by ``value`` (constant)."""
-    a = as_tensor(a)
-    mask = np.asarray(mask, dtype=bool)
-    data = a.data.copy()
-    bmask = np.broadcast_to(mask, data.shape)
-    data[bmask] = np.float32(value)
-    out = Tensor(data, _check=False)
-
-    def bw(g):
-        g2 = g.copy()
-        g2[bmask] = 0.0
-        a._accumulate(g2)
-
-    _record(out, (a,), bw)
-    return out
-
-
-def where_mask(mask, a, b) -> Tensor:
-    """Differentiable select: mask ? a : b with a constant boolean mask."""
-    a, b = as_tensor(a), as_tensor(b)
-    mask = np.asarray(mask, dtype=bool)
-    out = Tensor(np.where(mask, a.data, b.data), _check=False)
-
-    def bw(g):
-        a._accumulate(np.where(mask, g, 0.0))
-        b._accumulate(np.where(mask, 0.0, g))
-
-    _record(out, (a, b), bw)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reductions (float64 accumulators)
 
@@ -478,43 +386,8 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return out
 
 
-def variance(a, axis=None, keepdims: bool = False) -> Tensor:
-    """Population variance (ddof=0)."""
-    m = mean(a, axis=axis, keepdims=True)
-    d = sub(a, m)
-    v = mean(mul(d, d), axis=axis, keepdims=keepdims)
-    return v
-
-
 # ---------------------------------------------------------------------------
 # elementwise nonlinearities
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    val = np.exp(a.data)
-    if not np.all(np.isfinite(val)):
-        raise NumericError("exp overflow")
-    out = Tensor(val, _check=False)
-
-    def bw(g):
-        a._accumulate(g * val)
-
-    _record(out, (a,), bw)
-    return out
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log of non-positive value")
-    out = Tensor(np.log(a.data), _check=False)
-
-    def bw(g):
-        a._accumulate(g / a.data)
-
-    _record(out, (a,), bw)
-    return out
 
 
 def sqrt(a) -> Tensor:
@@ -526,18 +399,6 @@ def sqrt(a) -> Tensor:
 
     def bw(g):
         a._accumulate(g * 0.5 / np.maximum(val, np.float32(1e-12)))
-
-    _record(out, (a,), bw)
-    return out
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    val = np.tanh(a.data)
-    out = Tensor(val, _check=False)
-
-    def bw(g):
-        a._accumulate(g * (1.0 - val * val))
 
     _record(out, (a,), bw)
     return out
@@ -645,7 +506,7 @@ def layer_norm(a, gamma=None, beta=None, eps: float = 1e-5) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
-    Repeated calls without ``zero_grad`` accumulate.
+    Repeated calls without clearing ``grad`` accumulate.
     """
     if loss.ndim != 0 and loss.size != 1:
         raise ShapeError("backward requires a scalar loss")

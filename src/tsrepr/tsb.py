@@ -5,6 +5,10 @@ rank x u64 little-endian extents, then the raw little-endian payload.
 
 Checkpoints are ``TSBC`` files: a versioned JSON header followed by named
 TSB1 blobs.  Loaders refuse mismatched format versions.
+
+Sharded datasets and corpora are described by a ``manifest.txt`` text file:
+one ``key=value`` line per field, then one ``shard=name:count`` line per
+TSB1 shard, in order.
 """
 
 from __future__ import annotations
@@ -114,3 +118,31 @@ def tensor_bytes(arr: np.ndarray) -> bytes:
     buf = io.BytesIO()
     write_tensor_stream(buf, arr)
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# shard manifests
+
+
+def write_manifest(path, fields: dict[str, object], shards: list[str],
+                   counts: list[int]) -> None:
+    lines = [f"{key}={value}" for key, value in fields.items()]
+    lines += [f"shard={name}:{count}" for name, count in zip(shards, counts)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_manifest(path) -> tuple[dict[str, str], list[str], list[int]]:
+    """(fields, shard names, shard counts) of a manifest file."""
+    fields: dict[str, str] = {}
+    shards, counts = [], []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if not line.strip():
+            continue
+        key, _, value = line.partition("=")
+        if key == "shard":
+            name, _, count = value.rpartition(":")
+            shards.append(name)
+            counts.append(int(count))
+        else:
+            fields[key] = value
+    return fields, shards, counts

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tsrepr import augment as A
-from tsrepr.tensor import DomainError, ShapeError
+from tsrepr.tensor import ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -189,40 +189,6 @@ def test_channel_dropout_zeroes_rows():
     kept = np.all(out == 1.0, axis=1)
     assert np.all(zeroed | kept)
     assert 0.1 < zeroed.mean() < 0.3
-
-
-# ---------------------------------------------------------------------------
-# physics suite
-
-
-def test_physics_magnitude_zero_identity():
-    x = np.random.default_rng(8).standard_normal(64).astype(np.float32) * 0.5
-    for family in A.PHYSICS_FAMILIES:
-        out = A.physics_suite(x, A.TransformSpec(family, 0.0))
-        assert np.abs(out - x).max() < 1e-4, family
-
-
-def test_lorentz_domain_and_zero_velocity():
-    x = np.random.default_rng(9).standard_normal(32).astype(np.float32)
-    np.testing.assert_allclose(
-        A.physics_suite(x, A.TransformSpec("lorentz", 0.0)), x, atol=1e-6)
-    with pytest.raises(DomainError):
-        A.physics_suite(x, A.TransformSpec("lorentz", 1.0))
-
-
-def test_tanh_compress_small_magnitude_identity():
-    x = np.random.default_rng(10).standard_normal(64).astype(np.float32)
-    out = A.physics_suite(x, A.TransformSpec("tanh_compress", 1e-3))
-    assert np.abs(out - x).max() < 1e-4
-
-
-def test_galilean_ramp_slope_oracle():
-    t = np.arange(100, dtype=np.float32)
-    out = A.physics_suite(t, A.TransformSpec("galilean", 0.1))
-    # x(t) = t resampled at t/1.1: output is a ramp of slope 1/1.1
-    expected = t / 1.1
-    inside = expected <= 99.0
-    np.testing.assert_allclose(out[inside], expected[inside], atol=1e-3)
 
 
 def test_unknown_family_rejected():

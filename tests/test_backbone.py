@@ -26,25 +26,6 @@ def test_default_head_counts():
         B.BackboneConfig(d_model=100, n_heads=7)
 
 
-def test_flatten_channels():
-    series = RNG.standard_normal((32, 3)).astype(np.float32)
-    parts = B.flatten_channels(series)
-    assert len(parts) == 3 and all(p.shape == (32,) for p in parts)
-    np.testing.assert_array_equal(parts[1], series[:, 1])
-    assert len(B.flatten_channels(RNG.standard_normal((336, 7)))) == 7
-    assert len(B.flatten_channels(RNG.standard_normal(16))) == 1
-    with pytest.raises(ShapeError):
-        B.flatten_channels(np.empty((0, 2)))
-
-
-def test_patchify_counts():
-    assert B.patchify(np.zeros(32, np.float32), 16).shape == (2, 16)
-    assert B.patchify(np.zeros(336, np.float32), 16).shape == (21, 16)
-    assert B.patchify(np.zeros(17, np.float32), 16).shape == (1, 16)
-    with pytest.raises(ShapeError):
-        B.patchify(np.zeros(10, np.float32), 16)
-
-
 def test_instance_norm_moments():
     x = RNG.standard_normal((4, 64)).astype(np.float32) * 5 + 3
     normed, mu, sigma = B.instance_norm(x)

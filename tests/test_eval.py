@@ -306,19 +306,3 @@ def test_anomaly_scores_cover_series_and_localize():
     corrupted[200] += 30.0
     scores = E.anomaly_scores(w, CFG, res.head, spec, corrupted)
     assert abs(int(np.argmax(scores)) - 200) <= CFG.patch_len
-
-
-def test_export_embeddings_round_trip(tmp_path):
-    from tsrepr import tsb
-    w = make_backbone()
-    x, y = toy_classification(n=12)
-    out = tmp_path / "emb"
-    pooled = E.export_embeddings(w, CFG, x, y, out)
-    assert pooled.shape == (12, CFG.d_model)
-    back = tsb.read_tensor(out.with_suffix(".tsb"))
-    assert back.tobytes() == pooled.astype(np.float32).tobytes()
-    lines = out.with_suffix(".csv").read_text().strip().splitlines()
-    assert len(lines) == 13
-    assert lines[0].startswith("index,label,dim0")
-    pooled2 = E.export_embeddings(w, CFG, x, y, tmp_path / "emb2")
-    assert pooled2.tobytes() == pooled.tobytes()

@@ -123,6 +123,9 @@ def test_ingest_labels(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     man = H.ingest_csv(path, tmp_path / "ing", label_col=1)
     assert man.has_labels
+    assert (tmp_path / "ing" / "manifest.txt").read_bytes() == (
+        b"n_channels=1\ntrain_end=12\nval_end=16\ntotal=20\n"
+        b"checksum=46a5af03ef83b303\nhas_labels=1\nshard=data_00000.tsb:20\n")
     _, data, labels = H.load_ingested(tmp_path / "ing")
     assert data.shape == (20, 1)
     np.testing.assert_array_equal(labels, np.arange(20) % 2)
@@ -249,6 +252,22 @@ def test_sweep_counts_and_failure_recording(tmp_path):
     assert len(failures) == 1 and failures[0][0] == "nope"
     assert (tmp_path / "runs" / "grid_layers_failures.txt").exists()
     assert (tmp_path / "runs" / "grid_layers_sweep.csv").exists()
+
+
+def test_threaded_sweep_matches_serial(tmp_path):
+    # each worker thread must record into its own tape
+    values = ["mae", "jepa", "lejepa", "dino"]
+    rows = []
+    for name, workers in (("serial", 1), ("threaded", 4)):
+        base = fast_cfg(tmp_path, run_id="obj",
+                        output_root=str(tmp_path / name), epochs=2,
+                        steps_per_epoch=3, tasks=("classify",),
+                        probe_mode="finetune")
+        records, failures = H.sweep("objective", values, base,
+                                    n_workers=workers)
+        assert failures == []
+        rows.append([r.to_row() for r in records])
+    assert rows[0] == rows[1]
 
 
 def test_sweep_validation(tmp_path):

@@ -261,6 +261,20 @@ def test_pretrain_runs_and_records(objective):
     assert set(res.best_weights) == set(res.state.encoder)
 
 
+def test_validation_runs_without_tape(monkeypatch):
+    taped = []
+    compute_loss = O.compute_loss
+
+    def spy(state, batch, rng, step):
+        taped.append(Tape.active() is not None)
+        return compute_loss(state, batch, rng, step)
+
+    monkeypatch.setattr(O, "compute_loss", spy)
+    _tiny_pretrain("mae")
+    # per epoch: two training steps on a tape, then validation without one
+    assert taped == [True, True, False] * 2
+
+
 def test_pretrain_deterministic():
     h1 = weights_hash(_tiny_pretrain("mae").best_weights)
     h2 = weights_hash(_tiny_pretrain("mae").best_weights)

