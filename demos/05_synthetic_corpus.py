@@ -7,7 +7,6 @@ seeded per series, and byte-identical regardless of worker count.
 """
 
 import tempfile
-from pathlib import Path
 
 import numpy as np
 

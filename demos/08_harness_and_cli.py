@@ -11,8 +11,6 @@ from the shell:
 
 import tempfile
 
-import numpy as np
-
 from tsrepr import harness as H
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class BackboneConfig:
     n_layers: int = 8
     n_predictor_layers: int = 4
     causal: bool = False
-    dropout: float = 0.0
     max_patches: int = 128
     ffn_ratio: int = 4
 
@@ -45,31 +44,27 @@ class BackboneConfig:
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BackboneConfig":
-        return cls(**d)
-
 
 @dataclass
 class PatchBatch:
-    """Non-overlapping patches: values (B, N, patch_len), pad_mask (B, N)."""
+    """Non-overlapping patches: values (B, N, patch_len)."""
 
     values: np.ndarray
-    pad_mask: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float32)
         if self.values.ndim != 3:
             raise ShapeError("PatchBatch values must be (batch, n_patches, patch_len)")
-        if self.pad_mask is None:
-            self.pad_mask = np.zeros(self.values.shape[:2], dtype=bool)
-        else:
-            self.pad_mask = np.asarray(self.pad_mask, dtype=bool)
-            if self.pad_mask.shape != self.values.shape[:2]:
-                raise ShapeError("pad_mask shape mismatch")
+
+    @classmethod
+    def from_windows(cls, windows: np.ndarray, patch_len: int) -> "PatchBatch":
+        """Cut (B, T) windows into T // patch_len patches; drop the remainder."""
+        windows = np.asarray(windows, dtype=np.float32)
+        b, t = windows.shape
+        n = t // patch_len
+        if n < 1:
+            raise ShapeError("window shorter than one patch")
+        return cls(windows[:, : n * patch_len].reshape(b, n, patch_len))
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +151,6 @@ def clone_weights(w: Weights, requires_grad: bool = False) -> Weights:
 # forward pass
 
 
-def _dropout(x: Tensor, rate: float, rng) -> Tensor:
-    if rng is None or rate <= 0.0:
-        return x
-    keep = (rng.random(x.shape) >= rate).astype(np.float32) / (1.0 - rate)
-    return T.mul(x, keep)
-
-
 def _attention(x: Tensor, w: Weights, prefix: str, cfg: BackboneConfig,
                attn_bias: np.ndarray | None) -> Tensor:
     b, n, d = x.shape
@@ -194,28 +182,19 @@ def _ffn(x: Tensor, w: Weights, prefix: str) -> Tensor:
     return T.reshape(out, (b, n, d))
 
 
-def _attn_bias(n: int, pad_mask: np.ndarray | None, causal: bool) -> np.ndarray | None:
-    """Additive (B or 1, 1, N, N) bias: large negative at disallowed keys."""
-    neg = np.float32(-1e9)
-    bias = None
-    if causal:
-        tri = np.triu(np.ones((n, n), dtype=bool), k=1)
-        bias = np.where(tri, neg, np.float32(0.0))[None, None]
-    if pad_mask is not None and pad_mask.any():
-        pm = pad_mask[:, None, None, :]  # mask keys
-        pb = np.where(pm, neg, np.float32(0.0)).astype(np.float32)
-        bias = pb if bias is None else bias + pb
-    return bias
+def _causal_bias(n: int) -> np.ndarray:
+    """Additive (1, 1, N, N) bias: large negative at future keys."""
+    tri = np.triu(np.ones((n, n), dtype=bool), k=1)
+    return np.where(tri, np.float32(-1e9), np.float32(0.0))[None, None]
 
 
 def run_stack(x: Tensor, w: Weights, cfg: BackboneConfig, layer_prefixes,
-              final_prefix: str, attn_bias=None, rng=None) -> Tensor:
+              final_prefix: str, attn_bias=None) -> Tensor:
     for prefix in layer_prefixes:
         normed = T.layer_norm(x, w[f"{prefix}.ln1.g"], w[f"{prefix}.ln1.b"])
-        x = T.add(x, _dropout(_attention(normed, w, prefix, cfg, attn_bias),
-                              cfg.dropout, rng))
+        x = T.add(x, _attention(normed, w, prefix, cfg, attn_bias))
         normed = T.layer_norm(x, w[f"{prefix}.ln2.g"], w[f"{prefix}.ln2.b"])
-        x = T.add(x, _dropout(_ffn(normed, w, prefix), cfg.dropout, rng))
+        x = T.add(x, _ffn(normed, w, prefix))
     out = T.layer_norm(x, w[f"{final_prefix}.g"], w[f"{final_prefix}.b"])
     if not np.all(np.isfinite(out.data)):
         raise NumericError("non-finite activation after final norm")
@@ -223,13 +202,11 @@ def run_stack(x: Tensor, w: Weights, cfg: BackboneConfig, layer_prefixes,
 
 
 def encode(patches: PatchBatch, weights: Weights, cfg: BackboneConfig,
-           patch_mask: np.ndarray | None = None,
-           rng: np.random.Generator | None = None) -> Tensor:
+           patch_mask: np.ndarray | None = None) -> Tensor:
     """Encode a PatchBatch to per-patch latents (B, N, d_model).
 
     ``patch_mask`` (B, N) replaces masked patch embeddings by the learned
-    mask token before positional encoding (MAE/JEPA style).  ``rng``
-    enables dropout; omit it for deterministic evaluation.
+    mask token before positional encoding (MAE/JEPA style).
     """
     b, n, p = patches.values.shape
     if p != cfg.patch_len:
@@ -243,24 +220,20 @@ def encode(patches: PatchBatch, weights: Weights, cfg: BackboneConfig,
         mask3 = np.asarray(patch_mask, dtype=bool)[:, :, None]
         tok = T.reshape(weights["mask_token"], (1, 1, cfg.d_model))
         x = T.add(T.mul(x, (~mask3).astype(np.float32)),
-                  T.mul(T.expand(tok, (b, n, cfg.d_model)), mask3.astype(np.float32)))
+                  T.mul(tok, mask3.astype(np.float32)))
     x = T.add(x, weights["pos"][:n])
-    bias = _attn_bias(n, patches.pad_mask if patches.pad_mask.any() else None,
-                      cfg.causal)
-    out = run_stack(x, weights, cfg, [f"layer{i}" for i in range(cfg.n_layers)],
-                    "final", attn_bias=bias, rng=rng)
-    if patches.pad_mask.any():
-        out = T.mul(out, (~patches.pad_mask[:, :, None]).astype(np.float32))
-    return out
+    bias = _causal_bias(n) if cfg.causal else None
+    return run_stack(x, weights, cfg, [f"layer{i}" for i in range(cfg.n_layers)],
+                     "final", attn_bias=bias)
 
 
-def run_predictor(latents: Tensor, weights: Weights, cfg: BackboneConfig,
-                  rng=None) -> Tensor:
+def run_predictor(latents: Tensor, weights: Weights, cfg: BackboneConfig
+                  ) -> Tensor:
     n = latents.shape[1]
     x = T.add(latents, weights["pred.pos"][:n])
     return run_stack(x, weights, cfg,
                      [f"pred{i}" for i in range(cfg.n_predictor_layers)],
-                     "pred.final", rng=rng)
+                     "pred.final")
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +271,7 @@ def save_backbone(path, weights: Weights, cfg: BackboneConfig, *,
                   objective: str = "none", data_source: str = "none",
                   seed: int = 0, epoch: int = 0, extra: dict | None = None) -> None:
     header = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "objective": objective,
         "data_source": data_source,
         "seed": seed,
@@ -311,7 +284,7 @@ def save_backbone(path, weights: Weights, cfg: BackboneConfig, *,
 
 def load_backbone(path) -> tuple[Weights, BackboneConfig, dict]:
     header, tensors = tsb.load_checkpoint(path)
-    cfg = BackboneConfig.from_dict(header["config"])
+    cfg = BackboneConfig(**header["config"])
     weights = {k: Tensor(v, requires_grad=True, _check=False)
                for k, v in tensors.items()}
     return weights, cfg, header

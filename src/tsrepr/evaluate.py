@@ -16,6 +16,7 @@ from .backbone import (
     BackboneConfig,
     PatchBatch,
     Weights,
+    clone_weights,
     encode,
     instance_norm,
     weights_hash,
@@ -58,25 +59,10 @@ class ProbeSpec:
 def _encode_batched(x: np.ndarray, weights: Weights, cfg: BackboneConfig,
                     batch: int = 256) -> np.ndarray:
     """Frozen-backbone latents (n, N, d) for (n, T) inputs; no tape."""
-    outs = []
-    n_patches = x.shape[1] // cfg.patch_len
-    for start in range(0, x.shape[0], batch):
-        chunk = x[start : start + batch]
-        b = chunk.shape[0]
-        patches = PatchBatch(
-            chunk[:, : n_patches * cfg.patch_len].reshape(
-                b, n_patches, cfg.patch_len))
-        outs.append(encode(patches, weights, cfg).data)
-    return np.concatenate(outs, axis=0)
-
-
-def _encode_taped(x: np.ndarray, weights: Weights,
-                  cfg: BackboneConfig) -> Tensor:
-    n_patches = x.shape[1] // cfg.patch_len
-    b = x.shape[0]
-    patches = PatchBatch(x[:, : n_patches * cfg.patch_len].reshape(
-        b, n_patches, cfg.patch_len))
-    return encode(patches, weights, cfg)
+    return np.concatenate([
+        encode(PatchBatch.from_windows(x[start : start + batch], cfg.patch_len),
+               weights, cfg).data
+        for start in range(0, x.shape[0], batch)], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +127,15 @@ def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
     ``x`` is (n, T) raw windows (instance-normalized internally for the
     backbone); ``y`` is (n,) int labels for classify, (n, horizon) floats
     for forecast, (n, N, patch_len) normalized patch targets for anomaly.
-    With a frozen backbone its parameter bytes are asserted unchanged.
+    Fine-tuning trains a copy of the backbone and returns its best-epoch
+    state with the best-epoch head; the caller's parameter bytes are
+    asserted unchanged in every mode.
     """
     if x.shape[0] != y.shape[0] or x.shape[0] < 2:
         raise ShapeError("x/y length mismatch or too few samples")
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 31)))
     xn, _, _ = instance_norm(np.asarray(x, dtype=np.float32))
-    frozen_hash = weights_hash(weights) if spec.freeze_backbone else None
+    caller_hash = weights_hash(weights)
 
     n = xn.shape[0]
     n_val = max(1, int(round(spec.val_fraction * n)))
@@ -170,10 +158,10 @@ def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
     head = _init_head(spec, d_feat, d_out, rng)
 
     params = dict(head)
+    backbone = weights
     if not spec.freeze_backbone:
-        for k, v in weights.items():
-            v.requires_grad = True
-            params[f"backbone.{k}"] = v
+        backbone = clone_weights(weights, requires_grad=True)
+        params.update({f"backbone.{k}": v for k, v in backbone.items()})
     opt = optim.Adam(params, lr=spec.resolved_lr())
 
     feats_all = None
@@ -184,7 +172,8 @@ def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
         if feats_all is not None:
             feats = Tensor(feats_all[idx], _check=False)
         else:
-            latents = _encode_taped(xn[idx], weights, cfg)
+            latents = encode(PatchBatch.from_windows(xn[idx], cfg.patch_len),
+                             backbone, cfg)
             if spec.task == "forecast":
                 feats = T.reshape(latents, (len(idx), d_feat))
             elif spec.task == "classify":
@@ -199,7 +188,7 @@ def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
         return T.mean(T.mul(diff, diff))
 
     best_val = np.inf
-    best_head = {k: Tensor(v.data.copy(), _check=False) for k, v in head.items()}
+    best_head, best_backbone = clone_weights(head), backbone
     history = []
     for epoch in range(spec.epochs):
         order = rng.permutation(train_idx)
@@ -220,12 +209,13 @@ def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
                         "val_loss": val})
         if val < best_val:
             best_val = val
-            best_head = {k: Tensor(v.data.copy(), _check=False)
-                         for k, v in head.items()}
+            best_head = clone_weights(head)
+            if not spec.freeze_backbone:
+                best_backbone = clone_weights(backbone)
 
-    if frozen_hash is not None and weights_hash(weights) != frozen_hash:
-        raise AssertionError("frozen backbone was modified during probing")
-    return ProbeResult(best_head, weights, history, best_val)
+    if weights_hash(weights) != caller_hash:
+        raise AssertionError("caller's backbone was modified during probing")
+    return ProbeResult(best_head, best_backbone, history, best_val)
 
 
 # ---------------------------------------------------------------------------

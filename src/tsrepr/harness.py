@@ -14,7 +14,7 @@ import hashlib
 import io
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ import numpy as np
 from . import evaluate, objectives, synthgen, tsb
 from .backbone import BackboneConfig, init_encoder, instance_norm
 from .objectives import DEFAULT_SEEDS, ArrayCorpus, PretrainConfig
-from .tensor import NumericError
 
 
 class ConfigError(ValueError):
@@ -61,7 +60,6 @@ class RunConfig:
     n_heads: int = 4
     patch_len: int = 16
     max_patches: int = 64
-    dropout: float = 0.0
     # pretraining
     epochs: int = 20
     batch_size: int = 32
@@ -101,8 +99,7 @@ class RunConfig:
     def backbone(self) -> BackboneConfig:
         return BackboneConfig(d_model=self.d_model, n_layers=self.n_layers,
                               n_heads=self.n_heads, patch_len=self.patch_len,
-                              max_patches=self.max_patches,
-                              dropout=self.dropout)
+                              max_patches=self.max_patches)
 
     def run_dir(self) -> Path:
         return Path(self.output_root) / self.run_id
@@ -112,8 +109,7 @@ class RunConfig:
 _CONFIG_SECTIONS = {
     "run": ("run_id", "objective", "data_source", "synthetic_family",
             "dataset_path", "seeds", "output_root", "tasks"),
-    "backbone": ("d_model", "n_layers", "n_heads", "patch_len", "max_patches",
-                 "dropout"),
+    "backbone": ("d_model", "n_layers", "n_heads", "patch_len", "max_patches"),
     "pretrain": ("epochs", "batch_size", "steps_per_epoch", "window_len", "lr",
                  "corpus_series", "corpus_length"),
     "probe": ("probe_mode", "probe_epochs", "context_len", "horizon",
@@ -551,7 +547,7 @@ def _evaluate_tasks(weights, bb: BackboneConfig, cfg: RunConfig, seed: int
         n_test = max(n // 4, n - 150)  # small labeled pool, large test set
         res, sp = _probe_best(weights, bb, cfg, seed, "classify",
                               x[n_test:], y[n_test:])
-        acc = evaluate.classify_head_eval(weights, bb, res.head, sp,
+        acc = evaluate.classify_head_eval(res.backbone, bb, res.head, sp,
                                           x[:n_test], y[:n_test])
         rows.append(("classify", "sine_mixture", "accuracy", acc))
 
@@ -564,8 +560,8 @@ def _evaluate_tasks(weights, bb: BackboneConfig, cfg: RunConfig, seed: int
         xn, _, _ = instance_norm(xw)
         targets = xn.reshape(len(starts), win // bb.patch_len, bb.patch_len)
         res, sp = _probe_best(weights, bb, cfg, seed, "anomaly", xw, targets)
-        s_train = evaluate.anomaly_scores(weights, bb, res.head, sp, train)
-        s_test = evaluate.anomaly_scores(weights, bb, res.head, sp, test)
+        s_train = evaluate.anomaly_scores(res.backbone, bb, res.head, sp, train)
+        s_test = evaluate.anomaly_scores(res.backbone, bb, res.head, sp, test)
         preds = evaluate.threshold_by_percentile(s_train, s_test,
                                                  cfg.anomaly_percentile)
         preds = evaluate.point_adjust(preds, labels)
@@ -583,7 +579,8 @@ def _evaluate_tasks(weights, bb: BackboneConfig, cfg: RunConfig, seed: int
         sp = evaluate.ProbeSpec(mode=cfg.probe_mode, task="forecast",
                                 epochs=cfg.probe_epochs, seed=seed)
         res = evaluate.probe_train(weights, bb, sp, ctx[n_test:], tgt[n_test:])
-        preds = evaluate.predict_head(weights, bb, res.head, sp, ctx[:n_test])
+        preds = evaluate.predict_head(res.backbone, bb, res.head, sp,
+                                      ctx[:n_test])
         mse, mae = evaluate.forecast_metrics(preds, tgt[:n_test])
         rows += [("forecast", f"ar2_h{cfg.horizon}", "mse", mse),
                  ("forecast", f"ar2_h{cfg.horizon}", "mae", mae)]

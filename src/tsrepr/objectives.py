@@ -29,7 +29,6 @@ from .backbone import (
 from .tensor import NumericError, ShapeError, Tape, Tensor, backward
 
 OBJECTIVES = ("mae", "ntp", "diffusion", "jepa", "lejepa", "dino")
-GENERATIVE = ("mae", "ntp", "diffusion")
 DEFAULT_SEEDS = (2003, 123, 456, 789, 1337)
 
 
@@ -197,12 +196,8 @@ class ObjectiveState:
             self.heads["proj1"] = _linear(rng, d, d)
             self.heads["proj2"] = _linear(rng, d, k)
             self.teacher = clone_weights(self.encoder)
-            self.teacher_heads = {
-                "proj1": {n: Tensor(t.data.copy(), _check=False)
-                          for n, t in self.heads["proj1"].items()},
-                "proj2": {n: Tensor(t.data.copy(), _check=False)
-                          for n, t in self.heads["proj2"].items()},
-            }
+            self.teacher_heads = {name: clone_weights(hw)
+                                  for name, hw in self.heads.items()}
             self.center = np.zeros(k, dtype=np.float32)
 
     def trainable(self) -> dict[str, Tensor]:
@@ -226,15 +221,6 @@ class ObjectiveState:
                     t.data += (np.float32(1.0) - mf) * self.heads[head][n].data
 
 
-def _to_patches(batch: np.ndarray, patch_len: int) -> PatchBatch:
-    batch = np.asarray(batch, dtype=np.float32)
-    b, t = batch.shape
-    n = t // patch_len
-    if n < 1:
-        raise ShapeError("window shorter than one patch")
-    return PatchBatch(batch[:, : n * patch_len].reshape(b, n, patch_len))
-
-
 def _apply_linear(x: Tensor, head: dict[str, Tensor]) -> Tensor:
     return T.add(T.matmul(x, head["w"]), head["b"])
 
@@ -249,7 +235,7 @@ def _pool(latents: Tensor) -> Tensor:
 
 def mae_loss(state: ObjectiveState, batch: np.ndarray, mask: MaskSpec,
              rng: np.random.Generator) -> LossBreakdown:
-    patches = _to_patches(batch, state.cfg.patch_len)
+    patches = PatchBatch.from_windows(batch, state.cfg.patch_len)
     b, n, p = patches.values.shape
     pm = sample_mask(mask, rng, b, n)
     latents = encode(patches, state.encoder, state.cfg, patch_mask=pm)
@@ -266,7 +252,7 @@ def mae_loss(state: ObjectiveState, batch: np.ndarray, mask: MaskSpec,
 def ntp_loss(state: ObjectiveState, batch: np.ndarray,
              horizon_h: int | None = None) -> LossBreakdown:
     h = state.ocfg.ntp_horizon if horizon_h is None else horizon_h
-    patches = _to_patches(batch, state.cfg.patch_len)
+    patches = PatchBatch.from_windows(batch, state.cfg.patch_len)
     b, n, p = patches.values.shape
     if n - h < 1:
         raise ShapeError(f"no positions with {h} future patches (n={n})")
@@ -297,7 +283,7 @@ def corrupt_patches(values: np.ndarray, sched: DiffusionSchedule,
 def diffusion_loss(state: ObjectiveState, batch: np.ndarray,
                    sched: DiffusionSchedule,
                    rng: np.random.Generator) -> LossBreakdown:
-    patches = _to_patches(batch, state.cfg.patch_len)
+    patches = PatchBatch.from_windows(batch, state.cfg.patch_len)
     b, n, p = patches.values.shape
     if n < 2:
         raise ShapeError("diffusion loss needs at least 2 patches")
@@ -341,7 +327,7 @@ def jepa_loss(state: ObjectiveState, batch: np.ndarray, mask: MaskSpec,
               rng: np.random.Generator) -> LossBreakdown:
     lam_v = state.ocfg.vicreg_var_weight
     lam_c = state.ocfg.vicreg_cov_weight
-    patches = _to_patches(batch, state.cfg.patch_len)
+    patches = PatchBatch.from_windows(batch, state.cfg.patch_len)
     b, n, _ = patches.values.shape
     pm = sample_mask(mask, rng, b, n)
     student = encode(patches, state.encoder, state.cfg, patch_mask=pm)
@@ -367,8 +353,9 @@ def lejepa_loss(state: ObjectiveState, view_pair: augment.ViewPair,
     lam = state.ocfg.lejepa_lambda if lam is None else lam
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must be in [0, 1]")
-    g_patches = _to_patches(view_pair.teacher_view, state.cfg.patch_len)
-    a_patches = _to_patches(view_pair.student_view, state.cfg.patch_len)
+    p = state.cfg.patch_len
+    g_patches = PatchBatch.from_windows(view_pair.teacher_view, p)
+    a_patches = PatchBatch.from_windows(view_pair.student_view, p)
     z_g = _pool(encode(g_patches, state.encoder, state.cfg))
     z_a = _pool(encode(a_patches, state.encoder, state.cfg))
     diff = T.sub(z_g, z_a)
@@ -385,7 +372,7 @@ def lejepa_loss(state: ObjectiveState, view_pair: augment.ViewPair,
 def _dino_logits(view: np.ndarray, enc: Weights,
                  heads: dict[str, dict[str, Tensor]], state: ObjectiveState
                  ) -> Tensor:
-    patches = _to_patches(view, state.cfg.patch_len)
+    patches = PatchBatch.from_windows(view, state.cfg.patch_len)
     pooled = _pool(encode(patches, enc, state.cfg))
     hidden = T.gelu(_apply_linear(pooled, heads["proj1"]))
     return _apply_linear(hidden, heads["proj2"])

@@ -50,18 +50,6 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def zero_sample_statistic(n: int, cfg: EppsPulleyConfig) -> float:
-    """Closed form of the statistic when every projected sample is zero.
-
-    The empirical CF is identically (1, 0), so the residual integral is
-    the same for every direction: N * trapz(|1 - e^(-t^2/2)|^2 e^(-t^2/2)).
-    """
-    grid = cfg.grid()
-    w = np.exp(-0.5 * grid ** 2)
-    integrand = (1.0 - w) ** 2 * w
-    return float(n * np.sum(integrand * _trapezoid_weights(grid)))
-
-
 def epps_pulley_statistic(embeddings, cfg: EppsPulleyConfig,
                           step: int = 0) -> Tensor:
     """Mean weighted CF residual over M random unit projections.

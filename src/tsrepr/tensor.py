@@ -326,21 +326,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return out
 
 
-def expand(a, shape) -> Tensor:
-    """Explicit broadcast to ``shape``."""
-    a = as_tensor(a)
-    try:
-        out = Tensor(np.broadcast_to(a.data, shape).copy(), _check=False)
-    except ValueError as e:
-        raise ShapeError(str(e)) from None
-
-    def bw(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-
-    _record(out, (a,), bw)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reductions (float64 accumulators)
 

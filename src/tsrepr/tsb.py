@@ -22,7 +22,7 @@ import numpy as np
 
 MAGIC = b"TSB1"
 CKPT_MAGIC = b"TSBC"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 _DTYPES = {0: np.dtype("<f4")}
 _DTYPE_CODES = {np.dtype("<f4"): 0}

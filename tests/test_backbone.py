@@ -34,6 +34,15 @@ def test_instance_norm_moments():
     np.testing.assert_allclose(normed * sigma + mu, x, rtol=1e-4, atol=1e-4)
 
 
+def test_from_windows_cuts_patches():
+    x = np.arange(2 * 19, dtype=np.float64).reshape(2, 19)
+    pb = B.PatchBatch.from_windows(x, 8)  # trailing 3 samples dropped
+    assert pb.values.shape == (2, 2, 8) and pb.values.dtype == np.float32
+    np.testing.assert_array_equal(pb.values[1, 1], x[1, 8:16])
+    with pytest.raises(ShapeError):
+        B.PatchBatch.from_windows(x[:, :7], 8)
+
+
 # ---------------------------------------------------------------------------
 # encoding
 
@@ -82,19 +91,6 @@ def test_noncausal_sees_future():
     vals[0, 3] += 1.0
     out = B.encode(B.PatchBatch(vals), w, CFG).data
     assert np.abs(out[0, 0] - base[0, 0]).max() > 1e-7
-
-
-def test_pad_mask_isolates_and_zeroes():
-    w = make_weights()
-    pb = batch(b=1, n=4)
-    pad = np.zeros((1, 4), dtype=bool)
-    pad[0, 3] = True
-    out = B.encode(B.PatchBatch(pb.values, pad), w, CFG).data
-    assert np.abs(out[0, 3]).max() == 0.0  # padded position zeroed
-    vals = pb.values.copy()
-    vals[0, 3] = 99.0  # changing a padded patch must not leak anywhere
-    out2 = B.encode(B.PatchBatch(vals, pad), w, CFG).data
-    np.testing.assert_array_equal(out2[:, :3], out[:, :3])
 
 
 def test_mask_token_replaces_embedding():

@@ -203,12 +203,35 @@ def test_frozen_probe_leaves_backbone_untouched():
 
 
 def test_finetune_updates_backbone():
+    # fine-tuning trains a copy: the caller's weights stay put, so every
+    # grid lr and task starts from the same backbone
     w = make_backbone()
     before = weights_hash(w)
     x, y = toy_classification(n=40)
-    E.probe_train(w, CFG, E.ProbeSpec(mode="finetune", task="classify",
-                                      epochs=2, batch_size=16), x, y)
-    assert weights_hash(w) != before
+    res = E.probe_train(w, CFG, E.ProbeSpec(mode="finetune", task="classify",
+                                            epochs=2, batch_size=16), x, y)
+    assert weights_hash(res.backbone) != before
+    assert weights_hash(w) == before
+
+
+def test_finetune_returns_best_epoch_backbone():
+    # at this lr the validation loss bottoms out before the last epoch; the
+    # returned backbone and head must together score that best validation
+    w = make_backbone()
+    x, y = toy_classification(n=40)
+    spec = E.ProbeSpec(mode="finetune", task="classify", epochs=6,
+                       batch_size=16, lr=0.03)
+    res = E.probe_train(w, CFG, spec, x, y)
+    vals = [h["val_loss"] for h in res.history]
+    assert int(np.argmin(vals)) < len(vals) - 1
+    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 31)))
+    val_idx = rng.permutation(len(x))[: round(spec.val_fraction * len(x))]
+    logits = E.predict_head(res.backbone, CFG, res.head, spec,
+                            x[val_idx]).astype(np.float64)
+    logp = logits - logits.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    ce = -logp[np.arange(len(val_idx)), y[val_idx]].mean()
+    assert abs(ce - res.best_val) / res.best_val < 1e-4
 
 
 def test_uniform_random_classifier_accuracy():

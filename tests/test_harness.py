@@ -35,10 +35,12 @@ def test_config_round_trip(tmp_path):
 def test_config_unknown_key_rejected(tmp_path):
     path = tmp_path / "run.ini"
     H.save_run_config(RunConfig(), path)
-    text = path.read_text().replace("[backbone]", "[backbone]\nwidth = 3")
-    path.write_text(text)
-    with pytest.raises(ConfigError, match="width"):
-        H.load_run_config(path)
+    clean = path.read_text()
+    # "dropout" was a [backbone] key before it was removed
+    for line in ("width = 3", "dropout = 0.0"):
+        path.write_text(clean.replace("[backbone]", f"[backbone]\n{line}"))
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            H.load_run_config(path)
 
 
 def test_config_unknown_section_rejected(tmp_path):
@@ -230,6 +232,18 @@ def test_run_experiment_writes_checkpoints(tmp_path):
     cfg = fast_cfg(tmp_path, run_id="ck", tasks=("classify",))
     H.run_experiment(cfg)
     assert (cfg.run_dir() / "checkpoints" / "backbone_seed1.tsbc").exists()
+
+
+def test_finetune_metrics_independent_of_task_order(tmp_path):
+    # fine-tune probes train copies, so an earlier task cannot leak into a
+    # later one (a resumed run evaluates only the pending tasks)
+    rows = []
+    for tasks in (("anomaly",), ("classify", "anomaly")):
+        cfg = fast_cfg(tmp_path, run_id="_".join(tasks), tasks=tasks,
+                       probe_mode="finetune")
+        rows.append([r.to_row()[4:] for r in H.run_experiment(cfg)
+                     if r.task == "anomaly"])
+    assert rows[0] == rows[1]
 
 
 def test_single_value_sweep_matches_run_experiment(tmp_path):

@@ -1,0 +1,64 @@
+"""Every imported name in the package, the tests and the demos is used."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted(p for d in ("src/tsrepr", "tests", "demos")
+               for p in (ROOT / d).glob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line for every import except ``__future__``."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotation_names(node) -> set[str]:
+    """Names inside a quoted (forward-reference) annotation."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                if isinstance(n, ast.Name)}
+    return set()
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            for ann in [a.annotation for a in args] + [node.returns]:
+                used |= _annotation_names(ann)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used |= {e.value for e in node.value.elts}
+    return used
+
+
+def test_scan_finds_unused_import():
+    tree = ast.parse("import os\nfrom a import b as c, d\n"
+                     "def f(x: 'd') -> None:\n    return os\n")
+    assert set(_imported(tree)) - _used(tree) == {"c"}
+
+
+def test_no_unused_imports():
+    unused = {}
+    for path in FILES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _used(tree)
+        unused.update({f"{path.relative_to(ROOT)}:{line}": name
+                       for name, line in _imported(tree).items()
+                       if name not in used})
+    assert not unused

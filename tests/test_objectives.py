@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tsrepr import augment, objectives as O, sigreg
-from tsrepr import tensor as T
 from tsrepr.backbone import BackboneConfig, weights_hash
 from tsrepr.tensor import ShapeError, Tape, backward
 

@@ -63,13 +63,16 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_version_refused(tmp_path):
+    # version 1 headers still carry the removed backbone "dropout" key
     path = tmp_path / "c.tsbc"
     tsb.save_checkpoint(path, {}, {"x": np.ones(2, np.float32)})
-    raw = bytearray(path.read_bytes())
-    raw[4:6] = struct.pack("<H", tsb.CKPT_VERSION + 1)
-    path.write_bytes(bytes(raw))
-    with pytest.raises(tsb.FormatError):
-        tsb.load_checkpoint(path)
+    good = path.read_bytes()
+    for version in (1, tsb.CKPT_VERSION + 1):
+        raw = bytearray(good)
+        raw[4:6] = struct.pack("<H", version)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(tsb.FormatError):
+            tsb.load_checkpoint(path)
 
 
 def test_checkpoint_bad_magic(tmp_path):
