@@ -40,10 +40,6 @@ class BackboneConfig:
         if self.patch_len < 1 or self.n_layers < 1:
             raise ValueError("patch_len and n_layers must be >= 1")
 
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
-
 
 @dataclass
 class PatchBatch:
@@ -153,33 +149,14 @@ def clone_weights(w: Weights, requires_grad: bool = False) -> Weights:
 
 def _attention(x: Tensor, w: Weights, prefix: str, cfg: BackboneConfig,
                attn_bias: np.ndarray | None) -> Tensor:
-    b, n, d = x.shape
-    h, dh = cfg.n_heads, cfg.head_dim
-
-    def heads(t):
-        t = T.reshape(t, (b, n, h, dh))
-        return T.transpose(t, (0, 2, 1, 3))  # (B, H, N, dh)
-
-    flat = T.reshape(x, (b * n, d))
-    q = heads(T.reshape(T.matmul(flat, w[f"{prefix}.attn.wq"]), (b, n, d)))
-    k = heads(T.reshape(T.matmul(flat, w[f"{prefix}.attn.wk"]), (b, n, d)))
-    v = heads(T.reshape(T.matmul(flat, w[f"{prefix}.attn.wv"]), (b, n, d)))
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    if attn_bias is not None:
-        scores = T.add(scores, attn_bias)
-    probs = T.softmax(scores)
-    ctx = T.matmul(probs, v)  # (B, H, N, dh)
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b * n, d))
-    out = T.add(T.matmul(ctx, w[f"{prefix}.attn.wo"]), w[f"{prefix}.attn.bo"])
-    return T.reshape(out, (b, n, d))
+    a = f"{prefix}.attn"
+    return T.attention(x, w[f"{a}.wq"], w[f"{a}.wk"], w[f"{a}.wv"],
+                       w[f"{a}.wo"], w[f"{a}.bo"], cfg.n_heads, attn_bias)
 
 
 def _ffn(x: Tensor, w: Weights, prefix: str) -> Tensor:
-    b, n, d = x.shape
-    flat = T.reshape(x, (b * n, d))
-    h = T.gelu(T.add(T.matmul(flat, w[f"{prefix}.ffn.w1"]), w[f"{prefix}.ffn.b1"]))
-    out = T.add(T.matmul(h, w[f"{prefix}.ffn.w2"]), w[f"{prefix}.ffn.b2"])
-    return T.reshape(out, (b, n, d))
+    f = f"{prefix}.ffn"
+    return T.ffn(x, w[f"{f}.w1"], w[f"{f}.b1"], w[f"{f}.w2"], w[f"{f}.b2"])
 
 
 def _causal_bias(n: int) -> np.ndarray:

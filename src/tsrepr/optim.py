@@ -54,14 +54,19 @@ class Adam:
         for k, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad.astype(np.float32)
+            g = p.grad  # float32, see Tensor._accumulate
             m, v = self._m[k], self._v[k]
             m *= self.b1
             m += (1.0 - self.b1) * g
             v *= self.b2
             v += (1.0 - self.b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data -= np.float32(lr) * update.astype(np.float32)
+            denom = v / bc2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update = m / bc1
+            update /= denom
+            update *= np.float32(lr)
+            p.data -= update
 
 
 def one_cycle_lr(step: int, total_steps: int, lr_max: float,

@@ -50,36 +50,60 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
+def _residuals(proj: np.ndarray, cfg: EppsPulleyConfig, grad: bool = False):
+    """Per-projection Epps-Pulley residuals of float64 projections (N, M).
+
+    Residual m is ``N * sum_j w_j |phi_m(t_j) - e^(-t_j^2/2)|^2`` with the
+    empirical CF ``phi_m(t) = mean_i exp(i t proj[i, m])`` and weights
+    ``w_j = e^(-t_j^2/2) * trapezoid_j`` (the standard normal CF is real).
+    With ``grad``, also returns the derivative of the residuals' sum with
+    respect to ``proj``.  The grid loop keeps memory at O(N * M).
+    """
+    n = proj.shape[0]
+    grid = cfg.grid()
+    target = np.exp(-0.5 * grid ** 2)
+    weights = target * _trapezoid_weights(grid)
+    residuals = np.zeros(proj.shape[1])
+    dproj = np.zeros_like(proj) if grad else None
+    # exp(i t proj) on the uniform grid: each next point is the previous
+    # one rotated by exp(i dt proj), far cheaper than float64 trig per point
+    e = np.exp(1j * grid[0] * proj)
+    rotation = np.exp(1j * (grid[1] - grid[0]) * proj)
+    for j, (t, tg, w) in enumerate(zip(grid, target, weights)):
+        if j:
+            e *= rotation
+        cf = e.mean(axis=0)
+        cr, ci = cf.real - tg, cf.imag
+        residuals += (cr * cr + ci * ci) * w
+        if grad:
+            dproj += (2.0 * w * t) * (ci * e.real - cr * e.imag)
+    return n * residuals, dproj
+
+
 def epps_pulley_statistic(embeddings, cfg: EppsPulleyConfig,
                           step: int = 0) -> Tensor:
     """Mean weighted CF residual over M random unit projections.
 
-    Differentiable in the embeddings; float32 values with float64
-    reduction accumulators (see tensor reductions).  The embeddings are
-    tested unstandardized, so low variance is penalized.
+    One tape op over a float64 kernel; the float32 value carries the
+    float64 result in ``hi``.  Differentiable in the embeddings.  The
+    embeddings are tested unstandardized, so low variance is penalized.
     """
     z = embeddings if isinstance(embeddings, Tensor) else Tensor(embeddings)
     if z.ndim != 2 or z.shape[0] < 2:
         raise ValueError("embeddings must be (N >= 2, D)")
-    n = z.shape[0]
-    directions = sample_projections(z.shape[1], cfg, step)  # (M, D)
-    proj = T.matmul(z, T.transpose(Tensor(directions)))     # (N, M)
-    grid = cfg.grid()
-    weights = np.exp(-0.5 * grid ** 2)
-    trapz = _trapezoid_weights(grid)
-    target = weights  # standard normal CF is real: e^(-t^2/2)
+    directions = sample_projections(z.shape[1], cfg, step).astype(np.float64)
+    taped = z.requires_grad and T.Tape.active() is not None
+    per_projection, dproj = _residuals(z.data.astype(np.float64) @ directions.T,
+                                       cfg, grad=taped)
+    stat = float(per_projection.mean())
+    out = Tensor(np.float32(stat), _check=False)
+    out.hi = stat
 
-    residual = None
-    for j, t_val in enumerate(grid):
-        scaled = T.mul(proj, float(t_val))
-        cr = T.mean(T.cos(scaled), axis=0)  # (M,)
-        ci = T.mean(T.sin(scaled), axis=0)
-        dr = T.sub(cr, float(target[j]))
-        sq = T.add(T.mul(dr, dr), T.mul(ci, ci))
-        term = T.mul(sq, float(weights[j] * trapz[j]))
-        residual = term if residual is None else T.add(residual, term)
-    per_projection = T.mul(residual, float(n))  # (M,)
-    return T.mean(per_projection)
+    def bw(g):
+        z._accumulate((dproj @ directions) * (float(g) / len(directions)))
+
+    T._record(out, (z,), bw)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -90,18 +114,8 @@ def sigreg_diagnostics(embeddings: np.ndarray, cfg: EppsPulleyConfig,
                        step: int = 0) -> dict:
     """Per-projection residuals plus covariance spectrum / effective rank."""
     z = np.asarray(embeddings, dtype=np.float64)
-    n = z.shape[0]
     directions = sample_projections(z.shape[1], cfg, step).astype(np.float64)
-    proj = z @ directions.T
-    grid = cfg.grid()
-    weights = np.exp(-0.5 * grid ** 2)
-    trapz = _trapezoid_weights(grid)
-    residuals = np.zeros(directions.shape[0])
-    for j, t_val in enumerate(grid):
-        cr = np.cos(t_val * proj).mean(axis=0)
-        ci = np.sin(t_val * proj).mean(axis=0)
-        residuals += ((cr - weights[j]) ** 2 + ci ** 2) * weights[j] * trapz[j]
-    residuals *= n
+    residuals, _ = _residuals(z @ directions.T, cfg)
     cov = np.cov(z, rowvar=False)
     eigvals = np.linalg.eigvalsh(np.atleast_2d(cov))[::-1]
     pos = np.clip(eigvals, 1e-12, None)

@@ -5,6 +5,12 @@ float64 before casting back.  Gradients are recorded on an explicit
 :class:`Tape` that is active inside a ``with Tape():`` block and replayed
 in reverse by :func:`backward`.  Outside a tape (evaluation paths) the
 same ops run without recording anything.
+
+The Transformer hot path is three fused ops, each one tape record with an
+analytic backward: :func:`layer_norm`, :func:`attention` (the whole
+multi-head self-attention block) and :func:`ffn` (the GELU feed-forward).
+``reshape`` and ``transpose`` return views.  Gradients are never updated
+in place, so views and shared gradient arrays are safe.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import contextvars
 import math
 
 import numpy as np
-from scipy.special import erf as _erf
 
 __all__ = [
     "Tensor",
@@ -38,8 +43,14 @@ class NumericError(FloatingPointError):
     """Non-finite value produced where finiteness is required."""
 
 
-_SQRT_2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_INV_SQRT_2 = np.float32(1.0 / math.sqrt(2.0))
+_INV_SQRT_2PI = np.float32(1.0 / math.sqrt(2.0 * math.pi))
+# Abramowitz & Stegun 7.1.26: for z >= 0, erfc(z) = t * poly(t) * exp(-z^2)
+# with t = 1 / (1 + p z), |error| <= 1.5e-7; the coefficients are halved
+# so that the product is Phi(-sqrt(2) z) = erfc(z) / 2
+_AS_P = np.float32(0.3275911)
+_AS_HALF_COEFFS = tuple(np.float32(c / 2.0) for c in (
+    1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592))
 
 # ---------------------------------------------------------------------------
 # tape
@@ -125,12 +136,12 @@ class Tensor:
         return Tensor(self.data, _check=False)
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # grads are never written in place, so the first one may alias
+        # (or be a read-only broadcast of) another op's array
         if g.shape != self.data.shape:
             g = _unbroadcast(g, self.data.shape)
-        if self.grad is None:
-            self.grad = g.astype(np.float32).copy()
-        else:
-            self.grad += g.astype(np.float32)
+        g = g.astype(np.float32, copy=False)
+        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -187,8 +198,10 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data, _check=False)
 
     def bw(g):
-        a._accumulate(g)
-        b._accumulate(g)
+        if a.requires_grad:
+            a._accumulate(g)
+        if b.requires_grad:
+            b._accumulate(g)
 
     _set_hi(out, a, b, lambda x, y: x + y)
     _record(out, (a, b), bw)
@@ -200,8 +213,10 @@ def sub(a, b) -> Tensor:
     out = Tensor(a.data - b.data, _check=False)
 
     def bw(g):
-        a._accumulate(g)
-        b._accumulate(-g)
+        if a.requires_grad:
+            a._accumulate(g)
+        if b.requires_grad:
+            b._accumulate(-g)
 
     _set_hi(out, a, b, lambda x, y: x - y)
     _record(out, (a, b), bw)
@@ -213,8 +228,10 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data, _check=False)
 
     def bw(g):
-        a._accumulate(g * b.data)
-        b._accumulate(g * a.data)
+        if a.requires_grad:
+            a._accumulate(g * b.data)
+        if b.requires_grad:
+            b._accumulate(g * a.data)
 
     _set_hi(out, a, b, lambda x, y: x * y)
     _record(out, (a, b), bw)
@@ -228,8 +245,10 @@ def div(a, b) -> Tensor:
     out = Tensor(a.data / b.data, _check=False)
 
     def bw(g):
-        a._accumulate(g / b.data)
-        b._accumulate(-g * a.data / (b.data * b.data))
+        if a.requires_grad:
+            a._accumulate(g / b.data)
+        if b.requires_grad:
+            b._accumulate(-g * a.data / (b.data * b.data))
 
     _set_hi(out, a, b, lambda x, y: x / y)
     _record(out, (a, b), bw)
@@ -256,14 +275,12 @@ def matmul(a, b) -> Tensor:
             gg = np.expand_dims(g, -2)
         if b.ndim == 1:
             gg = np.expand_dims(gg, -1)
-        ga = np.matmul(gg, np.swapaxes(bd, -1, -2))
-        gb = np.matmul(np.swapaxes(ad, -1, -2), gg)
-        if a.ndim == 1:
-            ga = np.squeeze(ga, -2)
-        if b.ndim == 1:
-            gb = np.squeeze(gb, -1)
-        a._accumulate(ga)
-        b._accumulate(gb)
+        if a.requires_grad:
+            ga = np.matmul(gg, np.swapaxes(bd, -1, -2))
+            a._accumulate(np.squeeze(ga, -2) if a.ndim == 1 else ga)
+        if b.requires_grad:
+            gb = np.matmul(np.swapaxes(ad, -1, -2), gg)
+            b._accumulate(np.squeeze(gb, -1) if b.ndim == 1 else gb)
 
     _record(out, (a, b), bw)
     return out
@@ -272,7 +289,7 @@ def matmul(a, b) -> Tensor:
 def transpose(a, axes=None) -> Tensor:
     a = as_tensor(a)
     ax = axes if axes is not None else tuple(reversed(range(a.ndim)))
-    out = Tensor(np.transpose(a.data, ax).copy(), _check=False)
+    out = Tensor(np.transpose(a.data, ax), _check=False)
     inv = np.argsort(ax)
 
     def bw(g):
@@ -285,7 +302,7 @@ def transpose(a, axes=None) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     try:
-        out = Tensor(a.data.reshape(shape).copy(), _check=False)
+        out = Tensor(a.data.reshape(shape), _check=False)
     except ValueError as e:
         raise ShapeError(str(e)) from None
 
@@ -320,7 +337,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
     def bw(g):
         for t, piece in zip(ts, np.split(g, splits, axis=axis)):
-            t._accumulate(piece)
+            if t.requires_grad:
+                t._accumulate(piece)
 
     _record(out, tuple(ts), bw)
     return out
@@ -338,11 +356,8 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         out.hi = float(np.asarray(val).reshape(()))
 
     def bw(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(ge, a.shape).copy())
+        ge = g if axis is None or keepdims else np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(ge, a.shape))
 
     _record(out, (a,), bw)
     return out
@@ -361,11 +376,8 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
         count = int(np.prod([a.shape[ax] for ax in axes]))
 
     def bw(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g / count, a.shape).copy())
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(ge / count, a.shape).copy())
+        ge = g if axis is None or keepdims else np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(ge / count, a.shape))
 
     _record(out, (a,), bw)
     return out
@@ -422,16 +434,43 @@ def relu(a) -> Tensor:
     return out
 
 
+def _gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact GELU ``x * Phi(x)`` of a float32 array and its derivative.
+
+    Phi comes from the Abramowitz-Stegun erfc of ``|x| / sqrt(2)``, all in
+    float32 and branch-free: ``Phi(x) = [x >= 0] - sign(x) Phi(-|x|)``
+    keeps the lower tail accurate.
+    """
+    # three fresh buffers: fresh pages cost more than the arithmetic here
+    z = np.abs(x)
+    z *= _INV_SQRT_2
+    t = z * _AS_P
+    t += np.float32(1.0)
+    np.reciprocal(t, out=t)
+    np.square(z, out=z)
+    np.negative(z, out=z)
+    e = np.exp(z, out=z)  # exp(-x^2 / 2)
+    phi = t * _AS_HALF_COEFFS[0]
+    for c in _AS_HALF_COEFFS[1:]:
+        phi += c
+        phi *= t
+    phi *= e  # Phi(-|x|)
+    np.copysign(phi, x, out=phi)
+    np.subtract(~np.signbit(x), phi, out=phi)  # Phi(x)
+    e *= x
+    e *= _INV_SQRT_2PI
+    e += phi  # Phi(x) + x * pdf(x)
+    return np.multiply(x, phi, out=t), e
+
+
 def gelu(a) -> Tensor:
-    """Exact GELU: x * Phi(x) with Phi built from erf."""
+    """Exact GELU: x * Phi(x), computed in float32 (see :func:`_gelu_kernel`)."""
     a = as_tensor(a)
-    x = a.data
-    phi = 0.5 * (1.0 + _erf(x.astype(np.float64) / _SQRT_2))
-    out = Tensor(_f32(x * phi), _check=False)
+    val, slope = _gelu_kernel(a.data)
+    out = Tensor(val, _check=False)
 
     def bw(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.astype(np.float64) ** 2)
-        a._accumulate(g * _f32(phi + x * pdf))
+        a._accumulate(g * slope)
 
     _record(out, (a,), bw)
     return out
@@ -472,16 +511,135 @@ def log_softmax(a) -> Tensor:
 def layer_norm(a, gamma=None, beta=None, eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last axis with optional affine params."""
     a = as_tensor(a)
-    m = mean(a, axis=-1, keepdims=True)
-    d = sub(a, m)
-    v = mean(mul(d, d), axis=-1, keepdims=True)
-    inv = div(1.0, sqrt(add(v, eps)))
-    normed = mul(d, inv)
+    gamma = None if gamma is None else as_tensor(gamma)
+    beta = None if beta is None else as_tensor(beta)
+    x = a.data
+    d = x - _f32(x.mean(axis=-1, keepdims=True, dtype=np.float64))
+    var = _f32(np.mean(d * d, axis=-1, keepdims=True, dtype=np.float64))
+    inv = np.float32(1.0) / np.sqrt(var + np.float32(eps))
+    normed = d * inv
+    val = normed
     if gamma is not None:
-        normed = mul(normed, gamma)
+        val = val * gamma.data
     if beta is not None:
-        normed = add(normed, beta)
-    return normed
+        val = val + beta.data
+    out = Tensor(val, _check=False)
+
+    def bw(g):
+        if gamma is not None and gamma.requires_grad:
+            gamma._accumulate(g * normed)
+        if beta is not None and beta.requires_grad:
+            beta._accumulate(g)
+        if a.requires_grad:
+            gn = g * gamma.data if gamma is not None else g
+            m1 = gn.mean(axis=-1, keepdims=True)
+            m2 = (gn * normed).mean(axis=-1, keepdims=True)
+            a._accumulate(inv * (gn - m1 - normed * m2))
+
+    inputs = tuple(t for t in (a, gamma, beta) if t is not None)
+    _record(out, inputs, bw)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# fused Transformer blocks
+
+
+def attention(x, wq, wk, wv, wo, bo, n_heads: int, bias=None) -> Tensor:
+    """Multi-head self-attention block on (B, N, d) as one tape op.
+
+    ``softmax(q k^T / sqrt(dh) + bias) v`` per head with q, k, v = x wq,
+    x wk, x wv, then the output projection ``ctx wo + bo``.  ``bias`` is a
+    constant additive array broadcast against the (B, H, N, N) scores.
+    Head tensors are kept C-contiguous (B, H, N, dh) so every matmul is
+    a BLAS call.
+    """
+    x, wq, wk, wv, wo, bo = (as_tensor(t) for t in (x, wq, wk, wv, wo, bo))
+    if x.ndim != 3:
+        raise ShapeError("attention input must be (batch, n, d_model)")
+    b, n, d = x.shape
+    h = n_heads
+    if d % h != 0:
+        raise ShapeError(f"d_model {d} not divisible by {h} heads")
+    dh = d // h
+    scale = np.float32(1.0 / math.sqrt(dh))
+
+    def split(m):  # (B*N, d) -> (B, H, N, dh)
+        return np.ascontiguousarray(m.reshape(b, n, h, dh).transpose(0, 2, 1, 3))
+
+    def merge(m):  # (B, H, N, dh) -> (B*N, d)
+        return np.ascontiguousarray(m.transpose(0, 2, 1, 3)).reshape(b * n, d)
+
+    flat = x.data.reshape(b * n, d)
+    q, k, v = (split(flat @ w.data) for w in (wq, wk, wv))
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= scale
+    if bias is not None:
+        scores += bias
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores, out=scores)
+    probs = e / _f32(e.sum(axis=-1, keepdims=True, dtype=np.float64))
+    ctx = merge(probs @ v)
+    val = ctx @ wo.data
+    val += bo.data
+    out = Tensor(val.reshape(b, n, d), _check=False)
+
+    def bw(g):
+        g = g.reshape(b * n, d)
+        if wo.requires_grad:
+            wo._accumulate(ctx.T @ g)
+        if bo.requires_grad:
+            bo._accumulate(g)
+        dctx = split(g @ wo.data.T)
+        dprobs = dctx @ v.swapaxes(-1, -2)
+        dscores = dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)
+        dscores *= probs
+        dscores *= scale
+        grads = (merge(dscores @ k), merge(dscores.swapaxes(-1, -2) @ q),
+                 merge(probs.swapaxes(-1, -2) @ dctx))
+        dx = None
+        for w, gm in zip((wq, wk, wv), grads):
+            if w.requires_grad:
+                w._accumulate(flat.T @ gm)
+            if x.requires_grad:
+                part = gm @ w.data.T
+                dx = part if dx is None else dx + part
+        if dx is not None:
+            x._accumulate(dx.reshape(b, n, d))
+
+    _record(out, (x, wq, wk, wv, wo, bo), bw)
+    return out
+
+
+def ffn(x, w1, b1, w2, b2) -> Tensor:
+    """GELU feed-forward ``gelu(x w1 + b1) w2 + b2`` over the last axis."""
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    lead = x.shape[:-1]
+    flat = x.data.reshape(-1, x.shape[-1])
+    pre = flat @ w1.data
+    pre += b1.data
+    act, slope = _gelu_kernel(pre)
+    val = act @ w2.data
+    val += b2.data
+    out = Tensor(val.reshape(lead + (w2.shape[-1],)), _check=False)
+
+    def bw(g):
+        g = g.reshape(-1, w2.shape[-1])
+        if w2.requires_grad:
+            w2._accumulate(act.T @ g)
+        if b2.requires_grad:
+            b2._accumulate(g)
+        dpre = g @ w2.data.T
+        dpre *= slope
+        if w1.requires_grad:
+            w1._accumulate(flat.T @ dpre)
+        if b1.requires_grad:
+            b1._accumulate(dpre)
+        if x.requires_grad:
+            x._accumulate((dpre @ w1.data.T).reshape(x.shape))
+
+    _record(out, (x, w1, b1, w2, b2), bw)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""Every imported name in the package, the tests and the demos is used."""
+"""Imports: every imported name is used, and the package needs no scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,3 +65,12 @@ def test_no_unused_imports():
                        for name, line in _imported(tree).items()
                        if name not in used})
     assert not unused
+
+
+def test_package_imports_without_scipy():
+    code = ("import sys; import tsrepr, tsrepr.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.stdout.strip() == "[]"

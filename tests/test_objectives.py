@@ -204,6 +204,23 @@ def test_every_loss_backpropagates(objective):
     assert g is not None and np.isfinite(g).all()
 
 
+@pytest.mark.parametrize("objective", ("mae", "ntp"))
+def test_constant_operands_get_no_gradient(objective):
+    # masks, targets and the causal bias do not require grad, so backward
+    # neither computes nor stores a gradient for them
+    toy = BackboneConfig(d_model=32, n_layers=2, n_heads=4, patch_len=16,
+                         max_patches=8)
+    state = make_state(objective, cfg=toy)
+    with Tape() as tape:
+        lb = O.compute_loss(state, make_batch(8, 128), np.random.default_rng(3),
+                            step=0)
+        backward(lb.total)
+    inputs = {id(t): t for _out, ins, _bw in tape.records for t in ins}
+    constants = [t for t in inputs.values() if not t.requires_grad]
+    assert constants
+    assert all(t.grad is None for t in constants)
+
+
 def test_causality_forced_for_autoregressive_objectives():
     assert make_state("ntp").cfg.causal
     assert make_state("diffusion").cfg.causal

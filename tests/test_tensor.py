@@ -1,11 +1,14 @@
 """Autodiff core: forward values, gradients, tape semantics, errors."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsrepr import tensor as T
+from tsrepr.backbone import _causal_bias
 from tsrepr.tensor import (DomainError, NumericError, ShapeError, Tape,
                            Tensor, backward, grad_check)
 
@@ -45,6 +48,12 @@ def test_reshape_transpose_round_trip():
     np.testing.assert_array_equal(back, a)
     back = T.reshape(T.reshape(Tensor(a), (24,)), (4, 6)).data
     np.testing.assert_array_equal(back, a)
+
+
+def test_views_share_memory():
+    a = Tensor(rand(4, 6))
+    assert np.shares_memory(T.reshape(a, (2, 12)).data, a.data)
+    assert np.shares_memory(T.transpose(a).data, a.data)
 
 
 def test_forward_determinism():
@@ -145,6 +154,10 @@ def test_softmax_cross_entropy_grad_check():
     assert err < 1e-3
 
 
+ATTN_W = [Tensor(0.5 * rand(6, 6)) for _ in range(4)] + [Tensor(rand(6))]
+FFN_W = [Tensor(0.5 * rand(6, 12)), Tensor(rand(12)),
+         Tensor(0.5 * rand(12, 6)), Tensor(rand(6))]
+
 PRIMITIVES = [
     ("add", lambda x: T.tsum(T.add(x, 0.5))),
     ("sub", lambda x: T.tsum(T.sub(1.5, x))),
@@ -165,6 +178,9 @@ PRIMITIVES = [
     ("softmax", lambda x: T.tsum(T.mul(T.softmax(x), x))),
     ("log_softmax", lambda x: T.tsum(T.mul(T.log_softmax(x), 0.3))),
     ("layer_norm", lambda x: T.tsum(T.mul(T.layer_norm(x), x))),
+    ("attention", lambda x: T.tsum(T.mul(
+        T.attention(T.reshape(x, (2, 2, 6)), *ATTN_W, 2), 0.7))),
+    ("ffn", lambda x: T.tsum(T.mul(T.ffn(x, *FFN_W), 0.7))),
     ("expand_sum", lambda x: T.tsum(T.mul(T.mean(x, axis=0, keepdims=True), x))),
 ]
 
@@ -201,3 +217,92 @@ def test_softmax_shift_invariance(n, d):
     s1 = T.softmax(Tensor(x)).data
     s2 = T.softmax(Tensor(x + 3.0)).data
     np.testing.assert_allclose(s1, s2, atol=2e-6)
+
+
+# ---------------------------------------------------------------------------
+# fused ops against their composed references
+
+
+def composed_layer_norm(a, gamma, beta, eps=1e-5):
+    m = T.mean(a, axis=-1, keepdims=True)
+    d = T.sub(a, m)
+    v = T.mean(T.mul(d, d), axis=-1, keepdims=True)
+    normed = T.mul(d, T.div(1.0, T.sqrt(T.add(v, eps))))
+    return T.add(T.mul(normed, gamma), beta)
+
+
+def composed_attention(x, wq, wk, wv, wo, bo, n_heads, bias=None):
+    b, n, d = x.shape
+    dh = d // n_heads
+
+    def heads(t):
+        t = T.reshape(T.matmul(flat, t), (b, n, n_heads, dh))
+        return T.transpose(t, (0, 2, 1, 3))
+
+    flat = T.reshape(x, (b * n, d))
+    q, k, v = heads(wq), heads(wk), heads(wv)
+    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
+                   1.0 / math.sqrt(dh))
+    if bias is not None:
+        scores = T.add(scores, bias)
+    ctx = T.matmul(T.softmax(scores), v)
+    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b * n, d))
+    return T.reshape(T.add(T.matmul(ctx, wo), bo), (b, n, d))
+
+
+def composed_ffn(x, w1, b1, w2, b2):
+    b, n, d = x.shape
+    flat = T.reshape(x, (b * n, d))
+    h = T.gelu(T.add(T.matmul(flat, w1), b1))
+    return T.reshape(T.add(T.matmul(h, w2), b2), (b, n, w2.shape[1]))
+
+
+def _values_and_grads(op, arrays):
+    """Forward value of ``op`` and the gradient of a weighted sum of it."""
+    ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with Tape():
+        out = op(*ts)
+        weight = np.random.default_rng(5).standard_normal(out.shape)
+        backward(T.tsum(T.mul(out, weight.astype(np.float32))))
+    return out.data, [t.grad for t in ts]
+
+
+FUSED = [
+    pytest.param(T.layer_norm, composed_layer_norm,
+                 [rand(3, 5, 8), 1.0 + rand(8), rand(8)], id="layer_norm"),
+    pytest.param(lambda *a: T.attention(*a, 2),
+                 lambda *a: composed_attention(*a, 2),
+                 [rand(3, 5, 8)] + [0.4 * rand(8, 8) for _ in range(4)]
+                 + [rand(8)], id="attention"),
+    pytest.param(lambda *a: T.attention(*a, 4, _causal_bias(5)),
+                 lambda *a: composed_attention(*a, 4, _causal_bias(5)),
+                 [rand(3, 5, 8)] + [0.4 * rand(8, 8) for _ in range(4)]
+                 + [rand(8)], id="attention_causal"),
+    pytest.param(T.ffn, composed_ffn,
+                 [rand(3, 5, 8), 0.4 * rand(8, 32), rand(32), 0.2 * rand(32, 8),
+                  rand(8)], id="ffn"),
+]
+
+
+@pytest.mark.parametrize("fused,composed,arrays", FUSED)
+def test_fused_matches_composed(fused, composed, arrays):
+    val, grads = _values_and_grads(fused, arrays)
+    ref_val, ref_grads = _values_and_grads(composed, arrays)
+    np.testing.assert_allclose(val, ref_val, rtol=1e-5, atol=1e-5)
+    for g, ref in zip(grads, ref_grads):
+        np.testing.assert_allclose(g, ref, rtol=1e-4, atol=1e-5)
+
+
+def test_gelu_matches_exact_erf():
+    x = np.concatenate([np.linspace(-9.0, 9.0, 2001),
+                        rand(500) * 3.0]).astype(np.float32)
+    x64 = x.astype(np.float64)
+    erf = np.vectorize(math.erf)
+    phi = 0.5 * (1.0 + erf(x64 / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x64 ** 2) / math.sqrt(2.0 * math.pi)
+    xt = Tensor(x, requires_grad=True)
+    with Tape():
+        out = T.gelu(xt)
+        backward(T.tsum(out))
+    np.testing.assert_allclose(out.data, x64 * phi, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(xt.grad, phi + x64 * pdf, rtol=0, atol=1e-6)
