@@ -96,31 +96,52 @@ class Pyramid:
 
     @property
     def length(self) -> int:
-        return len(self.approx) * (2 ** self.level)
+        return self.approx.shape[-1] * (2 ** self.level)
+
+
+def _window_index(n: int, taps: int) -> np.ndarray:
+    """(n/2, taps) table: sample (2i + k) mod n meets tap k at output i."""
+    return (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
 
 
 def _analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray):
-    n = x.shape[0]
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(len(h))[None, :]) % n
-    win = x[idx]
-    return win @ h, win @ g
+    win = x[..., _window_index(x.shape[-1], len(h))]
+    # tap by tap, not ``win @ h``: BLAS gemv sums in an order that depends
+    # on the row count, so a row alone would not match the same row batched
+    a, d = win[..., 0] * h[0], win[..., 0] * g[0]
+    for k in range(1, len(h)):
+        a += win[..., k] * h[k]
+        d += win[..., k] * g[k]
+    return a, d
 
 
 def _synthesis_step(a: np.ndarray, d: np.ndarray, h: np.ndarray,
                     g: np.ndarray) -> np.ndarray:
-    n = 2 * a.shape[0]
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(len(h))[None, :]) % n
-    x = np.zeros(n)
-    np.add.at(x, idx, a[:, None] * h + d[:, None] * g)
-    return x
+    half = a.shape[-1]
+    # x[..., p, r] is output sample 2p + r.  Tap k = 2q + r of coefficient
+    # i adds to sample 2(i + q) + r, wrapping when i + q >= half.  Falling
+    # taps, the in-range terms of every tap before the wrapped ones, sum each
+    # sample's terms by rising i: the float64 order of np.add.at over the
+    # window table, whenever half >= len(h) / 2.
+    taps = [(*divmod(k, 2), a * h[k] + d * g[k])
+            for k in reversed(range(len(h)))]
+    x = np.zeros(a.shape + (2,))
+    for q, r, term in taps:
+        s = q % half
+        x[..., s:, r] += term[..., :half - s]
+    for q, r, term in taps:
+        s = q % half
+        x[..., :s, r] += term[..., half - s:]
+    return x.reshape(a.shape[:-1] + (2 * half,))
 
 
 def dwt_forward(signal: np.ndarray, cfg: DwtConfig) -> Pyramid:
+    """Periodized multi-level DWT along the last axis of a (..., T) array."""
     signal = np.asarray(signal, dtype=np.float64)
-    if signal.ndim != 1:
-        raise ShapeError("dwt_forward expects a 1-D signal")
+    if signal.ndim == 0:
+        raise ShapeError("dwt_forward expects a (..., T) signal")
     h, g = wavelet_filters(cfg.family)
-    n = signal.shape[0]
+    n = signal.shape[-1]
     if n < len(h):
         raise ShapeError(f"signal length {n} < filter length {len(h)}")
     if n % (2 ** cfg.level) != 0:
@@ -140,7 +161,7 @@ def dwt_inverse(pyr: Pyramid) -> np.ndarray:
     h, g = wavelet_filters(pyr.family)
     a = pyr.approx
     for d in pyr.details:
-        if d.shape[0] != a.shape[0]:
+        if d.shape != a.shape:
             raise ShapeError("inconsistent band lengths in pyramid")
         a = _synthesis_step(a, d, h, g)
     return a
@@ -157,38 +178,47 @@ def max_dwt_level(length: int, requested: int) -> int:
     return lvl
 
 
-def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
+def soft_threshold(x: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
 
 
 def teacher_view(signal: np.ndarray, cfg: DwtConfig) -> np.ndarray:
-    """Clean view: MAD-scaled soft threshold on all detail bands.
+    """Clean view of each (..., T) row: MAD-scaled soft threshold on all
+    detail bands.
 
-    tau = teacher_sigma * median(|finest detail|) / 0.6745 (universal
-    threshold convention); the approximation band is untouched.
+    tau = teacher_sigma * median(|finest detail|) / 0.6745 per row
+    (universal threshold convention); the approximation band is untouched.
     """
     pyr = dwt_forward(signal, cfg)
     finest = pyr.details[-1]
-    tau = cfg.teacher_sigma * np.median(np.abs(finest)) / 0.6745
+    tau = (cfg.teacher_sigma * np.median(np.abs(finest), axis=-1,
+                                         keepdims=True) / 0.6745)
     pyr.details = [soft_threshold(d, tau) for d in pyr.details]
     return dwt_inverse(pyr).astype(np.float32)
 
 
 def student_view(signal: np.ndarray, cfg: DwtConfig,
                  rng: np.random.Generator) -> np.ndarray:
-    """Hard view: uniform coefficient noise plus finest-band zero-out."""
+    """Hard view of each (..., T) row: uniform coefficient noise plus
+    finest-band zero-out.
+
+    ``rng`` is drawn row by row in the order one call per row would use:
+    the amplitude, one noise draw per band (coarsest first), then the
+    zero-out choice, so a batch gets exactly the views of its rows taken one
+    at a time.
+    """
     pyr = dwt_forward(signal, cfg)
+    finest = pyr.details[-1]
     lo, hi = cfg.student_noise_range
-    amp = rng.uniform(lo, hi)
-    if amp > 0.0:
-        pyr.details = [d + rng.uniform(-amp, amp, size=d.shape)
-                       for d in pyr.details]
-    if cfg.zero_out_fraction > 0.0:
-        finest = pyr.details[-1]
-        k = int(round(cfg.zero_out_fraction * finest.shape[0]))
+    k = int(round(cfg.zero_out_fraction * finest.shape[-1]))
+    for row in np.ndindex(finest.shape[:-1]):
+        amp = rng.uniform(lo, hi)
+        if amp > 0.0:
+            for d in pyr.details:
+                d[row] += rng.uniform(-amp, amp, size=d.shape[-1])
         if k > 0:
-            kill = rng.choice(finest.shape[0], size=k, replace=False)
-            finest[kill] = 0.0
+            finest[row][rng.choice(finest.shape[-1], size=k,
+                                   replace=False)] = 0.0
     return dwt_inverse(pyr).astype(np.float32)
 
 
@@ -217,8 +247,8 @@ def make_view_pair(batch: np.ndarray, cfg: DwtConfig, rng: np.random.Generator,
     lvl = max_dwt_level(batch.shape[1], cfg.level)
     eff = DwtConfig(cfg.family, lvl, cfg.teacher_sigma,
                     cfg.student_noise_range, cfg.zero_out_fraction)
-    teacher = np.stack([teacher_view(row, eff) for row in batch])
-    student = np.stack([student_view(row, eff, rng) for row in batch])
+    teacher = teacher_view(batch, eff)
+    student = student_view(batch, eff, rng)
     prov = {"family": cfg.family, "level": lvl,
             "teacher_sigma": cfg.teacher_sigma,
             "zero_out_fraction": cfg.zero_out_fraction, "extra": []}
@@ -274,11 +304,9 @@ def stochastic_suite(batch: np.ndarray, spec: TransformSpec,
     if spec.family == "fft_mask":
         spectrum = np.fft.rfft(batch, axis=-1)
         n_bins = spectrum.shape[-1]
-        out = spectrum.copy()
-        for i in range(batch.shape[0]):
-            k = int(round(m * n_bins))
-            if k > 0:
-                kill = rng.choice(n_bins, size=k, replace=False)
-                out[i, kill] = 0.0
-        return np.fft.irfft(out, n=batch.shape[1], axis=-1).astype(np.float32)
+        k = int(round(m * n_bins))
+        if k > 0:
+            for row in spectrum:
+                row[rng.choice(n_bins, size=k, replace=False)] = 0.0
+        return np.fft.irfft(spectrum, n=batch.shape[1], axis=-1).astype(np.float32)
     raise ValueError(f"{spec.family} is not a stochastic family")

@@ -448,8 +448,7 @@ class ArrayCorpus:
             raise ShapeError(f"corpus length {t} < window {window_len}")
         rows = rng.integers(0, n, size=batch)
         offs = rng.integers(0, t - window_len + 1, size=batch)
-        return np.stack([self.series[r, o : o + window_len]
-                         for r, o in zip(rows, offs)])
+        return self.series[rows[:, None], offs[:, None] + np.arange(window_len)]
 
 
 def compute_loss(state: ObjectiveState, batch: np.ndarray,

@@ -61,15 +61,19 @@ def _residuals(proj: np.ndarray, cfg: EppsPulleyConfig, grad: bool = False):
     """
     n = proj.shape[0]
     grid = cfg.grid()
-    target = np.exp(-0.5 * grid ** 2)
-    weights = target * _trapezoid_weights(grid)
+    # phi(-t) = conj(phi(t)) for real samples, so the summand (and its
+    # gradient) is even in t and 0 at t = 0: sum t > 0 at double weight
+    positive = grid > 0.0
+    t_pos = grid[positive]
+    target = np.exp(-0.5 * t_pos ** 2)
+    weights = 2.0 * target * _trapezoid_weights(grid)[positive]
     residuals = np.zeros(proj.shape[1])
     dproj = np.zeros_like(proj) if grad else None
     # exp(i t proj) on the uniform grid: each next point is the previous
     # one rotated by exp(i dt proj), far cheaper than float64 trig per point
-    e = np.exp(1j * grid[0] * proj)
+    e = np.exp(1j * t_pos[0] * proj)
     rotation = np.exp(1j * (grid[1] - grid[0]) * proj)
-    for j, (t, tg, w) in enumerate(zip(grid, target, weights)):
+    for j, (t, tg, w) in enumerate(zip(t_pos, target, weights)):
         if j:
             e *= rotation
         cf = e.mean(axis=0)

@@ -74,6 +74,48 @@ def test_perfect_reconstruction(order, level):
         assert np.abs(back - x).max() < 1e-6
 
 
+@pytest.mark.parametrize("family,level", [("db1", 3), ("db2", 2),
+                                          ("db4", 3), ("db8", 4)])
+def test_batched_dwt_matches_rows(family, level):
+    # the last axis is transformed; leading axes are independent rows
+    cfg = A.DwtConfig(family=family, level=level)
+    x = np.random.default_rng(level).standard_normal((2, 3, 336))
+    pyr = A.dwt_forward(x, cfg)
+    assert pyr.length == x.shape[-1]
+    back = A.dwt_inverse(pyr)
+    assert back.shape == x.shape
+    assert np.abs(back - x).max() < 1e-9
+    for i in np.ndindex(x.shape[:-1]):
+        row = A.dwt_forward(x[i], cfg)
+        np.testing.assert_allclose(pyr.approx[i], row.approx, rtol=0,
+                                   atol=1e-12)
+        for band, row_band in zip(pyr.details, row.details):
+            np.testing.assert_allclose(band[i], row_band, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(back[i], A.dwt_inverse(row), rtol=0,
+                                   atol=1e-12)
+
+
+def scatter_synthesis(a, d, h, g):
+    """One synthesis level as a scatter-add over the window table."""
+    n = 2 * a.shape[0]
+    x = np.zeros(n)
+    np.add.at(x, A._window_index(n, len(h)), a[:, None] * h + d[:, None] * g)
+    return x
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 8])
+def test_synthesis_sums_in_scatter_order(order):
+    # bitwise whenever a band is at least half the filter long
+    h, g = A.wavelet_filters(f"db{order}")
+    rng = np.random.default_rng(order)
+    for half in (order, order + 1, 21, 64):
+        a, d = rng.standard_normal((2, 3, half))
+        got = A._synthesis_step(a, d, h, g)
+        for i in range(3):
+            assert got[i].tobytes() == scatter_synthesis(a[i], d[i], h,
+                                                         g).tobytes()
+
+
 def test_dwt_shape_errors():
     with pytest.raises(ShapeError):
         A.dwt_forward(np.zeros(66), A.DwtConfig(family="db1", level=2))
@@ -155,6 +197,38 @@ def test_make_view_pair_shapes_and_level_reduction():
     assert pair.provenance["level"] == 3  # 40 = 8 * 5: three halvings
 
 
+def rowwise_view_pair(batch, cfg, rng, extra=None):
+    """make_view_pair composed one row at a time, sharing one rng."""
+    lvl = A.max_dwt_level(batch.shape[1], cfg.level)
+    eff = A.DwtConfig(cfg.family, lvl, cfg.teacher_sigma,
+                      cfg.student_noise_range, cfg.zero_out_fraction)
+    teacher = np.stack([A.teacher_view(row, eff) for row in batch])
+    student = np.stack([A.student_view(row, eff, rng) for row in batch])
+    for spec in extra or []:
+        teacher = A.stochastic_suite(teacher, spec, rng)
+    return teacher, student
+
+
+@pytest.mark.parametrize("cfg,extra", [
+    (A.DwtConfig(), None),
+    (A.DwtConfig(), A.DEFAULT_STOCHASTIC),
+    (A.DwtConfig(family="db2", zero_out_fraction=0.25), None),
+    (A.DwtConfig(student_noise_range=(0.0, 0.0), zero_out_fraction=0.5),
+     None),
+], ids=["default", "stochastic", "zero_out", "no_noise"])
+def test_make_view_pair_matches_rowwise_bitwise(cfg, extra):
+    # a batch draws the rng stream of B one-row calls in row order
+    batch = np.random.default_rng(12).standard_normal((9, 96)).astype(
+        np.float32)
+    rng_batch, rng_rows = np.random.default_rng(4), np.random.default_rng(4)
+    pair = A.make_view_pair(batch, cfg, rng_batch, extra=extra)
+    teacher, student = rowwise_view_pair(batch, cfg, rng_rows, extra)
+    assert pair.teacher_view.dtype == pair.student_view.dtype == np.float32
+    assert pair.teacher_view.tobytes() == teacher.tobytes()
+    assert pair.student_view.tobytes() == student.tobytes()
+    assert rng_batch.random() == rng_rows.random()
+
+
 # ---------------------------------------------------------------------------
 # stochastic suite
 
@@ -172,6 +246,18 @@ def test_fft_mask_round_trip_at_zero_percent():
     out = A.stochastic_suite(batch, A.TransformSpec("fft_mask", 1e-9),
                              np.random.default_rng(0))
     assert np.abs(out - batch).max() < 1e-5
+
+
+def test_fft_mask_matches_rowwise_reference():
+    batch = np.random.default_rng(8).standard_normal((5, 64)).astype(np.float32)
+    out = A.stochastic_suite(batch, A.TransformSpec("fft_mask", 0.3),
+                             np.random.default_rng(1))
+    rng = np.random.default_rng(1)
+    spectrum = np.fft.rfft(batch, axis=-1)
+    for row in spectrum:
+        row[rng.choice(33, size=10, replace=False)] = 0.0
+    want = np.fft.irfft(spectrum, n=64, axis=-1).astype(np.float32)
+    assert out.tobytes() == want.tobytes()
 
 
 def test_amp_scale_range():

@@ -250,6 +250,10 @@ def test_corpus_window_sampling():
     assert wins.shape == (8, 5)
     for w in wins:  # each window is a contiguous slice of one series
         np.testing.assert_allclose(np.diff(w), 1.0)
+    rng = np.random.default_rng(10)  # rows, then offsets, from one rng
+    rows, offs = rng.integers(0, 4, size=8), rng.integers(0, 6, size=8)
+    want = np.stack([series[r, o : o + 5] for r, o in zip(rows, offs)])
+    assert wins.tobytes() == want.tobytes()
     with pytest.raises(ShapeError):
         corpus.sample_windows(np.random.default_rng(0), 2, 11)
     with pytest.raises(ShapeError):

@@ -161,6 +161,35 @@ def test_fused_statistic_matches_composed():
     np.testing.assert_allclose(g_fused, g_ref, rtol=1e-3, atol=1e-6)
 
 
+def full_grid_residuals(proj, cfg):
+    """Residuals and their gradient summed over every grid point, the
+    negative half and t = 0 included, with exp(i t proj) taken afresh."""
+    grid = cfg.grid()
+    target = np.exp(-0.5 * grid ** 2)
+    weights = target * S._trapezoid_weights(grid)
+    residuals = np.zeros(proj.shape[1])
+    dproj = np.zeros_like(proj)
+    for t, tg, w in zip(grid, target, weights):
+        e = np.exp(1j * t * proj)
+        cf = e.mean(axis=0)
+        cr, ci = cf.real - tg, cf.imag
+        residuals += (cr * cr + ci * ci) * w
+        dproj += (2.0 * w * t) * (ci * e.real - cr * e.imag)
+    return proj.shape[0] * residuals, dproj
+
+
+@pytest.mark.parametrize("n_grid", [17, 16])
+def test_residuals_match_full_grid(n_grid):
+    cfg = S.EppsPulleyConfig(n_projections=32, n_grid=n_grid)
+    rng = np.random.default_rng(11)
+    proj = rng.standard_normal((200, 32)) * rng.uniform(0.2, 3.0, size=32)
+    got, dgot = S._residuals(proj, cfg, grad=True)
+    want, dwant = full_grid_residuals(proj, cfg)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(dgot, dwant, rtol=0,
+                               atol=1e-12 * np.abs(dwant).max())
+
+
 def test_gradient_pushes_collapsed_cloud_apart():
     # near-zero embeddings: descending the statistic should spread them out
     cfg = S.EppsPulleyConfig(n_projections=16)
