@@ -50,7 +50,7 @@ class RunConfig:
     objective: str = "mae"          # one of objectives.OBJECTIVES or "none"
     data_source: str = "synthetic"  # real | synthetic | hybrid
     synthetic_family: str = "sines"  # sines | gp
-    dataset_path: str = ""          # ingested manifest dir for data_source=real
+    dataset_path: str = ""          # ingested manifest dir for real | hybrid
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     output_root: str = "runs"
     tasks: tuple[str, ...] = TASKS
@@ -80,6 +80,9 @@ class RunConfig:
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.data_source not in DATA_SOURCES:
             raise ConfigError(f"data_source must be one of {DATA_SOURCES}")
+        if self.data_source != "synthetic" and not self.dataset_path:
+            raise ConfigError(f"data_source={self.data_source} requires "
+                              "dataset_path")
         if self.synthetic_family not in ("sines", "gp"):
             raise ConfigError("synthetic_family must be sines|gp")
         if self.probe_mode not in ("linear", "mlp", "finetune"):
@@ -477,8 +480,6 @@ def toy_forecast(rng: np.random.Generator, n_windows: int = 200,
 def _pretrain_corpus(cfg: RunConfig, seed: int) -> ArrayCorpus:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 11)))
     if cfg.data_source == "real":
-        if not cfg.dataset_path:
-            raise ConfigError("data_source=real requires dataset_path")
         manifest, data, _ = load_ingested(data_root() / cfg.dataset_path)
         train = data[: manifest.train_end]  # (T, C) -> channel-independent rows
         length = min(cfg.corpus_length, train.shape[0])
@@ -490,7 +491,7 @@ def _pretrain_corpus(cfg: RunConfig, seed: int) -> ArrayCorpus:
             for i in range(cfg.corpus_series)])
     else:
         synth = toy_pretrain_corpus(rng, cfg.corpus_series, cfg.corpus_length)
-    if cfg.data_source == "hybrid" and cfg.dataset_path:
+    if cfg.data_source == "hybrid":
         real = _pretrain_corpus(replace(cfg, data_source="real"), seed).series
         width = min(real.shape[1], synth.shape[1])
         return ArrayCorpus(np.concatenate([synth[:, :width], real[:, :width]]))

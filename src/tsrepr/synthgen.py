@@ -94,31 +94,34 @@ def sample_kernel_composition(rng: np.random.Generator,
     return KernelComposition(atoms, ops)
 
 
-def _atom_gram(atom: KernelAtom, grid: np.ndarray, t: int) -> np.ndarray:
-    """Evaluate one atom on the normalized grid; sample-unit parameters
-    are divided by the series length."""
-    x = grid[:, None]
-    dist = np.abs(x - grid[None, :])
+def _atom_gram(atom: KernelAtom, lag: np.ndarray, t: int) -> np.ndarray:
+    """Evaluate one atom on the normalized lag vector ``arange(t) / t``.
+
+    Stationary atoms depend only on |i - j| and return their (t,) values
+    per lag; ``dot_product`` returns the full (t, t) gram, because the lag
+    vector is also the normalized grid.  Sample-unit parameters are
+    divided by the series length.
+    """
     fam = atom.family
     if fam == "exp_sine_squared":
         period, ls = atom.params
-        arg = np.sin(np.pi * dist / (period / t))
+        arg = np.sin(np.pi * lag / (period / t))
         val = np.exp(-2.0 * (arg / ls) ** 2)
     elif fam == "rbf":
         (ls,) = atom.params
-        val = np.exp(-0.5 * (dist / (ls / t)) ** 2)
+        val = np.exp(-0.5 * (lag / (ls / t)) ** 2)
     elif fam == "rational_quadratic":
         ls, alpha = atom.params
-        val = (1.0 + dist ** 2 / (2.0 * alpha * (ls / t) ** 2)) ** (-alpha)
+        val = (1.0 + lag ** 2 / (2.0 * alpha * (ls / t) ** 2)) ** (-alpha)
     elif fam == "dot_product":
         (sigma0,) = atom.params
-        val = sigma0 ** 2 + x * grid[None, :]
+        val = sigma0 ** 2 + lag[:, None] * lag[None, :]
     elif fam == "white_noise":
         (level,) = atom.params
-        val = level * np.eye(grid.shape[0])
+        val = level * (lag == 0)
     elif fam == "constant":
         (value,) = atom.params
-        val = np.full((grid.shape[0], grid.shape[0]), value)
+        val = np.full(t, value)
     else:  # pragma: no cover
         raise ValueError(fam)
     if not np.all(np.isfinite(val)):
@@ -126,27 +129,53 @@ def _atom_gram(atom: KernelAtom, grid: np.ndarray, t: int) -> np.ndarray:
     return val
 
 
+def _toeplitz(v: np.ndarray) -> np.ndarray:
+    """The symmetric (t, t) matrix with entries ``v[|i - j|]``; a 2-D
+    argument is returned as it is."""
+    if v.ndim == 2:
+        return v
+    t = v.shape[0]
+    mirrored = np.concatenate([v[:0:-1], v])  # v[t-1], ..., v[0], ..., v[t-1]
+    return np.lib.stride_tricks.sliding_window_view(mirrored, t)[::-1].copy()
+
+
 def gram_matrix(comp: KernelComposition, t: int) -> np.ndarray:
-    """T x T covariance on the uniform grid 0..T-1 normalized to [0, 1]."""
+    """T x T covariance on the uniform grid 0..T-1 normalized to [0, 1].
+
+    Stationary atoms are combined as lag vectors and expanded to the
+    Toeplitz gram once; an operand that is already (t, t) expands the
+    other one first.  Every atom is exactly symmetric, so the result is.
+    When t is not a power of two, lag k/t can differ from i/t - j/t by
+    one ulp.
+    """
     if t < 2:
         raise ValueError("grid needs at least 2 points")
-    grid = np.arange(t, dtype=np.float64) / t
-    gram = _atom_gram(comp.atoms[0], grid, t)
+    lag = np.arange(t, dtype=np.float64) / t
+    gram = _atom_gram(comp.atoms[0], lag, t)
     for op, atom in zip(comp.operators, comp.atoms[1:]):
-        nxt = _atom_gram(atom, grid, t)
+        nxt = _atom_gram(atom, lag, t)
+        if gram.ndim != nxt.ndim:
+            gram, nxt = _toeplitz(gram), _toeplitz(nxt)
         gram = gram + nxt if op == "add" else gram * nxt
-    return 0.5 * (gram + gram.T)
+    return _toeplitz(gram)
 
 
 def sample_gp(gram: np.ndarray, rng: np.random.Generator,
               jitter: float = 1e-6) -> np.ndarray:
-    """One realization x = L xi with L the Cholesky factor of gram+jitter."""
+    """One realization x = L xi with L the Cholesky factor of gram+jitter.
+
+    The jitter goes on the diagonal of one private copy of ``gram``; the
+    caller's array is not modified.
+    """
     t = gram.shape[0]
-    scale = max(1.0, float(np.max(np.diag(gram))))
+    diag = np.diag(gram)
+    scale = max(1.0, float(np.max(diag)))
+    jittered = gram.copy()
     j = jitter
     while j <= 1e-4 * scale:
+        np.fill_diagonal(jittered, diag + j * scale)
         try:
-            chol = np.linalg.cholesky(gram + j * scale * np.eye(t))
+            chol = np.linalg.cholesky(jittered)
             return chol @ rng.standard_normal(t)
         except np.linalg.LinAlgError:
             j *= 10.0

@@ -66,6 +66,11 @@ def test_config_validation():
         RunConfig(objective="cpc")
     with pytest.raises(ConfigError):
         RunConfig(data_source="streaming")
+    # without a dataset, real and hybrid would pretrain on synthetic data
+    # alone while metrics.csv still labels the rows real or hybrid
+    for source in ("real", "hybrid"):
+        with pytest.raises(ConfigError, match="dataset_path"):
+            RunConfig(data_source=source)
     with pytest.raises(ConfigError):
         RunConfig(tasks=("imputation",))
     with pytest.raises(ConfigError):
@@ -266,6 +271,16 @@ def test_sweep_counts_and_failure_recording(tmp_path):
     assert len(failures) == 1 and failures[0][0] == "nope"
     assert (tmp_path / "runs" / "grid_layers_failures.txt").exists()
     assert (tmp_path / "runs" / "grid_layers_sweep.csv").exists()
+
+
+def test_data_source_sweep_records_missing_dataset(tmp_path):
+    base = fast_cfg(tmp_path, run_id="src", tasks=("classify",))
+    records, failures = H.sweep("data_source",
+                                ["synthetic", "hybrid", "real"], base)
+    assert {r.data_source for r in records} == {"synthetic"}
+    assert [v for v, _ in failures] == ["hybrid", "real"]
+    assert all("ConfigError" in e and "dataset_path" in e
+               for _, e in failures)
 
 
 def test_threaded_sweep_matches_serial(tmp_path):

@@ -1,9 +1,11 @@
 """Kernel compositions, GP sampling, and corpus generation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from tsrepr import synthgen as G
+from tsrepr import harness as H, synthgen as G
 
 
 def test_bank_size_and_families():
@@ -180,3 +182,115 @@ def test_manifest_round_trip(tmp_path):
                            config_digest="abcd1234")
     man.write(tmp_path / "manifest.txt")
     assert G.CorpusManifest.read(tmp_path / "manifest.txt") == man
+
+
+# ---------------------------------------------------------------------------
+# the lag-vector gram against the full-grid reference
+
+
+def reference_atom_gram(atom, grid, t):
+    """The full-grid evaluator: every atom on the T x T distance grid."""
+    x = grid[:, None]
+    dist = np.abs(x - grid[None, :])
+    fam = atom.family
+    if fam == "exp_sine_squared":
+        period, ls = atom.params
+        arg = np.sin(np.pi * dist / (period / t))
+        val = np.exp(-2.0 * (arg / ls) ** 2)
+    elif fam == "rbf":
+        (ls,) = atom.params
+        val = np.exp(-0.5 * (dist / (ls / t)) ** 2)
+    elif fam == "rational_quadratic":
+        ls, alpha = atom.params
+        val = (1.0 + dist ** 2 / (2.0 * alpha * (ls / t) ** 2)) ** (-alpha)
+    elif fam == "dot_product":
+        (sigma0,) = atom.params
+        val = sigma0 ** 2 + x * grid[None, :]
+    elif fam == "white_noise":
+        (level,) = atom.params
+        val = level * np.eye(grid.shape[0])
+    else:
+        (value,) = atom.params
+        val = np.full((grid.shape[0], grid.shape[0]), value)
+    return val
+
+
+def reference_gram(comp, t):
+    grid = np.arange(t, dtype=np.float64) / t
+    gram = reference_atom_gram(comp.atoms[0], grid, t)
+    for op, atom in zip(comp.operators, comp.atoms[1:]):
+        nxt = reference_atom_gram(atom, grid, t)
+        gram = gram + nxt if op == "add" else gram * nxt
+    return 0.5 * (gram + gram.T)
+
+
+def sampled_compositions(n, seed):
+    rng = np.random.default_rng(seed)
+    comps = [G.sample_kernel_composition(rng) for _ in range(n)]
+    families = [{a.family for a in c.atoms} for c in comps]
+    # both the full-grid atom and the lag-0-only atom are covered
+    assert any("dot_product" in f for f in families)
+    assert any("white_noise" in f for f in families)
+    return comps
+
+
+@pytest.mark.parametrize("t", [16, 64, 512])
+def test_gram_bitwise_equal_to_full_grid_reference(t):
+    # with t a power of two, i/t - j/t is exactly (i - j)/t
+    for comp in sampled_compositions(200, 20):
+        got = G.gram_matrix(comp, t)
+        assert got.tobytes() == reference_gram(comp, t).tobytes(), comp
+        assert np.array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("t", [24, 336])
+def test_gram_close_to_full_grid_reference(t):
+    # otherwise lag k/t and i/t - j/t can differ by one ulp; the difference
+    # is measured against the gram's largest entry
+    for comp in sampled_compositions(200, 21):
+        got = G.gram_matrix(comp, t)
+        want = reference_gram(comp, t)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want), comp
+        assert np.array_equal(got, got.T)
+
+
+def test_sample_gp_leaves_gram_unchanged():
+    gram = np.ones((32, 32))  # rank 1: the jitter must escalate
+    before = gram.copy()
+    G.sample_gp(gram, np.random.default_rng(3))
+    assert np.array_equal(gram, before)
+
+
+@pytest.mark.parametrize("atom", [G.KernelAtom("constant", (np.inf,)),
+                                  G.KernelAtom("dot_product", (np.inf,))])
+def test_non_finite_atom_raises(atom):
+    rbf = G.KernelAtom("rbf", (2.0,))
+    with pytest.raises(ValueError, match="non-finite"):
+        G.gram_matrix(G.KernelComposition([rbf, atom], ["add"]), 16)
+
+
+# ---------------------------------------------------------------------------
+# golden bytes of the GP stream, recorded with numpy 2.4.6 on x86-64 with
+# AVX-512; float64 exp/sin and LAPACK Cholesky make them specific to the
+# numpy build and CPU dispatch
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_golden_pretrain_gp_corpus():
+    cfg = H.RunConfig(synthetic_family="gp", corpus_series=8,
+                      corpus_length=512)
+    series = H._pretrain_corpus(cfg, 1).series
+    assert sha256(series.tobytes()) == (
+        "0ba6323359bf8792c2c660b35b7e6ece29feef8b6ea11a64e488d350f3e69d20")
+
+
+def test_golden_generate_corpus_shards(tmp_path):
+    cfg = G.LcmConfig(series_length=64, series_count=12)
+    G.generate_corpus(cfg, True, tmp_path, seed=5, shard_size=8)
+    assert sha256((tmp_path / "shard_00000.tsb").read_bytes()) == (
+        "24012d59157ba3d21dcae3e625727ce607cff19d71e7ba2b95b5a145429e86e4")
+    assert sha256((tmp_path / "shard_00001.tsb").read_bytes()) == (
+        "f8b53d3d59fe561e6b085c309682fd65c0b5eff2aa37660d2ac51404daf4e95f")
