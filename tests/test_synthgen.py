@@ -1,6 +1,10 @@
 """Kernel compositions, GP sampling, and corpus generation."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,19 +275,35 @@ def test_non_finite_atom_raises(atom):
 
 # ---------------------------------------------------------------------------
 # golden bytes of the GP stream, recorded with numpy 2.4.6 on x86-64 with
-# AVX-512; float64 exp/sin and LAPACK Cholesky make them specific to the
-# numpy build and CPU dispatch
+# AVX-512 and one BLAS thread; float64 exp/sin and LAPACK Cholesky make them
+# specific to the numpy build and CPU dispatch, and multi-threaded OpenBLAS
+# blocks the T=512 Cholesky differently, so that case runs in a child process
+# with BLAS pinned to one thread
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+GOLDEN_CORPUS_SCRIPT = """
+import hashlib
+from tsrepr import harness as H
+cfg = H.RunConfig(synthetic_family="gp", corpus_series=8, corpus_length=512)
+series = H._pretrain_corpus(cfg, 1).series
+print(hashlib.sha256(series.tobytes()).hexdigest())
+"""
+
+
 def test_golden_pretrain_gp_corpus():
-    cfg = H.RunConfig(synthetic_family="gp", corpus_series=8,
-                      corpus_length=512)
-    series = H._pretrain_corpus(cfg, 1).series
-    assert sha256(series.tobytes()) == (
+    src = str(Path(H.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", GOLDEN_CORPUS_SCRIPT],
+                         env=env, capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.strip() == (
         "0ba6323359bf8792c2c660b35b7e6ece29feef8b6ea11a64e488d350f3e69d20")
 
 
