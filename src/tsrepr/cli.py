@@ -48,7 +48,7 @@ def cmd_pretrain(args) -> int:
                  "d_model": args.d_model, "epochs": args.epochs,
                  "batch_size": args.batch, "output_root": args.out}
     overrides = {k: v for k, v in overrides.items() if v}
-    if args.seed:
+    if args.seed is not None:
         overrides["seeds"] = (args.seed,)
     if overrides:
         cfg = replace(cfg, **overrides)
@@ -186,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-model", type=int, default=0)
     p.add_argument("--epochs", type=int, default=0)
     p.add_argument("--batch", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="pretrain this one seed (default: the config's seeds)")
     p.add_argument("--out", default="", help="override output root")
     p.set_defaults(func=cmd_pretrain)
 

@@ -106,6 +106,18 @@ def _task_features(task: str, latents: np.ndarray) -> np.ndarray:
     return latents  # anomaly: per-patch latents
 
 
+def frozen_features(weights: Weights, cfg: BackboneConfig, task: str,
+                    x: np.ndarray) -> np.ndarray:
+    """Probe features of raw (n, T) windows under a frozen backbone.
+
+    The windows are instance-normalized, encoded without a tape and
+    reduced for ``task``: (n, N*d) for forecast, (n, d) for classify,
+    (n, N, d) for anomaly.
+    """
+    xn, _, _ = instance_norm(np.asarray(x, dtype=np.float32))
+    return _task_features(task, _encode_batched(xn, weights, cfg))
+
+
 def _cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     logp = T.log_softmax(logits)
     picked = logp[np.arange(labels.shape[0]), labels]
@@ -121,23 +133,31 @@ class ProbeResult:
 
 
 def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
-                x: np.ndarray, y: np.ndarray) -> ProbeResult:
+                x: np.ndarray, y: np.ndarray,
+                features: np.ndarray | None = None) -> ProbeResult:
     """Train a head on top of the backbone.
 
     ``x`` is (n, T) raw windows (instance-normalized internally for the
     backbone); ``y`` is (n,) int labels for classify, (n, horizon) floats
     for forecast, (n, N, patch_len) normalized patch targets for anomaly.
+    With a frozen backbone, ``features`` may carry
+    ``frozen_features(weights, cfg, spec.task, x)`` computed once by a
+    caller that trains several heads on the same windows.
     Fine-tuning trains a copy of the backbone and returns its best-epoch
     state with the best-epoch head; the caller's parameter bytes are
     asserted unchanged in every mode.
     """
     if x.shape[0] != y.shape[0] or x.shape[0] < 2:
         raise ShapeError("x/y length mismatch or too few samples")
+    if features is not None:
+        if not spec.freeze_backbone:
+            raise ShapeError("features need a frozen backbone, not finetune")
+        if features.shape[0] != x.shape[0]:
+            raise ShapeError("features/x row count mismatch")
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 31)))
-    xn, _, _ = instance_norm(np.asarray(x, dtype=np.float32))
     caller_hash = weights_hash(weights)
 
-    n = xn.shape[0]
+    n = x.shape[0]
     n_val = max(1, int(round(spec.val_fraction * n)))
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
@@ -151,7 +171,7 @@ def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
     else:
         d_out = cfg.patch_len
 
-    n_patches = xn.shape[1] // cfg.patch_len
+    n_patches = x.shape[1] // cfg.patch_len
     d_feat = {"forecast": n_patches * cfg.d_model,
               "classify": cfg.d_model,
               "anomaly": cfg.d_model}[spec.task]
@@ -164,13 +184,15 @@ def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
         params.update({f"backbone.{k}": v for k, v in backbone.items()})
     opt = optim.Adam(params, lr=spec.resolved_lr())
 
-    feats_all = None
     if spec.freeze_backbone:
-        feats_all = _task_features(spec.task, _encode_batched(xn, weights, cfg))
+        if features is None:
+            features = frozen_features(weights, cfg, spec.task, x)
+    else:
+        xn, _, _ = instance_norm(np.asarray(x, dtype=np.float32))
 
     def batch_loss(idx, train: bool) -> Tensor:
-        if feats_all is not None:
-            feats = Tensor(feats_all[idx], _check=False)
+        if features is not None:
+            feats = Tensor(features[idx], _check=False)
         else:
             latents = encode(PatchBatch.from_windows(xn[idx], cfg.patch_len),
                              backbone, cfg)
@@ -237,10 +259,8 @@ def forecast_metrics(preds: np.ndarray, targets: np.ndarray
 def predict_head(weights: Weights, cfg: BackboneConfig,
                  head: dict[str, Tensor], spec: ProbeSpec,
                  x: np.ndarray) -> np.ndarray:
-    xn, _, _ = instance_norm(np.asarray(x, dtype=np.float32))
-    feats = _task_features(spec.task, _encode_batched(xn, weights, cfg))
-    out = _head_forward(head, Tensor(feats, _check=False), spec)
-    return out.data
+    feats = frozen_features(weights, cfg, spec.task, x)
+    return _head_forward(head, Tensor(feats, _check=False), spec).data
 
 
 def anomaly_scores(weights: Weights, cfg: BackboneConfig,
@@ -249,30 +269,26 @@ def anomaly_scores(weights: Weights, cfg: BackboneConfig,
     """Per-time-point squared reconstruction error over a long series.
 
     The series is cut into non-overlapping windows of max_patches patches;
-    a trailing partial window is evaluated right-aligned.
+    a trailing partial window is evaluated right-aligned, and a point two
+    windows cover keeps the earlier window's error.  All windows are
+    normalized, encoded and reconstructed as one batch.
     """
     series = np.asarray(series, dtype=np.float32)
     win = cfg.patch_len * min(cfg.max_patches, 32)
     t = series.shape[0]
     scores = np.zeros(t, dtype=np.float64)
+    usable = (min(win, t) // cfg.patch_len) * cfg.patch_len
+    if usable == 0:
+        return scores
     starts = list(range(0, max(t - win + 1, 1), win))
     if t > win and starts[-1] + win < t:
         starts.append(t - win)
-    covered = np.zeros(t, dtype=bool)
-    for s in starts:
-        chunk = series[s : s + win]
-        usable = (chunk.shape[0] // cfg.patch_len) * cfg.patch_len
-        if usable == 0:
-            continue
-        chunk = chunk[:usable]
-        xn, _, _ = instance_norm(chunk[None, :])
-        lat = _encode_batched(xn, weights, cfg)[0]  # (N, d)
-        recon = _head_forward(head, Tensor(lat, _check=False), spec).data
-        err = (recon.reshape(-1) - xn[0]) ** 2
-        sl = slice(s, s + usable)
-        new = ~covered[sl]
-        scores[sl][new] = err[new]
-        covered[sl] = True
+    xn, _, _ = instance_norm(np.stack([series[s : s + usable] for s in starts]))
+    lat = _encode_batched(xn, weights, cfg)  # (windows, N, d)
+    recon = _head_forward(head, Tensor(lat, _check=False), spec).data
+    err = (recon.reshape(xn.shape) - xn) ** 2
+    for s, e in zip(reversed(starts), err[::-1]):  # earlier windows win
+        scores[s : s + usable] = e
     return scores
 
 

@@ -508,7 +508,8 @@ def _backbone_for_seed(cfg: RunConfig, seed: int, ckpt_dir: Path):
     pcfg = PretrainConfig(
         objective=cfg.objective, epochs=cfg.epochs, batch_size=cfg.batch_size,
         steps_per_epoch=cfg.steps_per_epoch or None,
-        window_len=cfg.window_len, lr=cfg.lr or None, seed=seed, backbone=bb)
+        window_len=cfg.window_len, lr=cfg.lr or None, seed=seed, backbone=bb,
+        data_source=cfg.data_source)
     result = objectives.pretrain(
         corpus, pcfg, out_path=ckpt_dir / f"backbone_seed{seed}.tsbc")
     return result.best_weights, result.state.cfg
@@ -520,13 +521,19 @@ PROBE_LR_GRID = (3e-3, 1e-2, 3e-2)
 
 def _probe_best(weights, bb: BackboneConfig, cfg: RunConfig, seed: int,
                 task: str, x: np.ndarray, y: np.ndarray):
-    """Train the probe once per grid lr, keep the best-validation head."""
-    best = None
-    for lr in PROBE_LR_GRID:
-        sp = evaluate.ProbeSpec(mode=cfg.probe_mode, task=task,
+    """Train the probe once per grid lr, keep the best-validation head.
+
+    With a frozen backbone every lr trains on the same features, so they
+    are computed once."""
+    specs = [evaluate.ProbeSpec(mode=cfg.probe_mode, task=task,
                                 epochs=cfg.probe_epochs, seed=seed,
-                                lr=lr, batch_size=16)
-        res = evaluate.probe_train(weights, bb, sp, x, y)
+                                lr=lr, batch_size=16) for lr in PROBE_LR_GRID]
+    features = None
+    if specs[0].freeze_backbone:
+        features = evaluate.frozen_features(weights, bb, task, x)
+    best = None
+    for sp in specs:
+        res = evaluate.probe_train(weights, bb, sp, x, y, features=features)
         if best is None or res.best_val < best[0].best_val:
             best = (res, sp)
     return best

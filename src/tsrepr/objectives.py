@@ -413,6 +413,7 @@ class PretrainConfig:
     seed: int = 2003
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     objective_cfg: ObjectiveConfig | None = None
+    data_source: str = "corpus"  # origin named in the checkpoint header
 
     def resolved_objective_cfg(self) -> ObjectiveConfig:
         if self.objective_cfg is not None:
@@ -547,6 +548,6 @@ def pretrain(corpus: ArrayCorpus, cfg: PretrainConfig,
                             final_loss, best_val)
     if out_path is not None:
         save_backbone(out_path, best_weights, state.cfg,
-                      objective=cfg.objective, data_source="corpus",
+                      objective=cfg.objective, data_source=cfg.data_source,
                       seed=cfg.seed, epoch=cfg.epochs)
     return result

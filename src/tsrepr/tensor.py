@@ -86,9 +86,18 @@ class Tape:
         return _ACTIVE.get()
 
 
-def _record(out: "Tensor", inputs: tuple["Tensor", ...], bw) -> None:
+def _recording_tape(inputs: tuple["Tensor", ...]) -> "Tape | None":
+    """The tape an op on ``inputs`` records into, or None when it records
+    nothing: no tape is active or no input requires grad."""
     tape = Tape.active()
     if tape is not None and any(t.requires_grad for t in inputs):
+        return tape
+    return None
+
+
+def _record(out: "Tensor", inputs: tuple["Tensor", ...], bw) -> None:
+    tape = _recording_tape(inputs)
+    if tape is not None:
         out.requires_grad = True
         tape.records.append((out, inputs, bw))
 
@@ -434,8 +443,10 @@ def relu(a) -> Tensor:
     return out
 
 
-def _gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact GELU ``x * Phi(x)`` of a float32 array and its derivative.
+def _gelu_kernel(x: np.ndarray, slope: bool
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact GELU ``x * Phi(x)`` of a float32 array and, when ``slope`` is
+    set, its derivative (else None); the value's bits do not depend on it.
 
     Phi comes from the Abramowitz-Stegun erfc of ``|x| / sqrt(2)``, all in
     float32 and branch-free: ``Phi(x) = [x >= 0] - sign(x) Phi(-|x|)``
@@ -457,16 +468,17 @@ def _gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     phi *= e  # Phi(-|x|)
     np.copysign(phi, x, out=phi)
     np.subtract(~np.signbit(x), phi, out=phi)  # Phi(x)
-    e *= x
-    e *= _INV_SQRT_2PI
-    e += phi  # Phi(x) + x * pdf(x)
-    return np.multiply(x, phi, out=t), e
+    if slope:
+        e *= x
+        e *= _INV_SQRT_2PI
+        e += phi  # Phi(x) + x * pdf(x)
+    return np.multiply(x, phi, out=t), e if slope else None
 
 
 def gelu(a) -> Tensor:
     """Exact GELU: x * Phi(x), computed in float32 (see :func:`_gelu_kernel`)."""
     a = as_tensor(a)
-    val, slope = _gelu_kernel(a.data)
+    val, slope = _gelu_kernel(a.data, _recording_tape((a,)) is not None)
     out = Tensor(val, _check=False)
 
     def bw(g):
@@ -618,7 +630,8 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
     flat = x.data.reshape(-1, x.shape[-1])
     pre = flat @ w1.data
     pre += b1.data
-    act, slope = _gelu_kernel(pre)
+    taped = _recording_tape((x, w1, b1, w2, b2)) is not None
+    act, slope = _gelu_kernel(pre, taped)
     val = act @ w2.data
     val += b2.data
     out = Tensor(val.reshape(lead + (w2.shape[-1],)), _check=False)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from tsrepr import evaluate as E
-from tsrepr.backbone import BackboneConfig, init_encoder, weights_hash
-from tsrepr.tensor import ShapeError
+from tsrepr.backbone import (BackboneConfig, PatchBatch, encode, init_encoder,
+                             instance_norm, weights_hash)
+from tsrepr.tensor import ShapeError, Tensor
 
 CFG = BackboneConfig(d_model=16, n_layers=1, n_heads=2, patch_len=8,
                      max_patches=8)
@@ -307,8 +308,90 @@ def test_forecast_probe_learns_constant_map():
     assert mse < 0.5 * zero_mse
 
 
+@pytest.mark.parametrize("mode", ["linear", "mlp"])
+@pytest.mark.parametrize("task", ["classify", "forecast", "anomaly"])
+def test_probe_train_shared_features_bitwise(mode, task):
+    # features computed once by the caller train the same head, bit for bit
+    w = make_backbone()
+    x, labels = toy_classification(n=40)
+    n_p = x.shape[1] // CFG.patch_len
+    y = {"classify": labels,
+         "forecast": x[:, :4] * 0.1,
+         "anomaly": instance_norm(x)[0].reshape(40, n_p, CFG.patch_len),
+         }[task]
+    spec = E.ProbeSpec(mode=mode, task=task, epochs=3, batch_size=16,
+                       hidden=32, seed=4)
+    feats = E.frozen_features(w, CFG, task, x)
+    ref = E.probe_train(w, CFG, spec, x, y)
+    shared = E.probe_train(w, CFG, spec, x, y, features=feats)
+    assert shared.best_val == ref.best_val
+    assert shared.history == ref.history
+    assert shared.head.keys() == ref.head.keys()
+    for k in ref.head:
+        assert shared.head[k].data.tobytes() == ref.head[k].data.tobytes()
+
+
+def test_probe_train_features_validation():
+    w = make_backbone()
+    x, y = toy_classification(n=40)
+    feats = E.frozen_features(w, CFG, "classify", x)
+    with pytest.raises(ShapeError):
+        E.probe_train(w, CFG, E.ProbeSpec(mode="finetune", task="classify"),
+                      x, y, features=feats)
+    with pytest.raises(ShapeError):
+        E.probe_train(w, CFG, E.ProbeSpec(task="classify"), x, y,
+                      features=feats[:-1])
+
+
 # ---------------------------------------------------------------------------
 # anomaly pipeline
+
+
+def anomaly_scores_per_window(weights, cfg, head, spec, series):
+    """Reference: one instance norm, encode and head forward per window."""
+    series = np.asarray(series, dtype=np.float32)
+    win = cfg.patch_len * min(cfg.max_patches, 32)
+    t = series.shape[0]
+    scores = np.zeros(t, dtype=np.float64)
+    starts = list(range(0, max(t - win + 1, 1), win))
+    if t > win and starts[-1] + win < t:
+        starts.append(t - win)
+    covered = np.zeros(t, dtype=bool)
+    for s in starts:
+        chunk = series[s : s + win]
+        usable = (chunk.shape[0] // cfg.patch_len) * cfg.patch_len
+        if usable == 0:
+            continue
+        chunk = chunk[:usable]
+        xn, _, _ = instance_norm(chunk[None, :])
+        lat = encode(PatchBatch.from_windows(xn, cfg.patch_len),
+                     weights, cfg).data[0]  # (N, d)
+        recon = E._head_forward(head, Tensor(lat, _check=False), spec).data
+        err = (recon.reshape(-1) - xn[0]) ** 2
+        sl = slice(s, s + usable)
+        new = ~covered[sl]
+        scores[sl][new] = err[new]
+        covered[sl] = True
+    return scores
+
+
+@pytest.mark.parametrize("d", [32, 256])
+@pytest.mark.parametrize("t", [10, 300, 1000, 4096, 6144])
+@pytest.mark.parametrize("mode", ["linear", "mlp"])
+def test_anomaly_scores_match_per_window_reference(d, t, mode):
+    # one batched encode over all windows, the right-aligned tail included,
+    # gives the bits of one encode per window
+    cfg = BackboneConfig(d_model=d, n_layers=2, n_heads=4, patch_len=16,
+                         max_patches=64)
+    rng = np.random.default_rng(t + d)
+    w = init_encoder(cfg, rng)
+    spec = E.ProbeSpec(mode=mode, task="anomaly", hidden=64)
+    head = E._init_head(spec, d, cfg.patch_len, rng)
+    series = (np.sin(np.arange(t) * 0.05) + 0.3 * rng.standard_normal(t)
+              ).astype(np.float32)
+    got = E.anomaly_scores(w, cfg, head, spec, series)
+    ref = anomaly_scores_per_window(w, cfg, head, spec, series)
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_anomaly_scores_cover_series_and_localize():

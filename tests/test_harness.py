@@ -1,9 +1,12 @@
 """Run configs, ingestion, metric records, the runner, sweeps, and the CLI."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tsrepr import cli, harness as H
+from tsrepr import cli, evaluate as E, harness as H
+from tsrepr.backbone import init_encoder, load_backbone
 from tsrepr.harness import ConfigError, DataError, MetricRecord, RunConfig
 
 FAST = dict(seeds=(1,), d_model=16, n_layers=1, n_heads=2, patch_len=8,
@@ -236,7 +239,34 @@ def test_run_experiment_baseline_shares_code_path(tmp_path):
 def test_run_experiment_writes_checkpoints(tmp_path):
     cfg = fast_cfg(tmp_path, run_id="ck", tasks=("classify",))
     H.run_experiment(cfg)
-    assert (cfg.run_dir() / "checkpoints" / "backbone_seed1.tsbc").exists()
+    path = cfg.run_dir() / "checkpoints" / "backbone_seed1.tsbc"
+    _, _, header = load_backbone(path)
+    assert header["data_source"] == "synthetic"
+    assert (header["objective"], header["seed"]) == ("mae", 1)
+
+
+@pytest.mark.parametrize("mode,passes", [("linear", 1), ("mlp", 1),
+                                         ("finetune", 3)])
+def test_probe_grid_encodes_frozen_inputs_once(mode, passes, monkeypatch,
+                                               tmp_path):
+    # a frozen backbone gives every grid lr the same features; fine-tuning
+    # encodes its own copy once per lr (one epoch: every window once)
+    rows = []
+    encode = E.encode
+
+    def spy(patches, *args, **kwargs):
+        rows.append(patches.values.shape[0])
+        return encode(patches, *args, **kwargs)
+
+    monkeypatch.setattr(E, "encode", spy)
+    cfg = fast_cfg(tmp_path, probe_mode=mode, probe_epochs=1)
+    bb = cfg.backbone()
+    weights = init_encoder(bb, np.random.default_rng(0))
+    x, y = H.toy_classification(np.random.default_rng(1), n_per_class=10)
+    assert x.shape[0] == 40  # 8 validation rows, 2 full batches of 16
+    res, spec = H._probe_best(weights, bb, cfg, 1, "classify", x, y)
+    assert sum(rows) == passes * x.shape[0]
+    assert spec.mode == mode and len(res.history) == 1
 
 
 def test_finetune_metrics_independent_of_task_order(tmp_path):
@@ -271,6 +301,36 @@ def test_sweep_counts_and_failure_recording(tmp_path):
     assert len(failures) == 1 and failures[0][0] == "nope"
     assert (tmp_path / "runs" / "grid_layers_failures.txt").exists()
     assert (tmp_path / "runs" / "grid_layers_sweep.csv").exists()
+
+
+def test_real_and_hybrid_pretraining_paths(tmp_path):
+    # 3 channels, 200 steps: the train split is the first 120
+    ingested = tmp_path / "ing"
+    H.ingest_csv(write_csv(tmp_path / "d.csv", t=200, c=3), ingested,
+                 timestamp_col=0)
+    synthetic = fast_cfg(tmp_path)
+    real = fast_cfg(tmp_path, data_source="real", dataset_path=str(ingested))
+    hybrid = fast_cfg(tmp_path, data_source="hybrid",
+                      dataset_path=str(ingested))
+    _, data, _ = H.load_ingested(ingested)
+    synth = H._pretrain_corpus(synthetic, 1).series
+    real_rows = H._pretrain_corpus(real, 1).series
+    hybrid_rows = H._pretrain_corpus(hybrid, 1).series
+    # real: one row per channel, cut to the train split (120 < 128 steps)
+    assert real_rows.shape == (3, 120)
+    np.testing.assert_array_equal(real_rows, data[:120].T)
+    # hybrid: the synthetic rows then the real rows, at the common width
+    assert synth.shape == (8, 128) and hybrid_rows.shape == (11, 120)
+    np.testing.assert_array_equal(hybrid_rows[:8], synth[:, :120])
+    np.testing.assert_array_equal(hybrid_rows[8:], real_rows)
+    for cfg in (real, hybrid):
+        cfg = replace(cfg, run_id=cfg.data_source, tasks=("classify",))
+        records = H.run_experiment(cfg)
+        assert {r.data_source for r in records} == {cfg.data_source}
+        assert all(np.isfinite(r.value) for r in records)
+        _, _, header = load_backbone(
+            cfg.run_dir() / "checkpoints" / "backbone_seed1.tsbc")
+        assert header["data_source"] == cfg.data_source
 
 
 def test_data_source_sweep_records_missing_dataset(tmp_path):
@@ -317,6 +377,17 @@ def test_cli_generate_success_and_exit_zero(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "corpus" / "manifest.txt").exists()
     assert "3 series" in capsys.readouterr().out
+
+
+def test_cli_pretrain_seed_zero(tmp_path, capsys):
+    # --seed 0 is a seed like any other, not "use the config's seeds"
+    H.save_run_config(fast_cfg(tmp_path, run_id="s0", seeds=(1, 2)),
+                      tmp_path / "c.ini")
+    assert cli.main(["pretrain", "--config", str(tmp_path / "c.ini"),
+                     "--seed", "0"]) == 0
+    ckpts = tmp_path / "runs" / "s0" / "checkpoints"
+    assert sorted(p.name for p in ckpts.iterdir()) == ["backbone_seed0.tsbc"]
+    assert "seed 0: checkpoint" in capsys.readouterr().out
 
 
 def test_cli_config_error_exit_two(tmp_path, capsys):

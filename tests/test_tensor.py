@@ -306,3 +306,28 @@ def test_gelu_matches_exact_erf():
         backward(T.tsum(out))
     np.testing.assert_allclose(out.data, x64 * phi, rtol=0, atol=1e-6)
     np.testing.assert_allclose(xt.grad, phi + x64 * pdf, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("op,arrays", [
+    pytest.param(T.gelu, [np.linspace(-9.0, 9.0, 4001, dtype=np.float32)],
+                 id="gelu"),
+    pytest.param(T.ffn, [rand(3, 5, 8), 0.4 * rand(8, 32), rand(32),
+                         0.2 * rand(32, 8), rand(8)], id="ffn"),
+])
+def test_gelu_slope_only_when_recorded(op, arrays, monkeypatch):
+    # the GELU derivative is computed only for an op the tape records; the
+    # value does not depend on whether it was
+    slopes = []
+    kernel = T._gelu_kernel
+
+    def spy(x, slope):
+        slopes.append(slope)
+        return kernel(x, slope)
+
+    monkeypatch.setattr(T, "_gelu_kernel", spy)
+    taped, _ = _values_and_grads(op, arrays)
+    untaped = op(*[Tensor(a) for a in arrays]).data
+    with Tape():
+        constant = op(*[Tensor(a) for a in arrays]).data
+    assert slopes == [True, False, False]
+    assert taped.tobytes() == untaped.tobytes() == constant.tobytes()
