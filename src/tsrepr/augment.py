@@ -11,7 +11,7 @@ the round trip exact to machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -89,14 +89,6 @@ class Pyramid:
     approx: np.ndarray
     details: list[np.ndarray]
     family: str
-
-    @property
-    def level(self) -> int:
-        return len(self.details)
-
-    @property
-    def length(self) -> int:
-        return self.approx.shape[-1] * (2 ** self.level)
 
 
 def _window_index(n: int, taps: int) -> np.ndarray:
@@ -230,7 +222,6 @@ def student_view(signal: np.ndarray, cfg: DwtConfig,
 class ViewPair:
     teacher_view: np.ndarray
     student_view: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
 
 def make_view_pair(batch: np.ndarray, cfg: DwtConfig, rng: np.random.Generator,
@@ -249,14 +240,9 @@ def make_view_pair(batch: np.ndarray, cfg: DwtConfig, rng: np.random.Generator,
                     cfg.student_noise_range, cfg.zero_out_fraction)
     teacher = teacher_view(batch, eff)
     student = student_view(batch, eff, rng)
-    prov = {"family": cfg.family, "level": lvl,
-            "teacher_sigma": cfg.teacher_sigma,
-            "zero_out_fraction": cfg.zero_out_fraction, "extra": []}
-    if extra:
-        for spec in extra:
-            teacher = stochastic_suite(teacher, spec, rng)
-            prov["extra"].append((spec.family, spec.magnitude))
-    return ViewPair(teacher, student, prov)
+    for spec in extra or ():
+        teacher = stochastic_suite(teacher, spec, rng)
+    return ViewPair(teacher, student)
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,7 @@ def weights_hash(w: Weights) -> str:
 
 def save_backbone(path, weights: Weights, cfg: BackboneConfig, *,
                   objective: str = "none", data_source: str = "none",
-                  seed: int = 0, epoch: int = 0, extra: dict | None = None) -> None:
+                  seed: int = 0, epoch: int = 0) -> None:
     header = {
         "config": asdict(cfg),
         "objective": objective,
@@ -254,8 +254,6 @@ def save_backbone(path, weights: Weights, cfg: BackboneConfig, *,
         "seed": seed,
         "epoch": epoch,
     }
-    if extra:
-        header.update(extra)
     tsb.save_checkpoint(path, header, {k: v.data for k, v in weights.items()})
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import augment, harness, sigreg, synthgen, tsb
+from . import augment, harness, synthgen, tsb
 from .harness import ConfigError, DataError, RunConfig, data_root
 from .tensor import DomainError, NumericError, ShapeError
 
@@ -30,12 +30,11 @@ def _load_config(args) -> RunConfig:
 
 
 def cmd_generate(args) -> int:
-    univariate = args.univariate or args.channels == 0
     cfg = synthgen.LcmConfig(
         n_channels=max(1, args.channels),
         series_length=args.length, series_count=args.n_series)
     manifest = synthgen.generate_corpus(
-        cfg, univariate=univariate, out_dir=_resolve(args.out),
+        cfg, univariate=args.channels == 0, out_dir=_resolve(args.out),
         n_workers=args.workers, seed=args.seed)
     print(f"wrote {sum(manifest.shard_counts)} series "
           f"({len(manifest.shards)} shards) to {_resolve(args.out)}")
@@ -63,33 +62,19 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _run_with_mode(args, mode: str | None) -> int:
+def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    if mode is not None:
-        cfg = replace(cfg, probe_mode=mode)
+    if args.mode:
+        cfg = replace(cfg, probe_mode=args.mode)
     records = harness.run_experiment(cfg)
     print(f"{len(records)} metric rows -> {cfg.run_dir() / 'metrics.csv'}")
     return 0
 
 
-def cmd_probe(args) -> int:
-    mode = args.mode if args.mode else "linear"
-    return _run_with_mode(args, mode)
-
-
-def cmd_finetune(args) -> int:
-    return _run_with_mode(args, "finetune")
-
-
-def cmd_evaluate(args) -> int:
-    return _run_with_mode(args, None)
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
-    records, failures = harness.sweep(args.dimension, values, cfg,
-                                      n_workers=args.workers)
+    records, failures = harness.sweep(args.dimension, values, cfg)
     print(f"{len(records)} combined rows; {len(failures)} failed children")
     for value, err in failures:
         print(f"  {value}: {err}", file=sys.stderr)
@@ -128,28 +113,6 @@ def cmd_augment_preview(args) -> int:
     return 0
 
 
-def cmd_sigreg_diagnose(args) -> int:
-    emb = tsb.read_tensor(_resolve(args.input))
-    if emb.ndim != 2:
-        raise DataError("embeddings must be a 2-D tensor")
-    cfg = sigreg.EppsPulleyConfig(n_projections=args.projections)
-    diag = sigreg.sigreg_diagnostics(emb, cfg)
-    if args.out:
-        out = _resolve(args.out)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("kind,index,value\n")
-            for i, v in enumerate(diag["per_projection_residuals"]):
-                fh.write(f"residual,{i},{v:.7g}\n")
-            for i, v in enumerate(diag["covariance_eigenvalues"]):
-                fh.write(f"eigenvalue,{i},{v:.7g}\n")
-            fh.write(f"effective_rank,0,{diag['effective_rank']:.7g}\n")
-    print(f"statistic {diag['statistic']:.6f}")
-    print(f"effective rank {diag['effective_rank']:.2f} / {emb.shape[1]}")
-    top = diag["covariance_eigenvalues"][:8]
-    print("top eigenvalues " + " ".join(f"{v:.4f}" for v in top))
-    return 0
-
-
 def cmd_export_metrics(args) -> int:
     records = []
     for path in args.inputs:
@@ -175,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=512)
     p.add_argument("--channels", type=int, default=0,
                    help="0 for univariate, else channel count")
-    p.add_argument("--univariate", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_generate)
@@ -191,21 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="", help="override output root")
     p.set_defaults(func=cmd_pretrain)
 
-    p = with_config(sub.add_parser("probe", help="frozen-backbone probing"))
-    p.add_argument("--mode", choices=("linear", "mlp"), default="")
-    p.set_defaults(func=cmd_probe)
-
-    p = with_config(sub.add_parser("finetune", help="full fine-tuning"))
-    p.set_defaults(func=cmd_finetune)
-
     p = with_config(sub.add_parser("evaluate", help="run the task battery"))
+    p.add_argument("--mode", choices=harness.PROBE_MODES, default="",
+                   help="probe mode (default: the config's probe_mode)")
     p.set_defaults(func=cmd_evaluate)
 
     p = with_config(sub.add_parser("sweep", help="sweep one dimension"))
     p.add_argument("--dimension", required=True,
                    choices=harness.SWEEP_DIMENSIONS)
     p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("augment-preview", help="write teacher/student views")
@@ -213,12 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_augment_preview)
-
-    p = sub.add_parser("sigreg-diagnose", help="embedding geometry report")
-    p.add_argument("--input", required=True, help="TSB1 (N, D) embeddings")
-    p.add_argument("--projections", type=int, default=256)
-    p.add_argument("--out", default="", help="write diagnostics CSV here")
-    p.set_defaults(func=cmd_sigreg_diagnose)
 
     p = sub.add_parser("export-metrics", help="merge metric CSV files")
     p.add_argument("--out", required=True)

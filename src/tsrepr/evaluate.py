@@ -24,6 +24,12 @@ from .backbone import (
 from .tensor import ShapeError, Tape, Tensor, backward
 
 
+# share of the probe windows held out to pick the best epoch, and the
+# dropout rate on the mlp head's hidden layer while it trains
+VAL_FRACTION = 0.2
+DROPOUT = 0.2
+
+
 @dataclass
 class ProbeSpec:
     mode: str = "linear"        # linear | mlp | finetune
@@ -32,8 +38,6 @@ class ProbeSpec:
     batch_size: int = 64
     lr: float | None = None
     hidden: int = 512
-    dropout: float = 0.2
-    val_fraction: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -86,13 +90,14 @@ def _init_head(spec: ProbeSpec, d_in: int, d_out: int,
     return head
 
 
-def _head_forward(head: dict[str, Tensor], x: Tensor, spec: ProbeSpec,
+def _head_forward(head: dict[str, Tensor], x: Tensor,
                   rng: np.random.Generator | None = None) -> Tensor:
+    """Head output; an mlp head drops hidden units when ``rng`` is given."""
     if "w1" in head:
         h = T.gelu(T.add(T.matmul(x, head["w1"]), head["b1"]))
-        if rng is not None and spec.dropout > 0:
-            keep = (rng.random(h.shape) >= spec.dropout).astype(np.float32)
-            h = T.mul(h, keep / (1.0 - spec.dropout))
+        if rng is not None:
+            keep = (rng.random(h.shape) >= DROPOUT).astype(np.float32)
+            h = T.mul(h, keep / (1.0 - DROPOUT))
         return T.add(T.matmul(h, head["w2"]), head["b2"])
     return T.add(T.matmul(x, head["w"]), head["b"])
 
@@ -158,7 +163,7 @@ def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
     caller_hash = weights_hash(weights)
 
     n = x.shape[0]
-    n_val = max(1, int(round(spec.val_fraction * n)))
+    n_val = max(1, int(round(VAL_FRACTION * n)))
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
@@ -202,8 +207,7 @@ def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
                 feats = T.mean(latents, axis=1)
             else:
                 feats = latents
-        drop_rng = rng if train else None
-        out = _head_forward(head, feats, spec, rng=drop_rng)
+        out = _head_forward(head, feats, rng if train else None)
         if spec.task == "classify":
             return _cross_entropy(out, y[idx])
         diff = T.sub(out, y[idx])
@@ -260,7 +264,7 @@ def predict_head(weights: Weights, cfg: BackboneConfig,
                  head: dict[str, Tensor], spec: ProbeSpec,
                  x: np.ndarray) -> np.ndarray:
     feats = frozen_features(weights, cfg, spec.task, x)
-    return _head_forward(head, Tensor(feats, _check=False), spec).data
+    return _head_forward(head, Tensor(feats, _check=False)).data
 
 
 def anomaly_scores(weights: Weights, cfg: BackboneConfig,
@@ -285,7 +289,7 @@ def anomaly_scores(weights: Weights, cfg: BackboneConfig,
         starts.append(t - win)
     xn, _, _ = instance_norm(np.stack([series[s : s + usable] for s in starts]))
     lat = _encode_batched(xn, weights, cfg)  # (windows, N, d)
-    recon = _head_forward(head, Tensor(lat, _check=False), spec).data
+    recon = _head_forward(head, Tensor(lat, _check=False)).data
     err = (recon.reshape(xn.shape) - xn) ** 2
     for s, e in zip(reversed(starts), err[::-1]):  # earlier windows win
         scores[s : s + usable] = e

@@ -13,7 +13,6 @@ import csv
 import hashlib
 import io
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -33,6 +32,7 @@ class DataError(ValueError):
 
 
 DATA_SOURCES = ("real", "synthetic", "hybrid")
+PROBE_MODES = ("linear", "mlp", "finetune")
 TASKS = ("classify", "anomaly", "forecast")
 
 
@@ -85,17 +85,25 @@ class RunConfig:
                               "dataset_path")
         if self.synthetic_family not in ("sines", "gp"):
             raise ConfigError("synthetic_family must be sines|gp")
-        if self.probe_mode not in ("linear", "mlp", "finetune"):
+        if self.probe_mode not in PROBE_MODES:
             raise ConfigError(f"unknown probe_mode {self.probe_mode!r}")
         bad = [t for t in self.tasks if t not in TASKS]
         if bad or not self.tasks:
             raise ConfigError(f"tasks must be a non-empty subset of {TASKS}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
-        for name in ("d_model", "n_layers", "n_heads", "patch_len", "epochs",
-                     "batch_size", "probe_epochs", "context_len", "horizon"):
+        for name in ("d_model", "n_layers", "n_heads", "patch_len",
+                     "max_patches", "epochs", "batch_size", "corpus_series",
+                     "probe_epochs", "context_len", "horizon"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        # a pretraining window, min(window_len, corpus_length) samples,
+        # must hold a patch, and a GP draw needs two grid points
+        if min(self.window_len, self.corpus_length) < self.patch_len:
+            raise ConfigError("window_len and corpus_length must be >= "
+                              f"patch_len ({self.patch_len})")
+        if self.corpus_length < 2:
+            raise ConfigError("corpus_length must be >= 2")
         if not 0.0 < self.anomaly_percentile < 100.0:
             raise ConfigError("anomaly_percentile must be in (0, 100)")
 
@@ -354,7 +362,16 @@ def read_metrics(path) -> list[MetricRecord]:
         header = next(reader)
         if tuple(header) != METRIC_COLUMNS:
             raise DataError(f"unexpected metric header {header}")
-        return [MetricRecord.from_row(row) for row in reader if row]
+        records = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                records.append(MetricRecord.from_row(row))
+            except (ValueError, IndexError) as exc:
+                raise DataError(f"{path}: line {lineno}: bad metric row "
+                                f"({exc})") from exc
+        return records
 
 
 def aggregate_records(records: list[MetricRecord]) -> list[MetricRecord]:
@@ -652,7 +669,7 @@ def _read_record_file(path: Path) -> list[MetricRecord]:
 SWEEP_DIMENSIONS = ("layers", "data_source", "objective")
 
 
-def sweep(dimension: str, values, base: RunConfig, n_workers: int = 1
+def sweep(dimension: str, values, base: RunConfig
           ) -> tuple[list[MetricRecord], list[tuple[str, str]]]:
     """Run one child experiment per value; failures are recorded and the
     sweep continues.  Returns (combined records, [(value, error), ...])."""
@@ -660,29 +677,20 @@ def sweep(dimension: str, values, base: RunConfig, n_workers: int = 1
         raise ConfigError(f"sweep dimension must be one of {SWEEP_DIMENSIONS}")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    def run_child(value):
-        try:
-            child = {"layers": lambda v: replace(base, n_layers=int(v)),
-                     "data_source": lambda v: replace(base, data_source=str(v)),
-                     "objective": lambda v: replace(base, objective=str(v)),
-                     }[dimension](value)
-            child = replace(child, run_id=f"{base.run_id}_{dimension}_{value}")
-            return run_experiment(child), None
-        except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
-            return [], f"{type(exc).__name__}: {exc}"
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run_child, values))
-    else:
-        results = [run_child(v) for v in values]
-
+    if len(set(values)) != len(values):
+        raise ConfigError(f"sweep values repeat: {list(values)}")
+    key = {"layers": "n_layers", "data_source": "data_source",
+           "objective": "objective"}[dimension]
     combined: list[MetricRecord] = []
     failures: list[tuple[str, str]] = []
-    for value, (recs, err) in zip(values, results):
-        if err is not None:
-            failures.append((str(value), err))
-        combined += recs
+    for value in values:
+        try:
+            child = replace(base, run_id=f"{base.run_id}_{dimension}_{value}",
+                            **{key: int(value) if key == "n_layers"
+                               else str(value)})
+            combined += run_experiment(child)
+        except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
+            failures.append((str(value), f"{type(exc).__name__}: {exc}"))
     out_dir = Path(base.output_root)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics(out_dir / f"{base.run_id}_{dimension}_sweep.csv", combined)

@@ -208,17 +208,13 @@ class ObjectiveState:
             params.update({f"predictor.{k}": v for k, v in self.predictor.items()})
         return params
 
-    def ema_step(self, momentum: float | None = None) -> None:
+    def ema_step(self) -> None:
         if self.teacher is None:
             return
-        m = self.ocfg.ema_momentum if momentum is None else momentum
+        m = self.ocfg.ema_momentum
         ema_update(self.teacher, self.encoder, m)
-        if self.teacher_heads is not None:
-            for head, hw in self.teacher_heads.items():
-                mf = np.float32(m)
-                for n, t in hw.items():
-                    t.data *= mf
-                    t.data += (np.float32(1.0) - mf) * self.heads[head][n].data
+        for head, hw in (self.teacher_heads or {}).items():
+            ema_update(hw, self.heads[head], m)
 
 
 def _apply_linear(x: Tensor, head: dict[str, Tensor]) -> Tensor:
@@ -249,9 +245,8 @@ def mae_loss(state: ObjectiveState, batch: np.ndarray, mask: MaskSpec,
     return _single(total, "reconstruction")
 
 
-def ntp_loss(state: ObjectiveState, batch: np.ndarray,
-             horizon_h: int | None = None) -> LossBreakdown:
-    h = state.ocfg.ntp_horizon if horizon_h is None else horizon_h
+def ntp_loss(state: ObjectiveState, batch: np.ndarray) -> LossBreakdown:
+    h = state.ocfg.ntp_horizon
     patches = PatchBatch.from_windows(batch, state.cfg.patch_len)
     b, n, p = patches.values.shape
     if n - h < 1:
@@ -349,10 +344,8 @@ def jepa_loss(state: ObjectiveState, batch: np.ndarray, mask: MaskSpec,
 
 
 def lejepa_loss(state: ObjectiveState, view_pair: augment.ViewPair,
-                lam: float | None = None, step: int = 0) -> LossBreakdown:
-    lam = state.ocfg.lejepa_lambda if lam is None else lam
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must be in [0, 1]")
+                step: int = 0) -> LossBreakdown:
+    lam = state.ocfg.lejepa_lambda
     p = state.cfg.patch_len
     g_patches = PatchBatch.from_windows(view_pair.teacher_view, p)
     a_patches = PatchBatch.from_windows(view_pair.student_view, p)

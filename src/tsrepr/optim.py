@@ -17,15 +17,16 @@ def zero_grads(params: Params) -> None:
 
 
 class MomentumSGD:
-    def __init__(self, params: Params, lr: float = 1e-2, momentum: float = 0.9):
+    """SGD with heavy-ball momentum 0.9."""
+
+    def __init__(self, params: Params, lr: float = 1e-2):
         self.params = params
         self.lr = lr
-        self.momentum = momentum
         self._vel = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, lr: float | None = None) -> None:
         lr = np.float32(self.lr if lr is None else lr)
-        m = np.float32(self.momentum)
+        m = np.float32(0.9)
         for k, p in self.params.items():
             if p.grad is None:
                 continue
@@ -36,12 +37,13 @@ class MomentumSGD:
 
 
 class Adam:
-    def __init__(self, params: Params, lr: float = 1e-3, betas=(0.9, 0.999),
-                 eps: float = 1e-8):
+    """Adam with betas (0.9, 0.999) and eps 1e-8."""
+
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: Params, lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -69,15 +71,14 @@ class Adam:
             p.data -= update
 
 
-def one_cycle_lr(step: int, total_steps: int, lr_max: float,
-                 warmup_frac: float = 0.05, lr_start_frac: float = 0.1,
-                 lr_final_frac: float = 1e-2) -> float:
-    """Linear warmup over warmup_frac of the run, then cosine decay."""
-    warmup = max(1, int(round(warmup_frac * total_steps)))
+def one_cycle_lr(step: int, total_steps: int, lr_max: float) -> float:
+    """Linear warmup from lr_max / 10 over the first 5% of the run, then
+    cosine decay to lr_max / 100."""
+    warmup = max(1, int(round(0.05 * total_steps)))
     if step < warmup:
         frac = step / warmup
-        return lr_max * (lr_start_frac + (1.0 - lr_start_frac) * frac)
+        return lr_max * (0.1 + (1.0 - 0.1) * frac)
     span = max(1, total_steps - warmup)
     prog = min(1.0, (step - warmup) / span)
-    floor = lr_max * lr_final_frac
+    floor = lr_max * 1e-2
     return floor + (lr_max - floor) * 0.5 * (1.0 + math.cos(math.pi * prog))

@@ -21,15 +21,9 @@ from .tensor import Tensor
 class EppsPulleyConfig:
     n_projections: int = 1024
     n_grid: int = 17
-    grid_range: float = 5.0
-    seed_base: int = 0
 
     def grid(self) -> np.ndarray:
-        return np.linspace(-self.grid_range, self.grid_range, self.n_grid)
-
-
-def projection_seed(cfg: EppsPulleyConfig, step: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((cfg.seed_base, step)))
+        return np.linspace(-5.0, 5.0, self.n_grid)
 
 
 def sample_projections(d_model: int, cfg: EppsPulleyConfig,
@@ -37,7 +31,7 @@ def sample_projections(d_model: int, cfg: EppsPulleyConfig,
     """M standard-normal directions, L2-normalized, seeded by the step."""
     if d_model < 1:
         raise ValueError("d_model must be >= 1")
-    rng = projection_seed(cfg, step)
+    rng = np.random.default_rng(np.random.SeedSequence((0, step)))
     a = rng.normal(size=(cfg.n_projections, d_model))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     return a.astype(np.float32)

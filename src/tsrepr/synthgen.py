@@ -31,26 +31,18 @@ class KernelAtom:
             raise ValueError(f"unknown kernel family {self.family!r}")
 
 
-def default_kernel_bank() -> list[KernelAtom]:
-    """The 33-atom bank: periodicities cover hourly/daily/weekly/yearly
-    style resolutions; all length-type parameters are in sample units and
-    are normalized by the series length at evaluation time."""
-    bank: list[KernelAtom] = []
-    for period in (24, 168, 8766, 96, 672, 7, 365, 52, 12, 4, 30):
-        bank.append(KernelAtom("exp_sine_squared", (float(period), 1.0)))
-    for ls in (0.5, 1, 2, 5, 10, 20, 50):
-        bank.append(KernelAtom("rbf", (float(ls),)))
-    for ls in (1, 5, 20):
-        for alpha in (0.5, 2.0):
-            bank.append(KernelAtom("rational_quadratic", (float(ls), alpha)))
-    for sigma0 in (0.0, 1.0, 2.0):
-        bank.append(KernelAtom("dot_product", (sigma0,)))
-    for level in (0.01, 0.1, 1.0):
-        bank.append(KernelAtom("white_noise", (level,)))
-    for value in (0.5, 1.0, 5.0):
-        bank.append(KernelAtom("constant", (value,)))
-    assert len(bank) == 33
-    return bank
+# The 33-atom bank: periodicities cover hourly/daily/weekly/yearly style
+# resolutions; all length-type parameters are in sample units and are
+# normalized by the series length at evaluation time.
+KERNEL_BANK = tuple(
+    [KernelAtom("exp_sine_squared", (float(period), 1.0))
+     for period in (24, 168, 8766, 96, 672, 7, 365, 52, 12, 4, 30)]
+    + [KernelAtom("rbf", (float(ls),)) for ls in (0.5, 1, 2, 5, 10, 20, 50)]
+    + [KernelAtom("rational_quadratic", (float(ls), alpha))
+       for ls in (1, 5, 20) for alpha in (0.5, 2.0)]
+    + [KernelAtom("dot_product", (sigma0,)) for sigma0 in (0.0, 1.0, 2.0)]
+    + [KernelAtom("white_noise", (level,)) for level in (0.01, 0.1, 1.0)]
+    + [KernelAtom("constant", (value,)) for value in (0.5, 1.0, 5.0)])
 
 
 @dataclass
@@ -82,14 +74,10 @@ class LcmConfig:
             raise ValueError("need n_channels >= 1 and latent clip >= 1")
 
 
-def sample_kernel_composition(rng: np.random.Generator,
-                              bank: list[KernelAtom] | None = None
-                              ) -> KernelComposition:
-    bank = default_kernel_bank() if bank is None else bank
-    if not bank:
-        raise ValueError("kernel bank is empty")
+def sample_kernel_composition(rng: np.random.Generator) -> KernelComposition:
     k = int(rng.integers(1, 6))
-    atoms = [bank[int(i)] for i in rng.integers(0, len(bank), size=k)]
+    atoms = [KERNEL_BANK[int(i)]
+             for i in rng.integers(0, len(KERNEL_BANK), size=k)]
     ops = ["add" if rng.random() < 0.5 else "multiply" for _ in range(k - 1)]
     return KernelComposition(atoms, ops)
 
@@ -160,18 +148,18 @@ def gram_matrix(comp: KernelComposition, t: int) -> np.ndarray:
     return _toeplitz(gram)
 
 
-def sample_gp(gram: np.ndarray, rng: np.random.Generator,
-              jitter: float = 1e-6) -> np.ndarray:
+def sample_gp(gram: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One realization x = L xi with L the Cholesky factor of gram+jitter.
 
-    The jitter goes on the diagonal of one private copy of ``gram``; the
-    caller's array is not modified.
+    The jitter starts at 1e-6 of the diagonal scale and grows tenfold per
+    failed factorization.  It goes on the diagonal of one private copy of
+    ``gram``; the caller's array is not modified.
     """
     t = gram.shape[0]
     diag = np.diag(gram)
     scale = max(1.0, float(np.max(diag)))
     jittered = gram.copy()
-    j = jitter
+    j = 1e-6
     while j <= 1e-4 * scale:
         np.fill_diagonal(jittered, diag + j * scale)
         try:
@@ -182,20 +170,18 @@ def sample_gp(gram: np.ndarray, rng: np.random.Generator,
     raise FloatingPointError("Cholesky failed after jitter escalation")
 
 
-def sample_univariate(rng: np.random.Generator, t: int,
-                      bank: list[KernelAtom] | None = None) -> np.ndarray:
-    comp = sample_kernel_composition(rng, bank)
+def sample_univariate(rng: np.random.Generator, t: int) -> np.ndarray:
+    comp = sample_kernel_composition(rng)
     return sample_gp(gram_matrix(comp, t), rng)
 
 
-def sample_multivariate_lcm(cfg: LcmConfig, rng: np.random.Generator,
-                            bank: list[KernelAtom] | None = None
+def sample_multivariate_lcm(cfg: LcmConfig, rng: np.random.Generator
                             ) -> np.ndarray:
     """(C, T) channels mixed from J latent GP factors via simplex weights."""
     lo, hi = cfg.latent_clip
     j = int(np.clip(round(rng.weibull(cfg.weibull_shape) * cfg.weibull_scale),
                     lo, hi))
-    factors = np.stack([sample_univariate(rng, cfg.series_length, bank)
+    factors = np.stack([sample_univariate(rng, cfg.series_length)
                         for _ in range(j)])  # (J, T)
     alpha = rng.uniform(*cfg.dirichlet_alpha_range)
     weights = rng.dirichlet(np.full(j, alpha), size=cfg.n_channels)  # (C, J)
@@ -208,12 +194,11 @@ def _standardize(x: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     return ((x - mu) / np.maximum(sd, eps)).astype(np.float32)
 
 
-def standardized_series(entropy, t: int,
-                        bank: list[KernelAtom] | None = None) -> np.ndarray:
+def standardized_series(entropy, t: int) -> np.ndarray:
     """One standardized univariate GP draw of length ``t``, from the RNG
     stream seeded by ``entropy`` (a SeedSequence entropy value)."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
-    return _standardize(sample_univariate(rng, t, bank))
+    return _standardize(sample_univariate(rng, t))
 
 
 @dataclass
@@ -252,8 +237,7 @@ def _config_digest(cfg: LcmConfig, univariate: bool) -> str:
 
 def generate_corpus(cfg: LcmConfig, univariate: bool, out_dir,
                     n_workers: int = 1, seed: int = 0,
-                    shard_size: int = 512,
-                    bank: list[KernelAtom] | None = None) -> CorpusManifest:
+                    shard_size: int = 512) -> CorpusManifest:
     """Write N standardized series as sharded TSB1 plus a manifest.
 
     Per-series RNG streams derive from (seed, index), so shard bytes are
@@ -266,9 +250,9 @@ def generate_corpus(cfg: LcmConfig, univariate: bool, out_dir,
 
     def make(i: int) -> np.ndarray:
         if univariate:
-            return standardized_series((seed, i), cfg.series_length, bank)
+            return standardized_series((seed, i), cfg.series_length)
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        return _standardize(sample_multivariate_lcm(cfg, rng, bank))
+        return _standardize(sample_multivariate_lcm(cfg, rng))
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:

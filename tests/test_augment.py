@@ -56,10 +56,8 @@ def test_zero_pyramid_zero_signal():
 def test_db4_level3_band_structure():
     pyr = A.dwt_forward(np.random.default_rng(0).standard_normal(256),
                         A.DwtConfig(family="db4", level=3))
-    assert pyr.level == 3
     assert [d.shape[0] for d in pyr.details] == [32, 64, 128]
     assert pyr.approx.shape[0] == 32
-    assert pyr.length == 256
 
 
 @pytest.mark.parametrize("order", range(1, 9))
@@ -81,7 +79,7 @@ def test_batched_dwt_matches_rows(family, level):
     cfg = A.DwtConfig(family=family, level=level)
     x = np.random.default_rng(level).standard_normal((2, 3, 336))
     pyr = A.dwt_forward(x, cfg)
-    assert pyr.length == x.shape[-1]
+    assert pyr.approx.shape[-1] * 2 ** level == x.shape[-1]
     back = A.dwt_inverse(pyr)
     assert back.shape == x.shape
     assert np.abs(back - x).max() < 1e-9
@@ -194,7 +192,12 @@ def test_make_view_pair_shapes_and_level_reduction():
                             np.random.default_rng(0))
     assert pair.teacher_view.shape == batch.shape
     assert pair.student_view.shape == batch.shape
-    assert pair.provenance["level"] == 3  # 40 = 8 * 5: three halvings
+    # 40 = 8 * 5: three halvings, so a deeper request is cut to level 3
+    assert A.max_dwt_level(40, 5) == 3
+    deeper = A.make_view_pair(batch, A.DwtConfig(level=5),
+                              np.random.default_rng(0))
+    assert deeper.teacher_view.tobytes() == pair.teacher_view.tobytes()
+    assert deeper.student_view.tobytes() == pair.student_view.tobytes()
 
 
 def rowwise_view_pair(batch, cfg, rng, extra=None):

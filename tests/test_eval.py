@@ -226,7 +226,7 @@ def test_finetune_returns_best_epoch_backbone():
     vals = [h["val_loss"] for h in res.history]
     assert int(np.argmin(vals)) < len(vals) - 1
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 31)))
-    val_idx = rng.permutation(len(x))[: round(spec.val_fraction * len(x))]
+    val_idx = rng.permutation(len(x))[: round(E.VAL_FRACTION * len(x))]
     logits = E.predict_head(res.backbone, CFG, res.head, spec,
                             x[val_idx]).astype(np.float64)
     logp = logits - logits.max(axis=1, keepdims=True)
@@ -366,7 +366,7 @@ def anomaly_scores_per_window(weights, cfg, head, spec, series):
         xn, _, _ = instance_norm(chunk[None, :])
         lat = encode(PatchBatch.from_windows(xn, cfg.patch_len),
                      weights, cfg).data[0]  # (N, d)
-        recon = E._head_forward(head, Tensor(lat, _check=False), spec).data
+        recon = E._head_forward(head, Tensor(lat, _check=False)).data
         err = (recon.reshape(-1) - xn[0]) ** 2
         sl = slice(s, s + usable)
         new = ~covered[sl]

@@ -78,6 +78,13 @@ def test_config_validation():
         RunConfig(tasks=("imputation",))
     with pytest.raises(ConfigError):
         RunConfig(seeds=())
+    # each of these used to fail only once the run had started
+    for bad in (dict(corpus_series=0),
+                dict(synthetic_family="gp", corpus_length=1),
+                dict(window_len=8, patch_len=16),
+                dict(max_patches=0)):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad)
     with pytest.raises(ConfigError):
         RunConfig(d_model=0)
     with pytest.raises(ConfigError):
@@ -172,6 +179,22 @@ def test_metric_bad_header_rejected(tmp_path):
     path.write_text("run,task\nr,classify\n")
     with pytest.raises(DataError):
         H.read_metrics(path)
+
+
+@pytest.mark.parametrize("row,lineno", [
+    ("r,mae,synthetic,2,classify,sine_mixture,linear,accuracy,high,1", 3),
+    ("r,mae,synthetic,2,classify", 3),
+    ("r,mae,synthetic,two,classify,sine_mixture,linear,accuracy,0.5,1", 3),
+])
+def test_metric_bad_row_names_file_and_line(tmp_path, row, lineno):
+    path = tmp_path / "m.csv"
+    H.write_metrics(path, [rec()])
+    path.write_text(path.read_text() + row + "\n")
+    with pytest.raises(DataError, match=f"m.csv: line {lineno}"):
+        H.read_metrics(path)
+    code = cli.main(["export-metrics", "--out", str(tmp_path / "all.csv"),
+                     str(path)])
+    assert code == 3
 
 
 def test_aggregates_recompute_oracle():
@@ -343,28 +366,26 @@ def test_data_source_sweep_records_missing_dataset(tmp_path):
                for _, e in failures)
 
 
-def test_threaded_sweep_matches_serial(tmp_path):
-    # each worker thread must record into its own tape
-    values = ["mae", "jepa", "lejepa", "dino"]
-    rows = []
-    for name, workers in (("serial", 1), ("threaded", 4)):
-        base = fast_cfg(tmp_path, run_id="obj",
-                        output_root=str(tmp_path / name), epochs=2,
-                        steps_per_epoch=3, tasks=("classify",),
-                        probe_mode="finetune")
-        records, failures = H.sweep("objective", values, base,
-                                    n_workers=workers)
-        assert failures == []
-        rows.append([r.to_row() for r in records])
-    assert rows[0] == rows[1]
-
-
 def test_sweep_validation(tmp_path):
     base = fast_cfg(tmp_path)
     with pytest.raises(ConfigError):
         H.sweep("batch_size", ["1"], base)
     with pytest.raises(ConfigError):
         H.sweep("layers", [], base)
+
+
+def test_sweep_rejects_repeated_values(tmp_path, monkeypatch, capsys):
+    # two children with one run_id would write duplicate metric rows
+    calls = []
+    monkeypatch.setattr(H, "run_experiment",
+                        lambda cfg: calls.append(cfg) or [])
+    with pytest.raises(ConfigError, match="repeat"):
+        H.sweep("layers", ["1", "1"], fast_cfg(tmp_path))
+    H.save_run_config(fast_cfg(tmp_path), tmp_path / "c.ini")
+    assert cli.main(["sweep", "--config", str(tmp_path / "c.ini"),
+                     "--dimension", "layers", "--values", "1,1"]) == 2
+    assert "repeat" in capsys.readouterr().err
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +398,26 @@ def test_cli_generate_success_and_exit_zero(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "corpus" / "manifest.txt").exists()
     assert "3 series" in capsys.readouterr().out
+
+
+def test_cli_generate_channels_zero_is_univariate(tmp_path, capsys):
+    from tsrepr import synthgen
+    assert cli.main(["generate", "--out", str(tmp_path / "c"), "--n-series",
+                     "2", "--length", "16", "--channels", "0"]) == 0
+    manifest, series = synthgen.load_corpus(tmp_path / "c")
+    assert manifest.univariate and manifest.n_channels == 1
+    assert series.shape == (2, 16)
+    capsys.readouterr()
+
+
+def test_cli_evaluate_mode_overrides_config(tmp_path, capsys):
+    H.save_run_config(fast_cfg(tmp_path, run_id="ev", tasks=("classify",),
+                               probe_mode="linear"), tmp_path / "c.ini")
+    assert cli.main(["evaluate", "--config", str(tmp_path / "c.ini"),
+                     "--mode", "finetune"]) == 0
+    records = H.read_metrics(tmp_path / "runs" / "ev" / "metrics.csv")
+    assert records and {r.protocol for r in records} == {"finetune"}
+    capsys.readouterr()
 
 
 def test_cli_pretrain_seed_zero(tmp_path, capsys):
@@ -399,8 +440,9 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
 
 
 def test_cli_data_error_exit_three(tmp_path, capsys):
-    assert cli.main(["sigreg-diagnose", "--input",
-                     str(tmp_path / "missing.tsb")]) == 3
+    assert cli.main(["augment-preview", "--input",
+                     str(tmp_path / "missing.tsb"),
+                     "--out", str(tmp_path / "v")]) == 3
     assert "data error" in capsys.readouterr().err
 
 
@@ -422,21 +464,6 @@ def test_cli_data_root_env(tmp_path, monkeypatch, capsys):
                      "--length", "16"]) == 0
     assert (tmp_path / "rel_corpus" / "manifest.txt").exists()
     capsys.readouterr()
-
-
-def test_cli_sigreg_diagnose_and_export(tmp_path, capsys):
-    from tsrepr import tsb
-    emb = np.random.default_rng(2).standard_normal((64, 8)).astype(np.float32)
-    tsb.write_tensor(tmp_path / "emb.tsb", emb)
-    code = cli.main(["sigreg-diagnose", "--input", str(tmp_path / "emb.tsb"),
-                     "--projections", "16",
-                     "--out", str(tmp_path / "diag.csv")])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "effective rank" in out
-    lines = (tmp_path / "diag.csv").read_text().splitlines()
-    assert lines[0] == "kind,index,value"
-    assert sum(1 for l in lines if l.startswith("residual,")) == 16
 
 
 def test_cli_augment_preview(tmp_path, capsys):

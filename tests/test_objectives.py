@@ -135,23 +135,23 @@ def test_ntp_perfect_prediction_zero_loss():
 
 
 def test_ntp_too_short_raises():
-    state = make_state("ntp")
+    state = make_state("ntp", ntp_horizon=4)
     with pytest.raises(ShapeError):
-        O.ntp_loss(state, make_batch(t=32), horizon_h=4)
+        O.ntp_loss(state, make_batch(t=32))
 
 
 def test_lejepa_lambda_endpoints():
-    state = make_state("lejepa")
     x = make_batch(b=8)
-    pair_same = augment.ViewPair(x, x.copy(), {})
-    lb0 = O.lejepa_loss(state, pair_same, lam=0.0)
+    pair_same = augment.ViewPair(x, x.copy())
+    lb0 = O.lejepa_loss(make_state("lejepa", lejepa_lambda=0.0), pair_same)
     assert lb0.value() < 1e-10  # identical views, invariance only
+    state = make_state("lejepa", lejepa_lambda=1.0)
     pair = augment.make_view_pair(x, state.ocfg.dwt, np.random.default_rng(5))
-    lb1 = O.lejepa_loss(state, pair, lam=1.0)
+    lb1 = O.lejepa_loss(state, pair)
     z_g = lb1.components["sigreg"]
     assert abs(lb1.value() - z_g) < 1e-6  # pure statistic at lambda 1
     with pytest.raises(ValueError):
-        O.lejepa_loss(state, pair, lam=1.5)
+        make_state("lejepa", lejepa_lambda=1.5)
 
 
 def test_dino_uniform_teacher_floor():
@@ -228,15 +228,20 @@ def test_causality_forced_for_autoregressive_objectives():
 
 
 def test_ema_step_moves_teacher_toward_student():
-    state = make_state("jepa")
-    before = {k: v.data.copy() for k, v in state.teacher.items()}
-    for v in state.encoder.values():
-        v.data += 1.0
-    state.ema_step(momentum=0.9)
-    for k, v in state.teacher.items():
-        np.testing.assert_allclose(
-            v.data, 0.9 * before[k] + 0.1 * state.encoder[k].data,
-            atol=1e-5)
+    for objective in ("jepa", "dino"):
+        state = make_state(objective, ema_momentum=0.9)
+        pairs = [(state.teacher, state.encoder)] + [
+            (hw, state.heads[name])
+            for name, hw in (state.teacher_heads or {}).items()]
+        before = [{k: v.data.copy() for k, v in t.items()} for t, _ in pairs]
+        for _, student in pairs:
+            for v in student.values():
+                v.data += 1.0
+        state.ema_step()
+        for (teacher, student), old in zip(pairs, before):
+            for k, v in teacher.items():
+                np.testing.assert_allclose(
+                    v.data, 0.9 * old[k] + 0.1 * student[k].data, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------

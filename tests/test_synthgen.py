@@ -13,7 +13,7 @@ from tsrepr import harness as H, synthgen as G
 
 
 def test_bank_size_and_families():
-    bank = G.default_kernel_bank()
+    bank = G.KERNEL_BANK
     assert len(bank) == 33
     assert {a.family for a in bank} == set(G.KERNEL_FAMILIES)
 
