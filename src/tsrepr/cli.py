@@ -30,6 +30,10 @@ def _load_config(args) -> RunConfig:
 
 
 def cmd_generate(args) -> int:
+    for name, low in (("length", 2), ("n_series", 1), ("channels", 0),
+                      ("workers", 1)):
+        if getattr(args, name) < low:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= {low}")
     cfg = synthgen.LcmConfig(
         n_channels=max(1, args.channels),
         series_length=args.length, series_count=args.n_series)

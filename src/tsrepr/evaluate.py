@@ -6,6 +6,7 @@ backbones alike, so measured deltas isolate the pretraining objective.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,6 @@ from .backbone import (
     clone_weights,
     encode,
     instance_norm,
-    weights_hash,
 )
 from .tensor import ShapeError, Tape, Tensor, backward
 
@@ -28,6 +28,13 @@ from .tensor import ShapeError, Tape, Tensor, backward
 # dropout rate on the mlp head's hidden layer while it trains
 VAL_FRACTION = 0.2
 DROPOUT = 0.2
+
+# float32 FFN activations per frozen encode chunk (1 MiB), so each GELU
+# pass over a chunk stays in L2; and the fewest token rows a chunk may
+# have, because BLAS rounds products of one or two rows differently from
+# the same rows inside a larger product
+TILE = 2 ** 18
+MIN_ROWS = 8
 
 
 @dataclass
@@ -60,13 +67,25 @@ class ProbeSpec:
 # feature extraction
 
 
-def _encode_batched(x: np.ndarray, weights: Weights, cfg: BackboneConfig,
-                    batch: int = 256) -> np.ndarray:
-    """Frozen-backbone latents (n, N, d) for (n, T) inputs; no tape."""
+def _encode_batched(x: np.ndarray, weights: Weights, cfg: BackboneConfig
+                    ) -> np.ndarray:
+    """Frozen-backbone latents (n, N, d) for (n, T) inputs; no tape.
+
+    Windows go through the backbone in chunks of about ``TILE`` FFN
+    activations, each of at least ``MIN_ROWS`` tokens unless the whole
+    input has fewer (a short tail joins the chunk before it), which keeps
+    the bits of one encode over the whole stack.
+    """
+    n, n_patches = x.shape[0], max(1, x.shape[1] // cfg.patch_len)
+    step = max(TILE // (n_patches * cfg.ffn_ratio * cfg.d_model),
+               -(-MIN_ROWS // n_patches))
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and (n - starts[-1]) * n_patches < MIN_ROWS:
+        starts.pop()
     return np.concatenate([
-        encode(PatchBatch.from_windows(x[start : start + batch], cfg.patch_len),
+        encode(PatchBatch.from_windows(x[start:end], cfg.patch_len),
                weights, cfg).data
-        for start in range(0, x.shape[0], batch)], axis=0)
+        for start, end in zip(starts, starts[1:] + [n])], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +148,32 @@ def _cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return T.mul(T.mean(picked), -1.0)
 
 
+@contextmanager
+def _read_only(weights: Weights):
+    """Make the caller's parameter arrays read-only for the block.
+
+    A write to one raises at the write site.  Every flag is restored on
+    the way out, and a block that rebinds a parameter to a new array
+    fails with an ``AssertionError``.
+    """
+    arrays = {k: t.data for k, t in weights.items()}
+    # one entry per array (a key may share another's), recorded before any
+    # flag is cleared; owners come first so their views can be restored
+    flags = sorted({id(a): (a, a.flags.writeable)
+                    for a in arrays.values()}.values(),
+                   key=lambda entry: entry[0].base is not None)
+    try:
+        for a, _ in flags:
+            a.flags.writeable = False
+        yield
+    finally:
+        for a, writeable in flags:
+            a.flags.writeable = writeable
+    if (weights.keys() != arrays.keys()
+            or any(weights[k].data is not a for k, a in arrays.items())):
+        raise AssertionError("caller's backbone was modified during probing")
+
+
 @dataclass
 class ProbeResult:
     head: dict[str, Tensor]
@@ -149,8 +194,8 @@ def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
     ``frozen_features(weights, cfg, spec.task, x)`` computed once by a
     caller that trains several heads on the same windows.
     Fine-tuning trains a copy of the backbone and returns its best-epoch
-    state with the best-epoch head; the caller's parameter bytes are
-    asserted unchanged in every mode.
+    state with the best-epoch head.  In every mode the caller's parameter
+    arrays are read-only while the probe trains.
     """
     if x.shape[0] != y.shape[0] or x.shape[0] < 2:
         raise ShapeError("x/y length mismatch or too few samples")
@@ -159,8 +204,14 @@ def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
             raise ShapeError("features need a frozen backbone, not finetune")
         if features.shape[0] != x.shape[0]:
             raise ShapeError("features/x row count mismatch")
+    with _read_only(weights):
+        return _probe_train(weights, cfg, spec, x, y, features)
+
+
+def _probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
+                 x: np.ndarray, y: np.ndarray,
+                 features: np.ndarray | None) -> ProbeResult:
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 31)))
-    caller_hash = weights_hash(weights)
 
     n = x.shape[0]
     n_val = max(1, int(round(VAL_FRACTION * n)))
@@ -239,8 +290,6 @@ def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
             if not spec.freeze_backbone:
                 best_backbone = clone_weights(backbone)
 
-    if weights_hash(weights) != caller_hash:
-        raise AssertionError("caller's backbone was modified during probing")
     return ProbeResult(best_head, best_backbone, history, best_val)
 
 

@@ -104,6 +104,19 @@ class RunConfig:
                               f"patch_len ({self.patch_len})")
         if self.corpus_length < 2:
             raise ConfigError("corpus_length must be >= 2")
+        # the positional table must cover every window the run encodes:
+        # pretraining windows, the 128-sample classify windows and the
+        # forecast contexts
+        lengths = {"pretraining": min(self.window_len, self.corpus_length)}
+        if "classify" in self.tasks:
+            lengths["classify"] = 128
+        if "forecast" in self.tasks:
+            lengths["forecast"] = self.context_len
+        for use, length in lengths.items():
+            if length // self.patch_len > self.max_patches:
+                raise ConfigError(
+                    f"max_patches {self.max_patches} < {use} window patches "
+                    f"{length // self.patch_len}")
         if not 0.0 < self.anomaly_percentile < 100.0:
             raise ConfigError("anomaly_percentile must be in (0, 100)")
 

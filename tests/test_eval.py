@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tsrepr import evaluate as E
+from tsrepr import backbone as B, evaluate as E
 from tsrepr.backbone import (BackboneConfig, PatchBatch, encode, init_encoder,
                              instance_norm, weights_hash)
 from tsrepr.tensor import ShapeError, Tensor
@@ -215,6 +215,60 @@ def test_finetune_updates_backbone():
     assert weights_hash(w) == before
 
 
+def test_probe_makes_caller_arrays_read_only(monkeypatch):
+    w = make_backbone()
+    w["pos.alias"] = Tensor(w["pos"].data, _check=False)  # same array
+    w["pos.view"] = Tensor(w["pos"].data[:2], _check=False)
+    w["embed.b"].data.flags.writeable = False  # read-only before the call
+    before = weights_hash(w)
+    x, y = toy_classification(n=40)
+    spec = E.ProbeSpec(task="classify", epochs=1)
+
+    def flags():
+        return {k: t.data.flags.writeable for k, t in w.items()}
+
+    expected = {k: k != "embed.b" for k in w}
+    E.probe_train(w, CFG, spec, x, y)
+    assert flags() == expected
+
+    real = E.frozen_features
+
+    def writes(weights, *args):
+        weights["layer0.ffn.w1"].data[0, 0] += 1.0
+        return real(weights, *args)
+
+    monkeypatch.setattr(E, "frozen_features", writes)
+    with pytest.raises(ValueError, match="read-only"):
+        E.probe_train(w, CFG, spec, x, y)
+    assert flags() == expected
+    assert weights_hash(w) == before
+
+    def rebinds(weights, *args):
+        weights["pos"].data = weights["pos"].data.copy()
+        return real(weights, *args)
+
+    monkeypatch.setattr(E, "frozen_features", rebinds)
+    with pytest.raises(AssertionError, match="modified"):
+        E.probe_train(w, CFG, spec, x, y)
+    assert flags() == expected
+
+
+@pytest.mark.parametrize("mode", ["linear", "finetune"])
+def test_probe_does_not_hash_weights(monkeypatch, mode):
+    calls = []
+
+    def spy(weights):
+        calls.append(len(weights))
+        return ""
+
+    monkeypatch.setattr(B, "weights_hash", spy)
+    monkeypatch.setattr(E, "weights_hash", spy, raising=False)
+    x, y = toy_classification(n=40)
+    E.probe_train(make_backbone(), CFG,
+                  E.ProbeSpec(mode=mode, task="classify", epochs=1), x, y)
+    assert calls == []
+
+
 def test_finetune_returns_best_epoch_backbone():
     # at this lr the validation loss bottoms out before the last epoch; the
     # returned backbone and head must together score that best validation
@@ -341,6 +395,34 @@ def test_probe_train_features_validation():
     with pytest.raises(ShapeError):
         E.probe_train(w, CFG, E.ProbeSpec(task="classify"), x, y,
                       features=feats[:-1])
+
+
+@pytest.mark.parametrize("d", [32, 256])
+@pytest.mark.parametrize("n_patches", [1, 6, 8, 21, 32])
+def test_encode_tiles_match_one_encode(monkeypatch, d, n_patches):
+    # chunks of about TILE FFN activations, never under 8 token rows
+    # unless the whole input is, give the bits of one encode of the stack
+    cfg = BackboneConfig(d_model=d, n_layers=2, n_heads=4, patch_len=4,
+                         max_patches=32)
+    rng = np.random.default_rng(d + n_patches)
+    w = init_encoder(cfg, rng)
+    chunk = max(1, E.TILE // (n_patches * cfg.ffn_ratio * d))
+    sizes = []
+
+    def spy(patches, *args):
+        sizes.append(patches.values.shape[0])
+        return encode(patches, *args)
+
+    monkeypatch.setattr(E, "encode", spy)
+    for n in sorted({1, max(1, chunk - 1), chunk, chunk + 1, 3 * chunk + 1}):
+        x = rng.standard_normal((n, n_patches * cfg.patch_len)
+                                ).astype(np.float32)
+        sizes.clear()
+        got = E._encode_batched(x, w, cfg)
+        whole = encode(PatchBatch.from_windows(x, cfg.patch_len), w, cfg).data
+        assert got.tobytes() == whole.tobytes(), n
+        assert sum(sizes) == n and set(sizes[:-1]) <= {chunk}
+        assert min(sizes) * n_patches >= min(E.MIN_ROWS, n * n_patches)
 
 
 # ---------------------------------------------------------------------------

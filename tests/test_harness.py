@@ -82,9 +82,17 @@ def test_config_validation():
     for bad in (dict(corpus_series=0),
                 dict(synthetic_family="gp", corpus_length=1),
                 dict(window_len=8, patch_len=16),
-                dict(max_patches=0)):
+                dict(max_patches=0),
+                # 8-patch pretraining windows once failed after setup
+                dict(max_patches=4),
+                dict(window_len=64, max_patches=4, tasks=("classify",)),
+                dict(window_len=64, max_patches=4, tasks=("forecast",))):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
+    # the table need cover only windows the run encodes
+    RunConfig(window_len=64, max_patches=4, tasks=("anomaly",))
+    RunConfig(window_len=64, max_patches=4, tasks=("forecast",),
+              context_len=64)
     with pytest.raises(ConfigError):
         RunConfig(d_model=0)
     with pytest.raises(ConfigError):
@@ -408,6 +416,17 @@ def test_cli_generate_channels_zero_is_univariate(tmp_path, capsys):
     assert manifest.univariate and manifest.n_channels == 1
     assert series.shape == (2, 16)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--length", "1"), ("--n-series", "0"), ("--channels", "-3"),
+    ("--workers", "0")])
+def test_cli_generate_rejects_bad_arguments(tmp_path, capsys, flag, value):
+    out = tmp_path / "corpus"
+    assert cli.main(["generate", "--out", str(out), "--n-series", "2",
+                     "--length", "16", flag, value]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_evaluate_mode_overrides_config(tmp_path, capsys):
