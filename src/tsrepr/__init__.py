@@ -6,7 +6,7 @@ augmentation, a characteristic-function isotropy regularizer, Gaussian
 process data synthesis, and a probing/fine-tuning evaluation harness.
 """
 
-from . import (augment, backbone, cli, evaluate, harness, objectives, optim,
+from . import (augment, backbone, evaluate, harness, objectives, optim,
                sigreg, synthgen, tensor, tsb)
 from .backbone import BackboneConfig
 from .objectives import OBJECTIVES, DEFAULT_SEEDS, PretrainConfig, pretrain
@@ -14,7 +14,7 @@ from .tensor import (DomainError, NumericError, ShapeError, Tape, Tensor,
                      backward, grad_check)
 
 __all__ = [
-    "augment", "backbone", "cli", "evaluate", "harness", "objectives",
+    "augment", "backbone", "evaluate", "harness", "objectives",
     "optim", "sigreg", "synthgen", "tensor", "tsb",
     "BackboneConfig", "OBJECTIVES", "DEFAULT_SEEDS", "PretrainConfig",
     "pretrain", "DomainError", "NumericError", "ShapeError", "Tape",

@@ -1,4 +1,4 @@
-"""Teacher/student view construction and augmentation families.
+"""Teacher/student view construction and the fixed stochastic transforms.
 
 The wavelet pipeline builds a "clean" teacher view by soft-thresholding
 detail coefficients and a "hard" student view by injecting coefficient
@@ -225,12 +225,12 @@ class ViewPair:
 
 
 def make_view_pair(batch: np.ndarray, cfg: DwtConfig, rng: np.random.Generator,
-                   extra: "list[TransformSpec] | None" = None) -> ViewPair:
+                   stochastic: bool = False) -> ViewPair:
     """Build (teacher, student) views for a (B, T) batch.
 
     The teacher view is the soft-thresholded reconstruction; the student
-    view carries coefficient noise and zero-out.  ``extra`` stochastic
-    transforms are applied to the teacher/global view only.
+    view carries coefficient noise and zero-out.  With ``stochastic`` the
+    teacher/global view also goes through :func:`stochastic_transforms`.
     """
     batch = np.asarray(batch, dtype=np.float32)
     if batch.ndim != 2:
@@ -240,59 +240,28 @@ def make_view_pair(batch: np.ndarray, cfg: DwtConfig, rng: np.random.Generator,
                     cfg.student_noise_range, cfg.zero_out_fraction)
     teacher = teacher_view(batch, eff)
     student = student_view(batch, eff, rng)
-    for spec in extra or ():
-        teacher = stochastic_suite(teacher, spec, rng)
+    if stochastic:
+        teacher = stochastic_transforms(teacher, rng)
     return ViewPair(teacher, student)
 
 
-# ---------------------------------------------------------------------------
-# stochastic transform families
+def stochastic_transforms(batch: np.ndarray,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Perturb a float32 (B, T) batch, each row a flattened channel.
 
-
-STOCHASTIC_FAMILIES = ("jitter", "amp_scale", "channel_dropout", "fft_mask")
-
-
-@dataclass
-class TransformSpec:
-    family: str
-    magnitude: float
-
-    def __post_init__(self):
-        if self.family not in STOCHASTIC_FAMILIES:
-            raise ValueError(f"unknown transform family {self.family!r}")
-
-
-DEFAULT_STOCHASTIC = [
-    TransformSpec("jitter", 0.05),
-    TransformSpec("amp_scale", 0.2),       # u ~ U[0.8, 1.2]
-    TransformSpec("channel_dropout", 0.2),
-    TransformSpec("fft_mask", 0.3),
-]
-
-
-def stochastic_suite(batch: np.ndarray, spec: TransformSpec,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Apply one stochastic family to a (B, T) batch of flattened channels."""
-    batch = np.asarray(batch, dtype=np.float32)
-    if batch.ndim != 2:
-        raise ShapeError("stochastic_suite expects a (B, T) batch")
-    m = spec.magnitude
-    if m == 0.0:
-        return batch.copy()
-    if spec.family == "jitter":
-        return batch + rng.normal(0.0, m, size=batch.shape).astype(np.float32)
-    if spec.family == "amp_scale":
-        u = rng.uniform(1.0 - m, 1.0 + m, size=(batch.shape[0], 1))
-        return (batch * u).astype(np.float32)
-    if spec.family == "channel_dropout":
-        keep = rng.random(batch.shape[0]) >= m
-        return (batch * keep[:, None]).astype(np.float32)
-    if spec.family == "fft_mask":
-        spectrum = np.fft.rfft(batch, axis=-1)
-        n_bins = spectrum.shape[-1]
-        k = int(round(m * n_bins))
-        if k > 0:
-            for row in spectrum:
-                row[rng.choice(n_bins, size=k, replace=False)] = 0.0
-        return np.fft.irfft(spectrum, n=batch.shape[1], axis=-1).astype(np.float32)
-    raise ValueError(f"{spec.family} is not a stochastic family")
+    In this order: Gaussian jitter (sigma 0.05), a per-row amplitude scale
+    u ~ U[0.8, 1.2], row dropout (rate 0.2), then zeroing round(0.3 * bins)
+    distinct rfft bins of each row.
+    """
+    batch = batch + rng.normal(0.0, 0.05, size=batch.shape).astype(np.float32)
+    u = rng.uniform(1.0 - 0.2, 1.0 + 0.2, size=(batch.shape[0], 1))
+    batch = (batch * u).astype(np.float32)
+    keep = rng.random(batch.shape[0]) >= 0.2
+    batch = (batch * keep[:, None]).astype(np.float32)
+    spectrum = np.fft.rfft(batch, axis=-1)
+    n_bins = spectrum.shape[-1]
+    k = int(round(0.3 * n_bins))
+    if k > 0:
+        for row in spectrum:
+            row[rng.choice(n_bins, size=k, replace=False)] = 0.0
+    return np.fft.irfft(spectrum, n=batch.shape[1], axis=-1).astype(np.float32)

@@ -95,7 +95,7 @@ def cmd_augment_preview(args) -> int:
         batch = harness.toy_pretrain_corpus(rng, 4, 256)
     rng = np.random.default_rng(args.seed)
     pair = augment.make_view_pair(batch, augment.DwtConfig(), rng,
-                                  extra=augment.DEFAULT_STOCHASTIC)
+                                  stochastic=True)
     out = _resolve(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tsb.write_tensor(out / "original.tsb", batch.astype(np.float32))

@@ -97,6 +97,9 @@ class RunConfig:
                      "probe_epochs", "context_len", "horizon"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name in ("steps_per_epoch", "lr"):  # 0 means the default
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         # a pretraining window, min(window_len, corpus_length) samples,
         # must hold a patch, and a GP draw needs two grid points
         if min(self.window_len, self.corpus_length) < self.patch_len:
@@ -372,7 +375,9 @@ def write_metrics(path, records: list[MetricRecord]) -> None:
 def read_metrics(path) -> list[MetricRecord]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty metrics file")
         if tuple(header) != METRIC_COLUMNS:
             raise DataError(f"unexpected metric header {header}")
         records = []
@@ -630,9 +635,18 @@ def run_experiment(cfg: RunConfig, log=None) -> list[MetricRecord]:
 
     Each completed (seed, task) pair persists its rows under records/;
     reruns load them instead of recomputing, so no duplicates and no
-    checkpoint clobbering.
+    checkpoint clobbering.  A run directory whose config.ini holds a
+    different config raises ConfigError, because its records belong to
+    that config.
     """
     run_dir = cfg.run_dir()
+    if (run_dir / "config.ini").exists():
+        old = load_run_config(run_dir / "config.ini")
+        changed = [f.name for f in fields(RunConfig)
+                   if getattr(old, f.name) != getattr(cfg, f.name)]
+        if changed:
+            raise ConfigError(f"{run_dir} holds a run with a different "
+                              f"config; changed keys: {', '.join(changed)}")
     records_dir = run_dir / "records"
     ckpt_dir = run_dir / "checkpoints"
     records_dir.mkdir(parents=True, exist_ok=True)

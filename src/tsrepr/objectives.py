@@ -33,42 +33,34 @@ DEFAULT_SEEDS = (2003, 123, 456, 789, 1337)
 
 
 # ---------------------------------------------------------------------------
-# masking
+# masking and the diffusion schedule
 
 
-@dataclass
-class MaskSpec:
-    kind: str = "random"          # random | multi_block
-    ratio: float = 0.4
-    n_blocks: int = 2
-    per_block_ratio: float = 0.25
-
-    def __post_init__(self):
-        total = self.ratio if self.kind == "random" \
-            else self.n_blocks * self.per_block_ratio
-        if not 0.0 < total < 1.0:
-            raise ValueError("total masked fraction must lie in (0, 1)")
+MASK_RATIO = 0.4    # random masks: share of patches masked per row
+N_BLOCKS = 2        # multi-block masks: contiguous blocks per row ...
+BLOCK_RATIO = 0.25  # ... each this share of the patches
 
 
-def sample_mask(spec: MaskSpec, rng: np.random.Generator, b: int,
+def sample_mask(kind: str, rng: np.random.Generator, b: int,
                 n: int) -> np.ndarray:
-    """(B, N) boolean mask; every row has >= 1 masked and >= 1 visible."""
+    """(B, N) boolean mask of ``kind`` random (mae) or multi_block (jepa);
+    every row has >= 1 masked and >= 1 visible."""
     mask = np.zeros((b, n), dtype=bool)
-    if spec.kind == "random":
-        k = min(max(1, int(round(spec.ratio * n))), n - 1)
+    if kind == "random":
+        k = min(max(1, int(round(MASK_RATIO * n))), n - 1)
         for i in range(b):
             mask[i, rng.choice(n, size=k, replace=False)] = True
         return mask
-    if spec.kind != "multi_block":
-        raise ValueError(f"unknown mask kind {spec.kind!r}")
-    blk = max(1, int(round(spec.per_block_ratio * n)))
-    if spec.n_blocks * blk >= n:
+    if kind != "multi_block":
+        raise ValueError(f"unknown mask kind {kind!r}")
+    blk = max(1, int(round(BLOCK_RATIO * n)))
+    if N_BLOCKS * blk >= n:
         raise ShapeError("mask blocks exceed sequence length")
     for i in range(b):
         for _ in range(100):
             row = np.zeros(n, dtype=bool)
             ok = True
-            for _b in range(spec.n_blocks):
+            for _b in range(N_BLOCKS):
                 start = rng.integers(0, n - blk + 1)
                 if row[start : start + blk].any():
                     ok = False
@@ -82,22 +74,8 @@ def sample_mask(spec: MaskSpec, rng: np.random.Generator, b: int,
     return mask
 
 
-# ---------------------------------------------------------------------------
-# diffusion schedule
-
-
-@dataclass
-class DiffusionSchedule:
-    n_steps: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
-
-    def __post_init__(self):
-        betas = np.linspace(self.beta_start, self.beta_end, self.n_steps)
-        if not (0.0 < betas[0] and betas[-1] < 1.0):
-            raise ValueError("betas must lie in (0, 1)")
-        self.betas = betas
-        self.alpha_bar = np.cumprod(1.0 - betas)
+# cumulative signal share of the 1000-step linear beta schedule 1e-4 .. 0.02
+ALPHA_BAR = np.cumprod(1.0 - np.linspace(1e-4, 0.02, 1000))
 
 
 # ---------------------------------------------------------------------------
@@ -126,32 +104,26 @@ def _single(total: Tensor, name: str) -> LossBreakdown:
 # objective state (backbone + objective-specific heads)
 
 
+NTP_HORIZON = 4                # patches each ntp position predicts
+VICREG_VAR_WEIGHT = 1.0        # jepa variance hinge weight
+VICREG_COV_WEIGHT = 0.04       # jepa off-diagonal covariance weight
+DINO_STUDENT_TEMP = 0.1
+DINO_TEACHER_TEMP = 0.04
+DINO_CENTER_MOMENTUM = 0.9
+
+
 @dataclass
 class ObjectiveConfig:
     objective: str = "mae"
-    mae_mask: MaskSpec = field(default_factory=lambda: MaskSpec("random", 0.4))
-    jepa_mask: MaskSpec = field(
-        default_factory=lambda: MaskSpec("multi_block", n_blocks=2,
-                                         per_block_ratio=0.25))
-    ntp_horizon: int = 4
-    diffusion: DiffusionSchedule = field(default_factory=DiffusionSchedule)
     ema_momentum: float = 0.996
-    vicreg_var_weight: float = 1.0
-    vicreg_cov_weight: float = 0.04
     lejepa_lambda: float = 0.008
     epps_pulley: sigreg.EppsPulleyConfig = field(
         default_factory=lambda: sigreg.EppsPulleyConfig(n_projections=64))
     dino_prototypes: int = 256
-    dino_student_temp: float = 0.1
-    dino_teacher_temp: float = 0.04
-    dino_center_momentum: float = 0.9
-    dwt: augment.DwtConfig = field(default_factory=augment.DwtConfig)
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.dino_student_temp <= 0 or self.dino_teacher_temp <= 0:
-            raise ValueError("temperatures must be positive")
         if not 0.0 <= self.lejepa_lambda <= 1.0:
             raise ValueError("lejepa_lambda must be in [0, 1]")
 
@@ -184,7 +156,7 @@ class ObjectiveState:
         if obj == "mae":
             self.heads["decoder"] = _linear(rng, d, p)
         elif obj == "ntp":
-            self.heads["horizon"] = _linear(rng, d, ocfg.ntp_horizon * p)
+            self.heads["horizon"] = _linear(rng, d, NTP_HORIZON * p)
         elif obj == "diffusion":
             self.heads["dec1"] = _linear(rng, 2 * d, d)
             self.heads["dec2"] = _linear(rng, d, p)
@@ -229,11 +201,11 @@ def _pool(latents: Tensor) -> Tensor:
 # generative losses
 
 
-def mae_loss(state: ObjectiveState, batch: np.ndarray, mask: MaskSpec,
+def mae_loss(state: ObjectiveState, batch: np.ndarray,
              rng: np.random.Generator) -> LossBreakdown:
     patches = PatchBatch.from_windows(batch, state.cfg.patch_len)
     b, n, p = patches.values.shape
-    pm = sample_mask(mask, rng, b, n)
+    pm = sample_mask("random", rng, b, n)
     latents = encode(patches, state.encoder, state.cfg, patch_mask=pm)
     recon = _apply_linear(T.reshape(latents, (b * n, state.cfg.d_model)),
                           state.heads["decoder"])
@@ -246,7 +218,7 @@ def mae_loss(state: ObjectiveState, batch: np.ndarray, mask: MaskSpec,
 
 
 def ntp_loss(state: ObjectiveState, batch: np.ndarray) -> LossBreakdown:
-    h = state.ocfg.ntp_horizon
+    h = NTP_HORIZON
     patches = PatchBatch.from_windows(batch, state.cfg.patch_len)
     b, n, p = patches.values.shape
     if n - h < 1:
@@ -264,26 +236,24 @@ def ntp_loss(state: ObjectiveState, batch: np.ndarray) -> LossBreakdown:
     return _single(total, "forecast")
 
 
-def corrupt_patches(values: np.ndarray, sched: DiffusionSchedule,
-                    rng: np.random.Generator):
+def corrupt_patches(values: np.ndarray, rng: np.random.Generator):
     """Forward corruption x_t = sqrt(abar_t) x + sqrt(1-abar_t) eps."""
     b, n, p = values.shape
-    t_idx = rng.integers(0, sched.n_steps, size=(b, n))
-    abar = sched.alpha_bar[t_idx][:, :, None].astype(np.float32)
+    t_idx = rng.integers(0, len(ALPHA_BAR), size=(b, n))
+    abar = ALPHA_BAR[t_idx][:, :, None].astype(np.float32)
     eps = rng.standard_normal((b, n, p)).astype(np.float32)
     noised = np.sqrt(abar) * values + np.sqrt(1.0 - abar) * eps
     return noised.astype(np.float32), t_idx, eps
 
 
 def diffusion_loss(state: ObjectiveState, batch: np.ndarray,
-                   sched: DiffusionSchedule,
                    rng: np.random.Generator) -> LossBreakdown:
     patches = PatchBatch.from_windows(batch, state.cfg.patch_len)
     b, n, p = patches.values.shape
     if n < 2:
         raise ShapeError("diffusion loss needs at least 2 patches")
     d = state.cfg.d_model
-    noised, _t_idx, _eps = corrupt_patches(patches.values, sched, rng)
+    noised, _t_idx, _eps = corrupt_patches(patches.values, rng)
     context = encode(patches, state.encoder, state.cfg)  # causal
     noised_flat = T.reshape(Tensor(noised), (b * n, p))
     z_hat = T.reshape(
@@ -318,13 +288,12 @@ def _vicreg_terms(pooled: Tensor, margin: float = 1.0, eps: float = 1e-4):
     return var_term, cov_term
 
 
-def jepa_loss(state: ObjectiveState, batch: np.ndarray, mask: MaskSpec,
+def jepa_loss(state: ObjectiveState, batch: np.ndarray,
               rng: np.random.Generator) -> LossBreakdown:
-    lam_v = state.ocfg.vicreg_var_weight
-    lam_c = state.ocfg.vicreg_cov_weight
+    lam_v, lam_c = VICREG_VAR_WEIGHT, VICREG_COV_WEIGHT
     patches = PatchBatch.from_windows(batch, state.cfg.patch_len)
     b, n, _ = patches.values.shape
-    pm = sample_mask(mask, rng, b, n)
+    pm = sample_mask("multi_block", rng, b, n)
     student = encode(patches, state.encoder, state.cfg, patch_mask=pm)
     pred = run_predictor(student, state.predictor, state.cfg)
     # teacher sees the full unmasked batch; its weights carry no grad
@@ -373,8 +342,7 @@ def _dino_logits(view: np.ndarray, enc: Weights,
 
 def dino_loss(state: ObjectiveState, view_pair: augment.ViewPair
               ) -> LossBreakdown:
-    t_s = state.ocfg.dino_student_temp
-    t_t = state.ocfg.dino_teacher_temp
+    t_s, t_t = DINO_STUDENT_TEMP, DINO_TEACHER_TEMP
     center = state.center
     student_logits = _dino_logits(view_pair.student_view, state.encoder,
                                   state.heads, state)
@@ -384,8 +352,8 @@ def dino_loss(state: ObjectiveState, view_pair: augment.ViewPair
     log_p_student = T.log_softmax(T.div(student_logits, t_s))
     ce = T.mul(T.tsum(T.mul(p_teacher.detach(), log_p_student), axis=-1), -1.0)
     total = T.mean(ce)
-    # running center update (side effect), momentum per config
-    m = state.ocfg.dino_center_momentum
+    # running center update (side effect)
+    m = DINO_CENTER_MOMENTUM
     center *= np.float32(m)
     center += np.float32(1.0 - m) * teacher_logits.data.mean(axis=0)
     return _single(total, "cross_entropy")
@@ -448,22 +416,21 @@ class ArrayCorpus:
 def compute_loss(state: ObjectiveState, batch: np.ndarray,
                  rng: np.random.Generator, step: int) -> LossBreakdown:
     """Dispatch one pretraining loss on an instance-normalized batch."""
-    ocfg = state.ocfg
-    obj = ocfg.objective
+    obj = state.ocfg.objective
     if obj == "mae":
-        return mae_loss(state, batch, ocfg.mae_mask, rng)
+        return mae_loss(state, batch, rng)
     if obj == "ntp":
         return ntp_loss(state, batch)
     if obj == "diffusion":
-        return diffusion_loss(state, batch, ocfg.diffusion, rng)
+        return diffusion_loss(state, batch, rng)
     if obj == "jepa":
-        return jepa_loss(state, batch, ocfg.jepa_mask, rng)
+        return jepa_loss(state, batch, rng)
     if obj == "lejepa":
-        pair = augment.make_view_pair(batch, ocfg.dwt, rng,
-                                      extra=augment.DEFAULT_STOCHASTIC)
+        pair = augment.make_view_pair(batch, augment.DwtConfig(), rng,
+                                      stochastic=True)
         return lejepa_loss(state, pair, step=step)
     if obj == "dino":
-        pair = augment.make_view_pair(batch, ocfg.dwt, rng)
+        pair = augment.make_view_pair(batch, augment.DwtConfig(), rng)
         return dino_loss(state, pair)
     raise ValueError(f"unknown objective {obj!r}")
 

@@ -46,10 +46,16 @@ def read_tensor_stream(fh) -> np.ndarray:
     magic = fh.read(4)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    code, rank = struct.unpack("<BB", fh.read(2))
+    head = fh.read(2)
+    if len(head) != 2:
+        raise FormatError("truncated header")
+    code, rank = struct.unpack("<BB", head)
     if code not in _DTYPES:
         raise FormatError(f"unknown dtype code {code}")
-    shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
+    extents = fh.read(8 * rank)
+    if len(extents) != 8 * rank:
+        raise FormatError("truncated shape")
+    shape = struct.unpack(f"<{rank}Q", extents)
     dtype = _DTYPES[code]
     n = int(np.prod(shape)) if rank else 1
     payload = fh.read(n * dtype.itemsize)

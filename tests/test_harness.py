@@ -86,7 +86,11 @@ def test_config_validation():
                 # 8-patch pretraining windows once failed after setup
                 dict(max_patches=4),
                 dict(window_len=64, max_patches=4, tasks=("classify",)),
-                dict(window_len=64, max_patches=4, tasks=("forecast",))):
+                dict(window_len=64, max_patches=4, tasks=("forecast",)),
+                # -1 trained no step and saved the initial weights; a
+                # negative lr climbs the loss
+                dict(steps_per_epoch=-1),
+                dict(lr=-1e-3)):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     # the table need cover only windows the run encodes
@@ -182,11 +186,15 @@ def test_metric_duplicate_rejected(tmp_path):
         H.write_metrics(tmp_path / "m.csv", [rec(), rec()])
 
 
-def test_metric_bad_header_rejected(tmp_path):
+def test_metric_bad_header_rejected(tmp_path, capsys):
     path = tmp_path / "m.csv"
-    path.write_text("run,task\nr,classify\n")
-    with pytest.raises(DataError):
-        H.read_metrics(path)
+    for text in ("run,task\nr,classify\n", ""):  # "" once raised StopIteration
+        path.write_text(text)
+        with pytest.raises(DataError):
+            H.read_metrics(path)
+        assert cli.main(["export-metrics", "--out", str(tmp_path / "o.csv"),
+                         str(path)]) == 3
+        assert "data error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("row,lineno", [
@@ -256,6 +264,23 @@ def test_run_experiment_rows_and_idempotence(tmp_path):
     # rerun resumes from record files: identical rows, no duplicates
     again = H.run_experiment(cfg)
     assert [r.to_row() for r in again] == [r.to_row() for r in records]
+
+
+def test_run_experiment_refuses_a_different_config(tmp_path):
+    # the records under a run directory belong to the config that wrote
+    # them, so another config may not resume there
+    cfg = fast_cfg(tmp_path, run_id="exp", tasks=("classify",))
+    H.run_experiment(cfg)
+    run_dir = cfg.run_dir()
+    before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    for changed in (dict(probe_mode="finetune"),
+                    dict(epochs=3, steps_per_epoch=1)):
+        with pytest.raises(ConfigError) as err:
+            H.run_experiment(replace(cfg, **changed))
+        for key in changed:
+            assert key in str(err.value)
+    after = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    assert after == before
 
 
 def test_run_experiment_baseline_shares_code_path(tmp_path):

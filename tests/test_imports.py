@@ -74,3 +74,14 @@ def test_package_imports_without_scipy():
                           text=True, timeout=120, check=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_module_runs_without_warnings():
+    # the package must not import cli, or ``python -m tsrepr.cli`` warns
+    # that the module was imported before it ran
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "tsrepr.cli",
+                           "--help"], capture_output=True, text=True,
+                          timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

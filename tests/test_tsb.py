@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from tsrepr import tsb
+from tsrepr import cli, tsb
 
 
 def test_round_trip_shapes(tmp_path):
@@ -45,6 +45,20 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(tsb.FormatError):
         tsb.read_tensor(path)
+
+
+@pytest.mark.parametrize("raw", [
+    b"TSB1\x00",                                   # no rank byte
+    b"TSB1\x00\x02" + struct.pack("<Q", 3),       # one of two extents
+], ids=["no_rank", "short_shape"])
+def test_truncated_header_or_shape(tmp_path, capsys, raw):
+    path = tmp_path / "t.tsb"
+    path.write_bytes(raw)
+    with pytest.raises(tsb.FormatError, match="truncated"):
+        tsb.read_tensor(path)
+    assert cli.main(["augment-preview", "--input", str(path),
+                     "--out", str(tmp_path / "v")]) == 3
+    assert "data error" in capsys.readouterr().err
 
 
 def test_checkpoint_round_trip(tmp_path):
