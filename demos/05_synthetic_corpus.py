@@ -3,14 +3,15 @@
 Each series is a Gaussian-process draw whose covariance is a random
 composition of kernel atoms (periodic, RBF, linear, ...); multichannel
 corpora mix latent GPs through Dirichlet weights. Generation is sharded,
-seeded per series, and byte-identical regardless of worker count.
+seeded per series, and byte-identical regardless of worker count. The
+corpus is a tsb dataset directory, the format a run's `dataset_path` reads.
 """
 
 import tempfile
 
 import numpy as np
 
-from tsrepr import synthgen as G
+from tsrepr import synthgen as G, tsb
 
 
 def main():
@@ -32,7 +33,8 @@ def main():
         manifest = G.generate_corpus(cfg, univariate=False, out_dir=d,
                                      n_workers=2, seed=7, shard_size=8)
         print("shards:", manifest.shards)
-        _, series = G.load_corpus(d)
+        fields, series = tsb.read_dataset(d)  # checks counts and checksum
+        print("manifest:", fields)
         print("corpus shape:", series.shape)  # (count, channels, length)
 
 

@@ -40,7 +40,7 @@ def cmd_generate(args) -> int:
     manifest = synthgen.generate_corpus(
         cfg, univariate=args.channels == 0, out_dir=_resolve(args.out),
         n_workers=args.workers, seed=args.seed)
-    print(f"wrote {sum(manifest.shard_counts)} series "
+    print(f"wrote {sum(manifest.counts)} series "
           f"({len(manifest.shards)} shards) to {_resolve(args.out)}")
     return 0
 
@@ -51,16 +51,14 @@ def cmd_pretrain(args) -> int:
                  "d_model": args.d_model, "epochs": args.epochs,
                  "batch_size": args.batch, "output_root": args.out}
     overrides = {k: v for k, v in overrides.items() if v}
-    if args.seed is not None:
-        overrides["seeds"] = (args.seed,)
     if overrides:
         cfg = replace(cfg, **overrides)
     if cfg.objective == "none":
         raise ConfigError("pretrain requires an objective other than 'none'")
-    ckpt_dir = cfg.run_dir() / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    for seed in cfg.seeds:
-        _, bb = harness._backbone_for_seed(cfg, seed, ckpt_dir)
+    # a seed's checkpoint does not depend on the config's other seeds
+    ckpt_dir = harness.claim_run_dir(cfg) / "checkpoints"
+    for seed in cfg.seeds if args.seed is None else (args.seed,):
+        harness._backbone_for_seed(cfg, seed, ckpt_dir)
         print(f"seed {seed}: checkpoint at "
               f"{ckpt_dir / f'backbone_seed{seed}.tsbc'}")
     return 0

@@ -1,16 +1,19 @@
-"""Experiment orchestration: run configs, ingestion, metrics, sweeps.
+"""Experiment orchestration: run configs, CSV ingestion, metric records,
+the toy task suite, the runner and sweeps.
 
-A run pretrains a backbone per seed (or skips pretraining for the
-baseline), evaluates a fixed task battery through one shared probe code
-path, and appends per-seed plus mean/std metric rows.  Reruns skip
-completed (seed, task) pairs, so interrupted runs resume cleanly.
+A run pretrains a backbone per seed on a synthetic, real or hybrid corpus
+(or skips pretraining for the baseline), evaluates a fixed task battery
+through one shared probe code path, and writes per-seed plus mean/std
+metric rows.  Real rows come from a ``tsb.write_dataset`` directory, the
+output of ``ingest_csv`` or ``tsrepr generate``.  Reruns of the same
+config skip completed (seed, task) pairs, so interrupted runs resume
+cleanly; a run directory refuses any other config.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
-import hashlib
 import io
 import os
 from dataclasses import dataclass, fields, replace
@@ -50,7 +53,7 @@ class RunConfig:
     objective: str = "mae"          # one of objectives.OBJECTIVES or "none"
     data_source: str = "synthetic"  # real | synthetic | hybrid
     synthetic_family: str = "sines"  # sines | gp
-    dataset_path: str = ""          # ingested manifest dir for real | hybrid
+    dataset_path: str = ""          # tsb dataset dir for real | hybrid
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     output_root: str = "runs"
     tasks: tuple[str, ...] = TASKS
@@ -204,62 +207,26 @@ def _parse_value(key: str, raw: str):
 # dataset ingestion
 
 
-@dataclass
-class DatasetManifest:
-    shards: list[str]
-    sample_counts: list[int]
-    n_channels: int
-    train_end: int
-    val_end: int
-    total: int
-    checksum: str
-    has_labels: bool = False
-
-    def __post_init__(self):
-        if not 0 < self.train_end <= self.val_end <= self.total:
-            raise DataError("splits must be ordered: train <= val <= total")
-
-    def write(self, path) -> None:
-        tsb.write_manifest(path, {
-            "n_channels": self.n_channels,
-            "train_end": self.train_end,
-            "val_end": self.val_end,
-            "total": self.total,
-            "checksum": self.checksum,
-            "has_labels": int(self.has_labels),
-        }, self.shards, self.sample_counts)
-
-    @classmethod
-    def read(cls, path) -> "DatasetManifest":
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"dataset manifest not found: {path}")
-        kv, shards, counts = tsb.read_manifest(path)
-        return cls(shards, counts, int(kv["n_channels"]), int(kv["train_end"]),
-                   int(kv["val_end"]), int(kv["total"]), kv["checksum"],
-                   bool(int(kv.get("has_labels", "0"))))
+TRAIN_SHARE = 0.6  # leading share of an ingested series used for pretraining
 
 
 def ingest_csv(path, out_dir, timestamp_col: int | None = None,
-               label_col: int | None = None,
-               splits: tuple[float, float] = (0.6, 0.8),
-               delimiter: str = ",", has_header: bool = True,
-               shard_size: int = 100_000) -> DatasetManifest:
-    """Parse a numeric CSV into standardized TSB1 shards plus a manifest.
+               has_header: bool = True) -> tsb.Manifest:
+    """Parse a numeric CSV into a ``tsb.write_dataset`` directory with one
+    standardized row per channel, (C, T).
 
-    Channels are standardized with train-split statistics only.  Splits
-    are contiguous in time (train | val | test).  Non-numeric cells and
-    ragged rows raise DataError with the 1-based line number.
+    Channels are standardized with the statistics of the leading
+    ``TRAIN_SHARE`` of the series, which the manifest's ``train_end``
+    marks.  Non-numeric cells and ragged rows raise DataError with the
+    1-based line number.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    rows, labels = [], []
-    skip = {c for c in (timestamp_col, label_col) if c is not None}
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
         width = None
-        for lineno, row in enumerate(reader, start=1):
+        for lineno, row in enumerate(csv.reader(fh), start=1):
             if lineno == 1 and has_header:
                 width = len(row)
                 continue
@@ -271,53 +238,19 @@ def ingest_csv(path, out_dir, timestamp_col: int | None = None,
                 raise DataError(f"line {lineno}: ragged row "
                                 f"({len(row)} cells, expected {width})")
             try:
-                values = [float(cell) for i, cell in enumerate(row)
-                          if i not in skip]
-                if label_col is not None:
-                    labels.append(float(row[label_col]))
+                rows.append([float(cell) for i, cell in enumerate(row)
+                             if i != timestamp_col])
             except ValueError as exc:
                 raise DataError(f"line {lineno}: non-numeric cell") from exc
-            rows.append(values)
     if not rows:
         raise DataError("no data rows")
     data = np.asarray(rows, dtype=np.float64)  # (T, C)
-    t = data.shape[0]
-    train_end = max(1, int(splits[0] * t))
-    val_end = max(train_end, int(splits[1] * t))
+    train_end = max(1, int(TRAIN_SHARE * data.shape[0]))
     mu = data[:train_end].mean(axis=0)
     sd = np.maximum(data[:train_end].std(axis=0), 1e-8)
     data = ((data - mu) / sd).astype(np.float32)
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    shards, counts = [], []
-    digest = hashlib.sha256()
-    for start in range(0, t, shard_size):
-        chunk = data[start : start + shard_size]
-        name = f"data_{start // shard_size:05d}.tsb"
-        tsb.write_tensor(out_dir / name, chunk)
-        digest.update(tsb.tensor_bytes(chunk))
-        shards.append(name)
-        counts.append(chunk.shape[0])
-    if label_col is not None:
-        tsb.write_tensor(out_dir / "labels.tsb",
-                         np.asarray(labels, dtype=np.float32))
-    manifest = DatasetManifest(shards, counts, data.shape[1], train_end,
-                               val_end, t, digest.hexdigest()[:16],
-                               has_labels=label_col is not None)
-    manifest.write(out_dir / "manifest.txt")
-    return manifest
-
-
-def load_ingested(out_dir) -> tuple[DatasetManifest, np.ndarray, np.ndarray | None]:
-    out_dir = Path(out_dir)
-    manifest = DatasetManifest.read(out_dir / "manifest.txt")
-    data = np.concatenate([tsb.read_tensor(out_dir / s)
-                           for s in manifest.shards], axis=0)
-    labels = None
-    if manifest.has_labels:
-        labels = tsb.read_tensor(out_dir / "labels.tsb")
-    return manifest, data, labels
+    return tsb.write_dataset(out_dir, data.T, {"train_end": train_end,
+                                               "source": path.name})
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +448,11 @@ def toy_forecast(rng: np.random.Generator, n_windows: int = 200,
 def _pretrain_corpus(cfg: RunConfig, seed: int) -> ArrayCorpus:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 11)))
     if cfg.data_source == "real":
-        manifest, data, _ = load_ingested(data_root() / cfg.dataset_path)
-        train = data[: manifest.train_end]  # (T, C) -> channel-independent rows
-        length = min(cfg.corpus_length, train.shape[0])
-        series = train[:length].T.astype(np.float32)
-        return ArrayCorpus(series)
+        # every channel of every series is one row, cut to the train part
+        fields, rows = tsb.read_dataset(data_root() / cfg.dataset_path)
+        length = min(cfg.corpus_length, int(fields["train_end"]))
+        return ArrayCorpus(
+            rows.reshape(-1, int(fields["series_length"]))[:, :length])
     if cfg.synthetic_family == "gp":
         synth = np.stack([
             synthgen.standardized_series((seed, 13, i), cfg.corpus_length)
@@ -630,14 +563,13 @@ def _evaluate_tasks(weights, bb: BackboneConfig, cfg: RunConfig, seed: int
     return rows
 
 
-def run_experiment(cfg: RunConfig, log=None) -> list[MetricRecord]:
-    """Pretrain + probe per seed, with crash-safe resume.
+def claim_run_dir(cfg: RunConfig) -> Path:
+    """Make the run directory with records/ and checkpoints/, and write
+    its config.ini.
 
-    Each completed (seed, task) pair persists its rows under records/;
-    reruns load them instead of recomputing, so no duplicates and no
-    checkpoint clobbering.  A run directory whose config.ini holds a
-    different config raises ConfigError, because its records belong to
-    that config.
+    A directory whose config.ini holds a different config raises
+    ConfigError naming the changed keys, before anything is written,
+    because its records and checkpoints belong to that config.
     """
     run_dir = cfg.run_dir()
     if (run_dir / "config.ini").exists():
@@ -647,11 +579,22 @@ def run_experiment(cfg: RunConfig, log=None) -> list[MetricRecord]:
         if changed:
             raise ConfigError(f"{run_dir} holds a run with a different "
                               f"config; changed keys: {', '.join(changed)}")
+    for sub in ("records", "checkpoints"):
+        (run_dir / sub).mkdir(parents=True, exist_ok=True)
+    save_run_config(cfg, run_dir / "config.ini")
+    return run_dir
+
+
+def run_experiment(cfg: RunConfig, log=None) -> list[MetricRecord]:
+    """Pretrain + probe per seed, with crash-safe resume.
+
+    Each completed (seed, task) pair persists its rows under records/;
+    reruns load them instead of recomputing, so no duplicates and no
+    checkpoint clobbering.
+    """
+    run_dir = claim_run_dir(cfg)
     records_dir = run_dir / "records"
     ckpt_dir = run_dir / "checkpoints"
-    records_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    save_run_config(cfg, run_dir / "config.ini")
 
     records: list[MetricRecord] = []
     for seed in cfg.seeds:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -201,35 +200,6 @@ def standardized_series(entropy, t: int) -> np.ndarray:
     return _standardize(sample_univariate(rng, t))
 
 
-@dataclass
-class CorpusManifest:
-    shards: list[str]
-    shard_counts: list[int]
-    seed: int
-    univariate: bool
-    series_count: int
-    series_length: int
-    n_channels: int
-    config_digest: str
-
-    def write(self, path) -> None:
-        tsb.write_manifest(path, {
-            "seed": self.seed,
-            "univariate": int(self.univariate),
-            "series_count": self.series_count,
-            "series_length": self.series_length,
-            "n_channels": self.n_channels,
-            "config_digest": self.config_digest,
-        }, self.shards, self.shard_counts)
-
-    @classmethod
-    def read(cls, path) -> "CorpusManifest":
-        kv, shards, counts = tsb.read_manifest(path)
-        return cls(shards, counts, int(kv["seed"]), bool(int(kv["univariate"])),
-                   int(kv["series_count"]), int(kv["series_length"]),
-                   int(kv["n_channels"]), kv["config_digest"])
-
-
 def _config_digest(cfg: LcmConfig, univariate: bool) -> str:
     text = repr((cfg, univariate))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -237,15 +207,13 @@ def _config_digest(cfg: LcmConfig, univariate: bool) -> str:
 
 def generate_corpus(cfg: LcmConfig, univariate: bool, out_dir,
                     n_workers: int = 1, seed: int = 0,
-                    shard_size: int = 512) -> CorpusManifest:
-    """Write N standardized series as sharded TSB1 plus a manifest.
+                    shard_size: int = 512) -> tsb.Manifest:
+    """Write N standardized series, (N, T) or (N, C, T), as a
+    ``tsb.write_dataset`` directory whose ``train_end`` is the length.
 
     Per-series RNG streams derive from (seed, index), so shard bytes are
-    independent of worker count and schedule.  The manifest is written
-    last as the commit point.
+    independent of worker count and schedule.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n = cfg.series_count
 
     def make(i: int) -> np.ndarray:
@@ -254,28 +222,11 @@ def generate_corpus(cfg: LcmConfig, univariate: bool, out_dir,
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
         return _standardize(sample_multivariate_lcm(cfg, rng))
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            series = list(pool.map(make, range(n)))
-    else:
-        series = [make(i) for i in range(n)]
-
-    shards, counts = [], []
-    for start in range(0, n, shard_size):
-        chunk = np.stack(series[start : start + shard_size])
-        name = f"shard_{start // shard_size:05d}.tsb"
-        tsb.write_tensor(out_dir / name, chunk)
-        shards.append(name)
-        counts.append(chunk.shape[0])
-    manifest = CorpusManifest(shards, counts, seed, univariate, n,
-                              cfg.series_length, 1 if univariate else
-                              cfg.n_channels, _config_digest(cfg, univariate))
-    manifest.write(out_dir / "manifest.txt")
-    return manifest
-
-
-def load_corpus(out_dir) -> tuple[CorpusManifest, np.ndarray]:
-    out_dir = Path(out_dir)
-    manifest = CorpusManifest.read(out_dir / "manifest.txt")
-    arrays = [tsb.read_tensor(out_dir / s) for s in manifest.shards]
-    return manifest, np.concatenate(arrays, axis=0)
+    channels = () if univariate else (cfg.n_channels,)
+    rows = np.empty((n, *channels, cfg.series_length), dtype=np.float32)
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        for i, series in enumerate(pool.map(make, range(n))):
+            rows[i] = series
+    return tsb.write_dataset(out_dir, rows, {
+        "seed": seed, "n_channels": 1 if univariate else cfg.n_channels,
+        "config_digest": _config_digest(cfg, univariate)}, shard_size)

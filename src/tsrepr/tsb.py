@@ -6,17 +6,22 @@ rank x u64 little-endian extents, then the raw little-endian payload.
 Checkpoints are ``TSBC`` files: a versioned JSON header followed by named
 TSB1 blobs.  Loaders refuse mismatched format versions.
 
-Sharded datasets and corpora are described by a ``manifest.txt`` text file:
-one ``key=value`` line per field, then one ``shard=name:count`` line per
-TSB1 shard, in order.
+A dataset is a directory of rows ``(n, T)`` or ``(n, C, T)`` split along
+axis 0 into TSB1 files ``shard_NNNNN.tsb``, plus a ``manifest.txt`` text
+file: ``key=value`` lines for ``series_length``, ``train_end``, the sha256
+prefix ``checksum`` of the shard bytes and the writer's own provenance
+keys, then one ``shard=name:count`` line per shard, in order.  The
+manifest is written last, so a directory without one is incomplete.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import struct
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,25 +47,24 @@ def write_tensor_stream(fh, arr: np.ndarray) -> None:
     fh.write(arr.tobytes())
 
 
+def _read(fh, n: int, what: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise FormatError(f"truncated {what}")
+    return data
+
+
 def read_tensor_stream(fh) -> np.ndarray:
     magic = fh.read(4)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    head = fh.read(2)
-    if len(head) != 2:
-        raise FormatError("truncated header")
-    code, rank = struct.unpack("<BB", head)
+    code, rank = struct.unpack("<BB", _read(fh, 2, "header"))
     if code not in _DTYPES:
         raise FormatError(f"unknown dtype code {code}")
-    extents = fh.read(8 * rank)
-    if len(extents) != 8 * rank:
-        raise FormatError("truncated shape")
-    shape = struct.unpack(f"<{rank}Q", extents)
+    shape = struct.unpack(f"<{rank}Q", _read(fh, 8 * rank, "shape"))
     dtype = _DTYPES[code]
     n = int(np.prod(shape)) if rank else 1
-    payload = fh.read(n * dtype.itemsize)
-    if len(payload) != n * dtype.itemsize:
-        raise FormatError("truncated payload")
+    payload = _read(fh, n * dtype.itemsize, "payload")
     return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
@@ -103,17 +107,17 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         magic = fh.read(4)
         if magic != CKPT_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")
-        version, hlen = struct.unpack("<HI", fh.read(6))
+        version, hlen = struct.unpack("<HI", _read(fh, 6, "version"))
         if version != CKPT_VERSION:
             raise FormatError(
                 f"checkpoint format version {version} unsupported "
                 f"(expected {CKPT_VERSION})"
             )
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        header = json.loads(_read(fh, hlen, "header").decode("utf-8"))
         tensors: dict[str, np.ndarray] = {}
         for name in header["tensor_names"]:
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            stored = fh.read(nlen).decode("utf-8")
+            (nlen,) = struct.unpack("<H", _read(fh, 2, "tensor name length"))
+            stored = _read(fh, nlen, "tensor name").decode("utf-8")
             if stored != name:
                 raise FormatError(f"tensor name mismatch: {stored!r} != {name!r}")
             tensors[name] = read_tensor_stream(fh)
@@ -127,28 +131,80 @@ def tensor_bytes(arr: np.ndarray) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# shard manifests
+# sharded datasets
 
 
-def write_manifest(path, fields: dict[str, object], shards: list[str],
-                   counts: list[int]) -> None:
-    lines = [f"{key}={value}" for key, value in fields.items()]
-    lines += [f"shard={name}:{count}" for name, count in zip(shards, counts)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+class Manifest(NamedTuple):
+    fields: dict[str, str]
+    shards: list[str]
+    counts: list[int]
 
 
-def read_manifest(path) -> tuple[dict[str, str], list[str], list[int]]:
-    """(fields, shard names, shard counts) of a manifest file."""
-    fields: dict[str, str] = {}
+def write_dataset(out_dir, rows: np.ndarray, fields: dict[str, object],
+                  shard_size: int = 512) -> Manifest:
+    """Write float32 ``rows`` as TSB1 shards of ``shard_size`` rows, then
+    the manifest.  ``train_end`` defaults to the series length; the other
+    ``fields`` follow ``checksum`` in the given order."""
+    rows = np.asarray(rows, dtype="<f4")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    digest = hashlib.sha256()
     shards, counts = [], []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
+    for start in range(0, rows.shape[0], shard_size):
+        chunk = rows[start : start + shard_size]
+        name = f"shard_{start // shard_size:05d}.tsb"
+        blob = tensor_bytes(chunk)
+        (out_dir / name).write_bytes(blob)
+        digest.update(blob)
+        shards.append(name)
+        counts.append(chunk.shape[0])
+    t = rows.shape[-1]
+    # a given train_end replaces the default in place, keeping key order
+    head = {"series_length": t, "train_end": t,
+            "checksum": digest.hexdigest()[:16], **fields}
+    head = {key: str(value) for key, value in head.items()}
+    lines = [f"{key}={value}" for key, value in head.items()]
+    lines += [f"shard={name}:{count}" for name, count in zip(shards, counts)]
+    (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n",
+                                          encoding="utf-8")
+    return Manifest(head, shards, counts)
+
+
+def read_dataset(out_dir) -> tuple[dict[str, str], np.ndarray]:
+    """(manifest fields, rows) of a ``write_dataset`` directory.
+
+    Raises FormatError when a shard's row count, the checksum or the
+    series length disagrees with the manifest."""
+    out_dir = Path(out_dir)
+    fields: dict[str, str] = {}
+    shards: list[tuple[str, str]] = []
+    for line in (out_dir / "manifest.txt").read_text(
+            encoding="utf-8").splitlines():
         key, _, value = line.partition("=")
         if key == "shard":
             name, _, count = value.rpartition(":")
-            shards.append(name)
-            counts.append(int(count))
-        else:
+            shards.append((name, count))
+        elif line.strip():
             fields[key] = value
-    return fields, shards, counts
+    digest = hashlib.sha256()
+    blocks = []
+    for name, count in shards:
+        blob = (out_dir / name).read_bytes()
+        digest.update(blob)
+        blocks.append(read_tensor_stream(io.BytesIO(blob)))
+        if blocks[-1].ndim < 2 or str(blocks[-1].shape[0]) != count:
+            raise FormatError(f"{out_dir / name}: shape {blocks[-1].shape}, "
+                              f"manifest says {count} rows")
+    if not blocks or digest.hexdigest()[:16] != fields.get("checksum"):
+        raise FormatError(f"{out_dir}: shards do not match the manifest "
+                          "checksum")
+    rows = np.concatenate(blocks)
+    try:
+        t, train_end = int(fields["series_length"]), int(fields["train_end"])
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"{out_dir}: bad manifest field {exc}") from exc
+    if t != rows.shape[-1] or not 0 < train_end <= t:
+        raise FormatError(f"{out_dir}: series_length {t} and train_end "
+                          f"{train_end} do not fit rows of length "
+                          f"{rows.shape[-1]}")
+    return fields, rows

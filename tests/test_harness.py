@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tsrepr import cli, evaluate as E, harness as H
+from tsrepr import cli, evaluate as E, harness as H, synthgen as G, tsb
 from tsrepr.backbone import init_encoder, load_backbone
 from tsrepr.harness import ConfigError, DataError, MetricRecord, RunConfig
 
@@ -123,14 +123,16 @@ def write_csv(path, t=50, c=3, header=True, mutate=None):
 def test_ingest_shapes_and_standardization(tmp_path):
     csv_path = write_csv(tmp_path / "d.csv", t=100, c=3)
     man = H.ingest_csv(csv_path, tmp_path / "ing", timestamp_col=0)
-    assert (man.n_channels, man.total) == (3, 100)
-    assert man.train_end == 60 and man.val_end == 80
-    man2, data, labels = H.load_ingested(tmp_path / "ing")
-    assert man2 == man and labels is None
-    assert data.shape == (100, 3)
+    assert man.counts == [3]
+    assert (tmp_path / "ing" / "manifest.txt").read_bytes() == (
+        b"series_length=100\ntrain_end=60\nchecksum=3793cbd5c4199974\n"
+        b"source=d.csv\nshard=shard_00000.tsb:3\n")
+    fields, data = tsb.read_dataset(tmp_path / "ing")
+    assert fields == man.fields
+    assert data.shape == (3, 100)  # one row per channel
     # train-split statistics only
-    np.testing.assert_allclose(data[:60].mean(axis=0), 0.0, atol=1e-5)
-    np.testing.assert_allclose(data[:60].std(axis=0), 1.0, atol=1e-4)
+    np.testing.assert_allclose(data[:, :60].mean(axis=1), 0.0, atol=1e-5)
+    np.testing.assert_allclose(data[:, :60].std(axis=1), 1.0, atol=1e-4)
 
 
 def test_ingest_error_line_numbers(tmp_path):
@@ -144,20 +146,6 @@ def test_ingest_error_line_numbers(tmp_path):
         H.ingest_csv(bad2, tmp_path / "y", timestamp_col=0)
     with pytest.raises(DataError, match="not found"):
         H.ingest_csv(tmp_path / "ghost.csv", tmp_path / "z")
-
-
-def test_ingest_labels(tmp_path):
-    lines = ["v,label"] + [f"{i}.5,{i % 2}" for i in range(20)]
-    path = tmp_path / "l.csv"
-    path.write_text("\n".join(lines) + "\n")
-    man = H.ingest_csv(path, tmp_path / "ing", label_col=1)
-    assert man.has_labels
-    assert (tmp_path / "ing" / "manifest.txt").read_bytes() == (
-        b"n_channels=1\ntrain_end=12\nval_end=16\ntotal=20\n"
-        b"checksum=46a5af03ef83b303\nhas_labels=1\nshard=data_00000.tsb:20\n")
-    _, data, labels = H.load_ingested(tmp_path / "ing")
-    assert data.shape == (20, 1)
-    np.testing.assert_array_equal(labels, np.arange(20) % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +356,13 @@ def test_real_and_hybrid_pretraining_paths(tmp_path):
     real = fast_cfg(tmp_path, data_source="real", dataset_path=str(ingested))
     hybrid = fast_cfg(tmp_path, data_source="hybrid",
                       dataset_path=str(ingested))
-    _, data, _ = H.load_ingested(ingested)
+    _, data = tsb.read_dataset(ingested)
     synth = H._pretrain_corpus(synthetic, 1).series
     real_rows = H._pretrain_corpus(real, 1).series
     hybrid_rows = H._pretrain_corpus(hybrid, 1).series
     # real: one row per channel, cut to the train split (120 < 128 steps)
     assert real_rows.shape == (3, 120)
-    np.testing.assert_array_equal(real_rows, data[:120].T)
+    np.testing.assert_array_equal(real_rows, data[:, :120])
     # hybrid: the synthetic rows then the real rows, at the common width
     assert synth.shape == (8, 128) and hybrid_rows.shape == (11, 120)
     np.testing.assert_array_equal(hybrid_rows[:8], synth[:, :120])
@@ -387,6 +375,52 @@ def test_real_and_hybrid_pretraining_paths(tmp_path):
         _, _, header = load_backbone(
             cfg.run_dir() / "checkpoints" / "backbone_seed1.tsbc")
         assert header["data_source"] == cfg.data_source
+
+
+def test_generated_corpus_is_a_dataset_path(tmp_path, capsys):
+    # `tsrepr generate` output feeds real and hybrid pretraining: every
+    # channel of every series is one row
+    corpus = tmp_path / "gen"
+    assert cli.main(["generate", "--out", str(corpus), "--n-series", "3",
+                     "--length", "128", "--channels", "2"]) == 0
+    capsys.readouterr()
+    lcm = G.LcmConfig(n_channels=2, series_length=128, series_count=3)
+    generated = np.stack([
+        G._standardize(G.sample_multivariate_lcm(
+            lcm, np.random.default_rng(np.random.SeedSequence((0, i)))))
+        for i in range(3)])
+    real = fast_cfg(tmp_path, data_source="real", dataset_path=str(corpus),
+                    tasks=("classify",))
+    np.testing.assert_array_equal(H._pretrain_corpus(real, 1).series,
+                                  generated.reshape(6, 128))
+    hybrid = replace(real, data_source="hybrid")
+    np.testing.assert_array_equal(H._pretrain_corpus(hybrid, 1).series[8:],
+                                  generated.reshape(6, 128))
+    records = H.run_experiment(real)
+    assert records and all(np.isfinite(r.value) for r in records)
+
+
+@pytest.mark.parametrize("damage", ["count", "checksum", "missing_shard"])
+def test_evaluate_rejects_a_dataset_unlike_its_manifest(tmp_path, capsys,
+                                                         damage):
+    corpus = tmp_path / "gen"
+    assert cli.main(["generate", "--out", str(corpus), "--n-series", "3",
+                     "--length", "128"]) == 0
+    manifest, shard = corpus / "manifest.txt", corpus / "shard_00000.tsb"
+    if damage == "count":
+        manifest.write_text(manifest.read_text().replace(".tsb:3", ".tsb:2"))
+    elif damage == "checksum":
+        raw = bytearray(shard.read_bytes())
+        raw[-1] ^= 1
+        shard.write_bytes(bytes(raw))
+    else:
+        shard.unlink()
+    H.save_run_config(fast_cfg(tmp_path, run_id="bad", data_source="real",
+                               dataset_path=str(corpus), tasks=("classify",)),
+                      tmp_path / "c.ini")
+    assert cli.main(["evaluate", "--config", str(tmp_path / "c.ini")]) == 3
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "runs" / "bad" / "metrics.csv").exists()
 
 
 def test_data_source_sweep_records_missing_dataset(tmp_path):
@@ -434,11 +468,10 @@ def test_cli_generate_success_and_exit_zero(tmp_path, capsys):
 
 
 def test_cli_generate_channels_zero_is_univariate(tmp_path, capsys):
-    from tsrepr import synthgen
     assert cli.main(["generate", "--out", str(tmp_path / "c"), "--n-series",
                      "2", "--length", "16", "--channels", "0"]) == 0
-    manifest, series = synthgen.load_corpus(tmp_path / "c")
-    assert manifest.univariate and manifest.n_channels == 1
+    fields, series = tsb.read_dataset(tmp_path / "c")
+    assert fields["n_channels"] == "1"
     assert series.shape == (2, 16)
     capsys.readouterr()
 
@@ -473,6 +506,20 @@ def test_cli_pretrain_seed_zero(tmp_path, capsys):
     ckpts = tmp_path / "runs" / "s0" / "checkpoints"
     assert sorted(p.name for p in ckpts.iterdir()) == ["backbone_seed0.tsbc"]
     assert "seed 0: checkpoint" in capsys.readouterr().out
+
+
+def test_cli_pretrain_refuses_a_different_config(tmp_path, capsys):
+    # a finished pretraining keeps its checkpoint
+    H.save_run_config(fast_cfg(tmp_path, run_id="pt", epochs=1),
+                      tmp_path / "c1.ini")
+    assert cli.main(["pretrain", "--config", str(tmp_path / "c1.ini")]) == 0
+    ckpt = tmp_path / "runs" / "pt" / "checkpoints" / "backbone_seed1.tsbc"
+    before = ckpt.read_bytes()
+    H.save_run_config(fast_cfg(tmp_path, run_id="pt", epochs=3),
+                      tmp_path / "c3.ini")
+    assert cli.main(["pretrain", "--config", str(tmp_path / "c3.ini")]) == 2
+    assert "epochs" in capsys.readouterr().err
+    assert ckpt.read_bytes() == before
 
 
 def test_cli_config_error_exit_two(tmp_path, capsys):

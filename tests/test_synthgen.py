@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsrepr import harness as H, synthgen as G
+from tsrepr import harness as H, synthgen as G, tsb
 
 
 def test_bank_size_and_families():
@@ -135,14 +135,14 @@ def test_generate_corpus_round_trip(tmp_path):
                             out_dir=tmp_path / "c", seed=7, shard_size=8)
     assert man.shards == ["shard_00000.tsb", "shard_00001.tsb",
                           "shard_00002.tsb"]
-    assert man.shard_counts == [8, 8, 4]
+    assert man.counts == [8, 8, 4]
     assert (tmp_path / "c" / "manifest.txt").read_bytes() == (
-        b"seed=7\nunivariate=1\nseries_count=20\nseries_length=48\n"
-        b"n_channels=1\nconfig_digest=333bdaff350c2e43\n"
+        b"series_length=48\ntrain_end=48\nchecksum=f1ca4c6f49e33ac8\n"
+        b"seed=7\nn_channels=1\nconfig_digest=333bdaff350c2e43\n"
         b"shard=shard_00000.tsb:8\nshard=shard_00001.tsb:8\n"
         b"shard=shard_00002.tsb:4\n")
-    man2, data = G.load_corpus(tmp_path / "c")
-    assert man2 == man
+    fields, data = tsb.read_dataset(tmp_path / "c")
+    assert fields == man.fields
     assert data.shape == (20, 48)
     assert data.dtype == np.float32
     np.testing.assert_allclose(data.mean(axis=-1), 0.0, atol=1e-5)
@@ -174,18 +174,9 @@ def test_multivariate_corpus_shape(tmp_path):
     cfg = G.LcmConfig(n_channels=3, series_length=32, series_count=5)
     man = G.generate_corpus(cfg, univariate=False, out_dir=tmp_path / "m",
                             seed=3)
-    _, data = G.load_corpus(tmp_path / "m")
+    fields, data = tsb.read_dataset(tmp_path / "m")
     assert data.shape == (5, 3, 32)
-    assert man.n_channels == 3
-
-
-def test_manifest_round_trip(tmp_path):
-    man = G.CorpusManifest(["s0.tsb", "s1.tsb"], [512, 100], seed=4,
-                           univariate=False, series_count=612,
-                           series_length=2500, n_channels=160,
-                           config_digest="abcd1234")
-    man.write(tmp_path / "manifest.txt")
-    assert G.CorpusManifest.read(tmp_path / "manifest.txt") == man
+    assert fields["n_channels"] == man.fields["n_channels"] == "3"
 
 
 # ---------------------------------------------------------------------------

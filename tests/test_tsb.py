@@ -1,5 +1,6 @@
 """Binary tensor format and checkpoint container."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -101,3 +102,46 @@ def test_tensor_bytes_matches_file(tmp_path):
     path = tmp_path / "t.tsb"
     tsb.write_tensor(path, arr)
     assert tsb.tensor_bytes(arr) == path.read_bytes()
+
+
+@pytest.mark.parametrize("cut", ["version", "json", "name_length"])
+def test_truncated_checkpoint(tmp_path, cut):
+    path = tmp_path / "c.tsbc"
+    tsb.save_checkpoint(path, {}, {"x": np.ones(2, np.float32)})
+    good = path.read_bytes()
+    (hlen,) = struct.unpack("<I", good[6:10])
+    end = {"version": 5, "json": 10 + hlen // 2, "name_length": 10 + hlen + 1}
+    path.write_bytes(good[:end[cut]])
+    with pytest.raises(tsb.FormatError, match="truncated"):
+        tsb.load_checkpoint(path)
+
+
+def test_dataset_round_trip(tmp_path):
+    rows = np.random.default_rng(3).standard_normal((5, 2, 8)).astype(
+        np.float32)
+    man = tsb.write_dataset(tmp_path, rows, {"origin": "test"}, shard_size=2)
+    assert man.shards == [f"shard_{i:05d}.tsb" for i in range(3)]
+    assert man.counts == [2, 2, 1]
+    blobs = b"".join((tmp_path / s).read_bytes() for s in man.shards)
+    assert man.fields == {
+        "series_length": "8", "train_end": "8",
+        "checksum": hashlib.sha256(blobs).hexdigest()[:16], "origin": "test"}
+    assert (tmp_path / "manifest.txt").read_text().splitlines()[-3:] == [
+        "shard=shard_00000.tsb:2", "shard=shard_00001.tsb:2",
+        "shard=shard_00002.tsb:1"]
+    fields, back = tsb.read_dataset(tmp_path)
+    assert fields == man.fields
+    assert back.tobytes() == rows.tobytes() and back.shape == rows.shape
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("train_end=8", "train_end=9"),
+    lambda text: text.replace("series_length=8", "series_length=7"),
+    lambda text: text.replace("train_end=8\n", ""),
+], ids=["train_end_past_length", "series_length", "no_train_end"])
+def test_dataset_bad_manifest_fields(tmp_path, edit):
+    tsb.write_dataset(tmp_path, np.zeros((3, 8), np.float32), {})
+    path = tmp_path / "manifest.txt"
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(tsb.FormatError):
+        tsb.read_dataset(tmp_path)
