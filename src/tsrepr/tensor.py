@@ -6,11 +6,18 @@ float64 before casting back.  Gradients are recorded on an explicit
 in reverse by :func:`backward`.  Outside a tape (evaluation paths) the
 same ops run without recording anything.
 
+A tape takes one :func:`backward`.  Backward consumes the tape as it
+runs: each record is popped before its backward step, so the arrays it
+saved are freed once that step is done, and each intermediate ``grad`` is
+dropped once it has been passed on.  Leaf gradients accumulate across
+tapes until ``optim.zero_grads`` clears them.
+
 The Transformer hot path is three fused ops, each one tape record with an
 analytic backward: :func:`layer_norm`, :func:`attention` (the whole
 multi-head self-attention block) and :func:`ffn` (the GELU feed-forward).
-``reshape`` and ``transpose`` return views.  Gradients are never updated
-in place, so views and shared gradient arrays are safe.
+The last two also add the block's residual input, so a pre-LN layer is
+four records.  ``reshape`` and ``transpose`` return views.  Gradients are
+never updated in place, so views and shared gradient arrays are safe.
 """
 
 from __future__ import annotations
@@ -66,11 +73,13 @@ class Tape:
     """Ordered record of primitive ops for one backward pass.
 
     Entries are ``(output, inputs, backward_fn)`` in execution order, so a
-    single reverse sweep is a valid topological traversal.
+    single reverse sweep is a valid topological traversal.  :func:`backward`
+    empties ``records`` and marks the tape ``spent``.
     """
 
     def __init__(self):
         self.records: list[tuple["Tensor", tuple["Tensor", ...], object]] = []
+        self.spent = False
         self._token = None
 
     def __enter__(self):
@@ -109,7 +118,7 @@ def _record(out: "Tensor", inputs: tuple["Tensor", ...], bw) -> None:
 class Tensor:
     """Dense row-major float32 array, optionally participating in the tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "hi")
+    __slots__ = ("data", "requires_grad", "grad", "hi", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, _check: bool = True):
         arr = np.asarray(data)
@@ -322,13 +331,28 @@ def reshape(a, shape) -> Tensor:
     return out
 
 
+def _basic_key(key) -> bool:
+    """True when ``key`` holds only ints, slices, Ellipsis and None, so it
+    selects each element at most once."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, slice)
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+               for k in parts)
+
+
 def tslice(a, key) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.ascontiguousarray(a.data[key]), _check=False)
 
     def bw(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, key, g.astype(np.float32))
+        g = g.astype(np.float32, copy=False)
+        if _basic_key(key):
+            # bitwise equal to np.add.at (0 + -0.0 is +0.0; `=` would not be)
+            full[key] += g
+        else:
+            # index arrays may repeat an index
+            np.add.at(full, key, g)
         a._accumulate(full)
 
     _record(out, (a,), bw)
@@ -557,16 +581,18 @@ def layer_norm(a, gamma=None, beta=None, eps: float = 1e-5) -> Tensor:
 # fused Transformer blocks
 
 
-def attention(x, wq, wk, wv, wo, bo, n_heads: int, bias=None) -> Tensor:
-    """Multi-head self-attention block on (B, N, d) as one tape op.
+def attention(x, wq, wk, wv, wo, bo, n_heads: int, bias=None, *,
+              residual) -> Tensor:
+    """Residual multi-head self-attention block on (B, N, d) as one tape op.
 
     ``softmax(q k^T / sqrt(dh) + bias) v`` per head with q, k, v = x wq,
-    x wk, x wv, then the output projection ``ctx wo + bo``.  ``bias`` is a
-    constant additive array broadcast against the (B, H, N, N) scores.
-    Head tensors are kept C-contiguous (B, H, N, dh) so every matmul is
-    a BLAS call.
+    x wk, x wv, then the output projection ``ctx wo + bo``, added to
+    ``residual`` (broadcast to the output).  ``bias`` is a constant additive
+    array broadcast against the (B, H, N, N) scores.  Head tensors are kept
+    C-contiguous (B, H, N, dh) so every matmul is a BLAS call.
     """
-    x, wq, wk, wv, wo, bo = (as_tensor(t) for t in (x, wq, wk, wv, wo, bo))
+    x, wq, wk, wv, wo, bo, residual = (
+        as_tensor(t) for t in (x, wq, wk, wv, wo, bo, residual))
     if x.ndim != 3:
         raise ShapeError("attention input must be (batch, n, d_model)")
     b, n, d = x.shape
@@ -594,9 +620,13 @@ def attention(x, wq, wk, wv, wo, bo, n_heads: int, bias=None) -> Tensor:
     ctx = merge(probs @ v)
     val = ctx @ wo.data
     val += bo.data
-    out = Tensor(val.reshape(b, n, d), _check=False)
+    val = val.reshape(b, n, d)
+    val += residual.data
+    out = Tensor(val, _check=False)
 
     def bw(g):
+        if residual.requires_grad:
+            residual._accumulate(g)
         g = g.reshape(b * n, d)
         if wo.requires_grad:
             wo._accumulate(ctx.T @ g)
@@ -619,24 +649,30 @@ def attention(x, wq, wk, wv, wo, bo, n_heads: int, bias=None) -> Tensor:
         if dx is not None:
             x._accumulate(dx.reshape(b, n, d))
 
-    _record(out, (x, wq, wk, wv, wo, bo), bw)
+    _record(out, (x, wq, wk, wv, wo, bo, residual), bw)
     return out
 
 
-def ffn(x, w1, b1, w2, b2) -> Tensor:
-    """GELU feed-forward ``gelu(x w1 + b1) w2 + b2`` over the last axis."""
-    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+def ffn(x, w1, b1, w2, b2, *, residual) -> Tensor:
+    """Residual GELU feed-forward ``residual + gelu(x w1 + b1) w2 + b2``
+    over the last axis."""
+    x, w1, b1, w2, b2, residual = (
+        as_tensor(t) for t in (x, w1, b1, w2, b2, residual))
     lead = x.shape[:-1]
+    inputs = (x, w1, b1, w2, b2, residual)
     flat = x.data.reshape(-1, x.shape[-1])
     pre = flat @ w1.data
     pre += b1.data
-    taped = _recording_tape((x, w1, b1, w2, b2)) is not None
-    act, slope = _gelu_kernel(pre, taped)
+    act, slope = _gelu_kernel(pre, _recording_tape(inputs) is not None)
     val = act @ w2.data
     val += b2.data
-    out = Tensor(val.reshape(lead + (w2.shape[-1],)), _check=False)
+    val = val.reshape(lead + (w2.shape[-1],))
+    val += residual.data
+    out = Tensor(val, _check=False)
 
     def bw(g):
+        if residual.requires_grad:
+            residual._accumulate(g)
         g = g.reshape(-1, w2.shape[-1])
         if w2.requires_grad:
             w2._accumulate(act.T @ g)
@@ -651,7 +687,7 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
         if x.requires_grad:
             x._accumulate((dpre @ w1.data.T).reshape(x.shape))
 
-    _record(out, (x, w1, b1, w2, b2), bw)
+    _record(out, inputs, bw)
     return out
 
 
@@ -660,23 +696,29 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
+    """Add to ``grad`` of every requires_grad leaf reachable from ``loss``.
 
-    Repeated calls without clearing ``grad`` accumulate.
+    Consumes the active tape: each record is popped before its backward
+    step runs, and each op output's ``grad`` is dropped as it is passed
+    on, so saved arrays and intermediate gradients are freed as the sweep
+    goes.  A second call on the same tape raises ``RuntimeError``.  Leaf
+    grads accumulate across tapes until they are zeroed.
     """
     if loss.ndim != 0 and loss.size != 1:
         raise ShapeError("backward requires a scalar loss")
     tape = Tape.active()
     if tape is None:
         raise RuntimeError("backward called outside an active Tape")
+    if tape.spent:
+        raise RuntimeError("backward already ran on this Tape")
+    tape.spent = True
+    records = tape.records
     loss._accumulate(np.ones_like(loss.data))
-    for out, _inputs, bw in reversed(tape.records):
-        if out.grad is not None:
-            bw(out.grad)
-    # intermediates are op outputs; drop their grads so a second backward
-    # seeds from 1 again and only leaf grads accumulate
-    for out, _inputs, _bw in tape.records:
-        out.grad = None
+    while records:
+        out, _inputs, bw = records.pop()
+        g, out.grad = out.grad, None
+        if g is not None:
+            bw(g)
 
 
 def grad_check(f, x: Tensor, epsilon: float = 1e-3) -> float:

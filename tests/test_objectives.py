@@ -204,8 +204,9 @@ def test_constant_operands_get_no_gradient(objective):
     with Tape() as tape:
         lb = O.compute_loss(state, make_batch(8, 128), np.random.default_rng(3),
                             step=0)
+        # backward consumes the tape, so collect the inputs first
+        inputs = {id(t): t for _out, ins, _bw in tape.records for t in ins}
         backward(lb.total)
-    inputs = {id(t): t for _out, ins, _bw in tape.records for t in ins}
     constants = [t for t in inputs.values() if not t.requires_grad]
     assert constants
     assert all(t.grad is None for t in constants)

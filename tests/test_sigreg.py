@@ -153,8 +153,9 @@ def test_fused_statistic_matches_composed():
         z = Tensor(z0.copy(), requires_grad=True)
         with Tape() as tape:
             out = op(z, cfg, 3)
+            n_records = len(tape.records)  # backward empties the tape
             backward(out)
-        results.append((float(out.data), z.grad, len(tape.records)))
+        results.append((float(out.data), z.grad, n_records))
     (fused, g_fused, n_fused), (ref, g_ref, _) = results
     assert n_fused == 1
     assert abs(fused - ref) / ref < 1e-5

@@ -1,6 +1,8 @@
 """Autodiff core: forward values, gradients, tape semantics, errors."""
 
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsrepr import tensor as T
-from tsrepr.backbone import _causal_bias
+from tsrepr.backbone import (BackboneConfig, PatchBatch, _causal_bias, encode,
+                             init_encoder)
 from tsrepr.tensor import (DomainError, NumericError, ShapeError, Tape,
                            Tensor, backward, grad_check)
 
@@ -117,12 +120,66 @@ def test_square_sum_gradient():
 
 
 def test_grad_accumulates_across_backward_calls():
+    # leaf grads accumulate across tapes until they are zeroed
+    x = Tensor(np.array([1.0]), requires_grad=True)
+    for _ in range(2):
+        with Tape():
+            backward(T.tsum(x))
+    assert x.grad[0] == 2.0
+
+
+def test_second_backward_on_one_tape_raises():
     x = Tensor(np.array([1.0]), requires_grad=True)
     with Tape():
-        loss = T.tsum(x)
+        loss = T.tsum(T.mul(x, 3.0))
         backward(loss)
+        with pytest.raises(RuntimeError):
+            backward(loss)
+    assert x.grad[0] == 3.0
+
+
+def test_backward_consumes_tape():
+    x = Tensor(rand(4, 3), requires_grad=True)
+
+    def helper():
+        h = T.mul(x, x)
+        return T.tsum(T.gelu(h)), weakref.ref(h)
+
+    with Tape() as tape:
+        loss, ref = helper()
+        assert ref() is not None
         backward(loss)
-    assert x.grad[0] == 2.0
+        assert tape.records == []
+        assert ref() is None
+        assert loss.grad is None
+    assert x.grad is not None
+
+
+def test_backward_frees_activations_as_it_runs():
+    # MB-sized activations: 16 windows of 64 patches at d_model 64
+    cfg = BackboneConfig(d_model=64, n_layers=2, n_heads=4, patch_len=16,
+                         max_patches=64)
+    weights = init_encoder(cfg, np.random.default_rng(0))
+    patches = PatchBatch(rand(16, 64, 16))
+    grad_bytes = sum(t.data.nbytes for t in weights.values())
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with Tape():
+            loss = T.mean(T.mul(encode(patches, weights, cfg), 0.5))
+            forward_end = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss)
+            after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert forward_end - start > 8 * grad_bytes  # activations dominate
+    # only the parameter gradients outlive backward
+    assert after - start <= grad_bytes + 64 * 1024
+    # each record's saved arrays are freed once its step is done, so the
+    # peak exceeds the end of the forward pass by no more than the parameter
+    # gradients plus 2 MiB, two (B, H, N, N) attention arrays
+    assert peak - forward_end <= grad_bytes + 2 * 2**20
 
 
 def test_no_recording_outside_tape():
@@ -178,9 +235,10 @@ PRIMITIVES = [
     ("softmax", lambda x: T.tsum(T.mul(T.softmax(x), x))),
     ("log_softmax", lambda x: T.tsum(T.mul(T.log_softmax(x), 0.3))),
     ("layer_norm", lambda x: T.tsum(T.mul(T.layer_norm(x), x))),
-    ("attention", lambda x: T.tsum(T.mul(
-        T.attention(T.reshape(x, (2, 2, 6)), *ATTN_W, 2), 0.7))),
-    ("ffn", lambda x: T.tsum(T.mul(T.ffn(x, *FFN_W), 0.7))),
+    ("attention", lambda x: T.tsum(T.mul(T.attention(
+        T.reshape(x, (2, 2, 6)), *ATTN_W, 2, residual=T.reshape(x, (2, 2, 6))),
+        0.7))),
+    ("ffn", lambda x: T.tsum(T.mul(T.ffn(x, *FFN_W, residual=x), 0.7))),
     ("expand_sum", lambda x: T.tsum(T.mul(T.mean(x, axis=0, keepdims=True), x))),
 ]
 
@@ -199,6 +257,28 @@ def test_broadcast_gradient_sums():
     with Tape():
         backward(T.tsum(T.add(a, b)))
     np.testing.assert_allclose(a.grad, np.full((1, 3), 4.0), rtol=1e-6)
+
+
+@pytest.mark.parametrize("key,basic", [
+    ((slice(1, None), slice(None, 2)), True),
+    ((Ellipsis, 0), True),
+    ((None, slice(None), np.int64(1), slice(None, None, 2)), True),
+    (2, True),
+    ((np.array([0, 2, 0]), slice(None)), False),  # row 0 twice
+    ((np.arange(3), np.array([1, 1, 0])), False),
+])
+def test_slice_gradient_matches_add_at(key, basic):
+    # basic keys add with `+=`, index arrays with np.add.at; both give the
+    # bits of np.add.at, -0.0 included
+    assert T._basic_key(key) is basic
+    a = Tensor(rand(4, 3, 5), requires_grad=True)
+    g = rand(*a.data[key].shape)
+    g.reshape(-1)[::3] = -0.0
+    with Tape():
+        backward(T.tsum(T.mul(a[key], g)))
+    expected = np.zeros_like(a.data)
+    np.add.at(expected, key, g)
+    assert a.grad.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -231,7 +311,7 @@ def composed_layer_norm(a, gamma, beta, eps=1e-5):
     return T.add(T.mul(normed, gamma), beta)
 
 
-def composed_attention(x, wq, wk, wv, wo, bo, n_heads, bias=None):
+def composed_attention(x, residual, wq, wk, wv, wo, bo, n_heads, bias=None):
     b, n, d = x.shape
     dh = d // n_heads
 
@@ -247,14 +327,23 @@ def composed_attention(x, wq, wk, wv, wo, bo, n_heads, bias=None):
         scores = T.add(scores, bias)
     ctx = T.matmul(T.softmax(scores), v)
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b * n, d))
-    return T.reshape(T.add(T.matmul(ctx, wo), bo), (b, n, d))
+    return T.add(residual, T.reshape(T.add(T.matmul(ctx, wo), bo), (b, n, d)))
 
 
-def composed_ffn(x, w1, b1, w2, b2):
+def composed_ffn(x, residual, w1, b1, w2, b2):
     b, n, d = x.shape
     flat = T.reshape(x, (b * n, d))
     h = T.gelu(T.add(T.matmul(flat, w1), b1))
-    return T.reshape(T.add(T.matmul(h, w2), b2), (b, n, w2.shape[1]))
+    return T.add(residual,
+                 T.reshape(T.add(T.matmul(h, w2), b2), (b, n, w2.shape[1])))
+
+
+def fused_attention(x, residual, *weights, n_heads, bias=None):
+    return T.attention(x, *weights, n_heads, bias, residual=residual)
+
+
+def fused_ffn(x, residual, *weights):
+    return T.ffn(x, *weights, residual=residual)
 
 
 def _values_and_grads(op, arrays):
@@ -270,17 +359,19 @@ def _values_and_grads(op, arrays):
 FUSED = [
     pytest.param(T.layer_norm, composed_layer_norm,
                  [rand(3, 5, 8), 1.0 + rand(8), rand(8)], id="layer_norm"),
-    pytest.param(lambda *a: T.attention(*a, 2),
+    pytest.param(lambda *a: fused_attention(*a, n_heads=2),
                  lambda *a: composed_attention(*a, 2),
-                 [rand(3, 5, 8)] + [0.4 * rand(8, 8) for _ in range(4)]
-                 + [rand(8)], id="attention"),
-    pytest.param(lambda *a: T.attention(*a, 4, _causal_bias(5)),
+                 [rand(3, 5, 8), rand(3, 5, 8)]
+                 + [0.4 * rand(8, 8) for _ in range(4)] + [rand(8)],
+                 id="attention"),
+    pytest.param(lambda *a: fused_attention(*a, n_heads=4, bias=_causal_bias(5)),
                  lambda *a: composed_attention(*a, 4, _causal_bias(5)),
-                 [rand(3, 5, 8)] + [0.4 * rand(8, 8) for _ in range(4)]
-                 + [rand(8)], id="attention_causal"),
-    pytest.param(T.ffn, composed_ffn,
-                 [rand(3, 5, 8), 0.4 * rand(8, 32), rand(32), 0.2 * rand(32, 8),
-                  rand(8)], id="ffn"),
+                 [rand(3, 5, 8), rand(3, 5, 8)]
+                 + [0.4 * rand(8, 8) for _ in range(4)] + [rand(8)],
+                 id="attention_causal"),
+    pytest.param(fused_ffn, composed_ffn,
+                 [rand(3, 5, 8), rand(3, 5, 8), 0.4 * rand(8, 32), rand(32),
+                  0.2 * rand(32, 8), rand(8)], id="ffn"),
 ]
 
 
@@ -311,8 +402,8 @@ def test_gelu_matches_exact_erf():
 @pytest.mark.parametrize("op,arrays", [
     pytest.param(T.gelu, [np.linspace(-9.0, 9.0, 4001, dtype=np.float32)],
                  id="gelu"),
-    pytest.param(T.ffn, [rand(3, 5, 8), 0.4 * rand(8, 32), rand(32),
-                         0.2 * rand(32, 8), rand(8)], id="ffn"),
+    pytest.param(fused_ffn, [rand(3, 5, 8), rand(3, 5, 8), 0.4 * rand(8, 32),
+                             rand(32), 0.2 * rand(32, 8), rand(8)], id="ffn"),
 ])
 def test_gelu_slope_only_when_recorded(op, arrays, monkeypatch):
     # the GELU derivative is computed only for an op the tape records; the
