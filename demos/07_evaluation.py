@@ -39,8 +39,8 @@ def main():
     xn, _, _ = instance_norm(xw)
     ares = E.probe_train(weights, bb, aspec, xw,
                          xn.reshape(len(xw), -1, bb.patch_len))
-    s_train = E.anomaly_scores(weights, bb, ares.head, aspec, train)
-    s_test = E.anomaly_scores(weights, bb, ares.head, aspec, test)
+    s_train = E.anomaly_scores(weights, bb, ares.head, train)
+    s_test = E.anomaly_scores(weights, bb, ares.head, test)
     preds = E.threshold_by_percentile(s_train, s_test, percentile=2.0)
     adjusted = E.point_adjust(preds, labels)
     p, r, f1 = E.f1_score(adjusted, labels)

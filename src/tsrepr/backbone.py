@@ -94,6 +94,16 @@ def _ones(shape) -> Tensor:
     return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
 
 
+def init_linear(rng, d_in: int, d_out: int, suffix: str = "") -> Weights:
+    """Dense layer ``w{suffix}`` ~ N(0, 1/d_in), then zero bias ``b{suffix}``."""
+    return {f"w{suffix}": _param(rng, (d_in, d_out), 1.0 / math.sqrt(d_in)),
+            f"b{suffix}": _zeros((d_out,))}
+
+
+def linear(x: Tensor, w: Weights, suffix: str = "") -> Tensor:
+    return T.add(T.matmul(x, w[f"w{suffix}"]), w[f"b{suffix}"])
+
+
 def init_layer(rng, prefix: str, d_model: int, ffn_ratio: int) -> Weights:
     s = 1.0 / math.sqrt(d_model)
     d_ff = ffn_ratio * d_model

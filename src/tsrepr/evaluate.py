@@ -19,7 +19,9 @@ from .backbone import (
     Weights,
     clone_weights,
     encode,
+    init_linear,
     instance_norm,
+    linear,
 )
 from .tensor import ShapeError, Tape, Tensor, backward
 
@@ -37,30 +39,31 @@ TILE = 2 ** 18
 MIN_ROWS = 8
 
 
+PROBE_MODES = ("linear", "mlp", "finetune")
+TASKS = ("classify", "anomaly", "forecast")
+# the learning rate a probe trains at when its spec names none
+DEFAULT_LR = {"forecast": 2e-4, "classify": 1e-3, "anomaly": 1e-4}
+
+
 @dataclass
 class ProbeSpec:
-    mode: str = "linear"        # linear | mlp | finetune
-    task: str = "classify"      # forecast | classify | anomaly
+    mode: str = "linear"        # one of PROBE_MODES
+    task: str = "classify"      # one of TASKS
     epochs: int = 20
     batch_size: int = 64
-    lr: float | None = None
+    lrs: tuple[float, ...] = ()  # grid tried in order; () is DEFAULT_LR
     hidden: int = 512
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("linear", "mlp", "finetune"):
+        if self.mode not in PROBE_MODES:
             raise ValueError(f"unknown probe mode {self.mode!r}")
-        if self.task not in ("forecast", "classify", "anomaly"):
+        if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
 
     @property
     def freeze_backbone(self) -> bool:
         return self.mode != "finetune"
-
-    def resolved_lr(self) -> float:
-        if self.lr is not None:
-            return self.lr
-        return {"forecast": 2e-4, "classify": 1e-3, "anomaly": 1e-4}[self.task]
 
 
 # ---------------------------------------------------------------------------
@@ -94,31 +97,22 @@ def _encode_batched(x: np.ndarray, weights: Weights, cfg: BackboneConfig
 
 def _init_head(spec: ProbeSpec, d_in: int, d_out: int,
                rng: np.random.Generator) -> dict[str, Tensor]:
-    def lin(fan_in, fan_out):
-        s = 1.0 / np.sqrt(fan_in)
-        return (Tensor(rng.normal(0, s, (fan_in, fan_out)).astype(np.float32),
-                       requires_grad=True),
-                Tensor(np.zeros(fan_out, np.float32), requires_grad=True))
-
-    head: dict[str, Tensor] = {}
     if spec.mode == "mlp":
-        head["w1"], head["b1"] = lin(d_in, spec.hidden)
-        head["w2"], head["b2"] = lin(spec.hidden, d_out)
-    else:
-        head["w"], head["b"] = lin(d_in, d_out)
-    return head
+        return {**init_linear(rng, d_in, spec.hidden, "1"),
+                **init_linear(rng, spec.hidden, d_out, "2")}
+    return init_linear(rng, d_in, d_out)
 
 
 def _head_forward(head: dict[str, Tensor], x: Tensor,
                   rng: np.random.Generator | None = None) -> Tensor:
     """Head output; an mlp head drops hidden units when ``rng`` is given."""
     if "w1" in head:
-        h = T.gelu(T.add(T.matmul(x, head["w1"]), head["b1"]))
+        h = T.gelu(linear(x, head, "1"))
         if rng is not None:
             keep = (rng.random(h.shape) >= DROPOUT).astype(np.float32)
             h = T.mul(h, keep / (1.0 - DROPOUT))
-        return T.add(T.matmul(h, head["w2"]), head["b2"])
-    return T.add(T.matmul(x, head["w"]), head["b"])
+        return linear(h, head, "2")
+    return linear(x, head)
 
 
 def _task_features(task: str, latents: np.ndarray) -> np.ndarray:
@@ -183,34 +177,39 @@ class ProbeResult:
 
 
 def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
-                x: np.ndarray, y: np.ndarray,
-                features: np.ndarray | None = None) -> ProbeResult:
-    """Train a head on top of the backbone.
+                x: np.ndarray, y: np.ndarray) -> ProbeResult:
+    """Train a head on top of the backbone at each lr of the grid.
 
     ``x`` is (n, T) raw windows (instance-normalized internally for the
     backbone); ``y`` is (n,) int labels for classify, (n, horizon) floats
     for forecast, (n, N, patch_len) normalized patch targets for anomaly.
-    With a frozen backbone, ``features`` may carry
-    ``frozen_features(weights, cfg, spec.task, x)`` computed once by a
-    caller that trains several heads on the same windows.
-    Fine-tuning trains a copy of the backbone and returns its best-epoch
-    state with the best-epoch head.  In every mode the caller's parameter
-    arrays are read-only while the probe trains.
+    One head trains per lr in ``spec.lrs`` (the task's ``DEFAULT_LR`` when
+    empty), each from the same seed, and the lowest ``best_val`` wins; on
+    a tie the earlier lr does.  A frozen backbone is encoded once for the
+    whole grid.  Fine-tuning trains a fresh copy of the backbone per lr
+    and returns its best-epoch state with the best-epoch head.  In every
+    mode the caller's parameter arrays are read-only while probes train.
     """
     if x.shape[0] != y.shape[0] or x.shape[0] < 2:
         raise ShapeError("x/y length mismatch or too few samples")
-    if features is not None:
-        if not spec.freeze_backbone:
-            raise ShapeError("features need a frozen backbone, not finetune")
-        if features.shape[0] != x.shape[0]:
-            raise ShapeError("features/x row count mismatch")
     with _read_only(weights):
-        return _probe_train(weights, cfg, spec, x, y, features)
+        if spec.freeze_backbone:
+            inputs = frozen_features(weights, cfg, spec.task, x)
+        else:
+            inputs, _, _ = instance_norm(np.asarray(x, dtype=np.float32))
+        best = None
+        for lr in spec.lrs or (DEFAULT_LR[spec.task],):
+            res = _probe_train(weights, cfg, spec, lr, x, y, inputs)
+            if best is None or res.best_val < best.best_val:
+                best = res
+    return best
 
 
 def _probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
-                 x: np.ndarray, y: np.ndarray,
-                 features: np.ndarray | None) -> ProbeResult:
+                 lr: float, x: np.ndarray, y: np.ndarray,
+                 inputs: np.ndarray) -> ProbeResult:
+    """One head at one lr; ``inputs`` are the frozen features, or the
+    normalized windows a fine-tuned backbone encodes."""
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 31)))
 
     n = x.shape[0]
@@ -238,20 +237,15 @@ def _probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
     if not spec.freeze_backbone:
         backbone = clone_weights(weights, requires_grad=True)
         params.update({f"backbone.{k}": v for k, v in backbone.items()})
-    opt = optim.Adam(params, lr=spec.resolved_lr())
-
-    if spec.freeze_backbone:
-        if features is None:
-            features = frozen_features(weights, cfg, spec.task, x)
-    else:
-        xn, _, _ = instance_norm(np.asarray(x, dtype=np.float32))
+    opt = optim.Adam(params, lr=lr)
 
     def batch_loss(idx, train: bool) -> Tensor:
-        if features is not None:
-            feats = Tensor(features[idx], _check=False)
+        if spec.freeze_backbone:
+            feats = Tensor(inputs[idx], _check=False)
         else:
-            latents = encode(PatchBatch.from_windows(xn[idx], cfg.patch_len),
-                             backbone, cfg)
+            latents = encode(
+                PatchBatch.from_windows(inputs[idx], cfg.patch_len),
+                backbone, cfg)
             if spec.task == "forecast":
                 feats = T.reshape(latents, (len(idx), d_feat))
             elif spec.task == "classify":
@@ -317,8 +311,7 @@ def predict_head(weights: Weights, cfg: BackboneConfig,
 
 
 def anomaly_scores(weights: Weights, cfg: BackboneConfig,
-                   head: dict[str, Tensor], spec: ProbeSpec,
-                   series: np.ndarray) -> np.ndarray:
+                   head: dict[str, Tensor], series: np.ndarray) -> np.ndarray:
     """Per-time-point squared reconstruction error over a long series.
 
     The series is cut into non-overlapping windows of max_patches patches;

@@ -5,9 +5,10 @@ A run pretrains a backbone per seed on a synthetic, real or hybrid corpus
 (or skips pretraining for the baseline), evaluates a fixed task battery
 through one shared probe code path, and writes per-seed plus mean/std
 metric rows.  Real rows come from a ``tsb.write_dataset`` directory, the
-output of ``ingest_csv`` or ``tsrepr generate``.  Reruns of the same
-config skip completed (seed, task) pairs, so interrupted runs resume
-cleanly; a run directory refuses any other config.
+output of ``ingest_csv`` or ``tsrepr generate``.  Each (seed, task) pair
+is saved when it finishes; reruns of the same config skip saved pairs and
+load a seed's checkpoint instead of pretraining again, so interrupted runs
+resume cleanly.  A run directory refuses any other config.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, objectives, synthgen, tsb
-from .backbone import BackboneConfig, init_encoder, instance_norm
+from .backbone import BackboneConfig, init_encoder, instance_norm, load_backbone
+from .evaluate import PROBE_MODES, TASKS
 from .objectives import DEFAULT_SEEDS, ArrayCorpus, PretrainConfig
 
 
@@ -35,8 +37,6 @@ class DataError(ValueError):
 
 
 DATA_SOURCES = ("real", "synthetic", "hybrid")
-PROBE_MODES = ("linear", "mlp", "finetune")
-TASKS = ("classify", "anomaly", "forecast")
 
 
 def data_root() -> Path:
@@ -313,16 +313,22 @@ def read_metrics(path) -> list[MetricRecord]:
             raise DataError(f"{path}: empty metrics file")
         if tuple(header) != METRIC_COLUMNS:
             raise DataError(f"unexpected metric header {header}")
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                records.append(MetricRecord.from_row(row))
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}: line {lineno}: bad metric row "
-                                f"({exc})") from exc
-        return records
+        return _parse_rows(path, enumerate(reader, start=2))
+
+
+def _parse_rows(path, numbered_rows) -> list[MetricRecord]:
+    """Records of (line number, csv row) pairs; a bad row raises DataError
+    naming the file and line."""
+    records = []
+    for lineno, row in numbered_rows:
+        if not row:
+            continue
+        try:
+            records.append(MetricRecord.from_row(row))
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{path}: line {lineno}: bad metric row "
+                            f"({exc})") from exc
+    return records
 
 
 def aggregate_records(records: list[MetricRecord]) -> list[MetricRecord]:
@@ -467,67 +473,55 @@ def _pretrain_corpus(cfg: RunConfig, seed: int) -> ArrayCorpus:
 
 
 def _backbone_for_seed(cfg: RunConfig, seed: int, ckpt_dir: Path):
-    """Pretrained (or random baseline) weights plus the effective config."""
+    """Pretrained (or random baseline) weights plus the effective config.
+
+    A seed's checkpoint in ``ckpt_dir`` is loaded instead of pretraining
+    again; ``claim_run_dir`` has checked that it belongs to ``cfg``."""
     bb = cfg.backbone()
     if cfg.objective == "none":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 17)))
         return init_encoder(bb, rng), bb
+    ckpt = ckpt_dir / f"backbone_seed{seed}.tsbc"
+    if ckpt.exists():
+        return load_backbone(ckpt)[:2]
     corpus = _pretrain_corpus(cfg, seed)
     pcfg = PretrainConfig(
         objective=cfg.objective, epochs=cfg.epochs, batch_size=cfg.batch_size,
         steps_per_epoch=cfg.steps_per_epoch or None,
         window_len=cfg.window_len, lr=cfg.lr or None, seed=seed, backbone=bb,
         data_source=cfg.data_source)
-    result = objectives.pretrain(
-        corpus, pcfg, out_path=ckpt_dir / f"backbone_seed{seed}.tsbc")
+    result = objectives.pretrain(corpus, pcfg, out_path=ckpt)
     return result.best_weights, result.state.cfg
 
 
-# probe learning rates tried per task; the head's own validation split picks
+# probe learning rates tried per classify and anomaly probe; the head's own
+# validation split picks
 PROBE_LR_GRID = (3e-3, 1e-2, 3e-2)
 
 
-def _probe_best(weights, bb: BackboneConfig, cfg: RunConfig, seed: int,
-                task: str, x: np.ndarray, y: np.ndarray):
-    """Train the probe once per grid lr, keep the best-validation head.
-
-    With a frozen backbone every lr trains on the same features, so they
-    are computed once."""
-    specs = [evaluate.ProbeSpec(mode=cfg.probe_mode, task=task,
-                                epochs=cfg.probe_epochs, seed=seed,
-                                lr=lr, batch_size=16) for lr in PROBE_LR_GRID]
-    features = None
-    if specs[0].freeze_backbone:
-        features = evaluate.frozen_features(weights, bb, task, x)
-    best = None
-    for sp in specs:
-        res = evaluate.probe_train(weights, bb, sp, x, y, features=features)
-        if best is None or res.best_val < best[0].best_val:
-            best = (res, sp)
-    return best
-
-
-def _evaluate_tasks(weights, bb: BackboneConfig, cfg: RunConfig, seed: int
-                    ) -> list[tuple[str, str, str, float]]:
-    """(task, dataset, metric, value) rows; shared by all objectives
+def _evaluate_task(weights, bb: BackboneConfig, cfg: RunConfig, seed: int,
+                   task: str) -> list[tuple[str, str, float]]:
+    """(dataset, metric, value) rows of one task; shared by all objectives
     including the no-pretraining baseline, so deltas isolate pretraining.
 
     Each task draws from its own seed stream, so results do not depend on
     which other tasks ran in the same process (needed for resume)."""
-    rows = []
+    grid = {} if task == "forecast" else {"lrs": PROBE_LR_GRID,
+                                          "batch_size": 16}
+    spec = evaluate.ProbeSpec(mode=cfg.probe_mode, task=task,
+                              epochs=cfg.probe_epochs, seed=seed, **grid)
 
-    if "classify" in cfg.tasks:
+    if task == "classify":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 23)))
         x, y = toy_classification(rng)
         n = x.shape[0]
         n_test = max(n // 4, n - 150)  # small labeled pool, large test set
-        res, sp = _probe_best(weights, bb, cfg, seed, "classify",
-                              x[n_test:], y[n_test:])
-        acc = evaluate.classify_head_eval(res.backbone, bb, res.head, sp,
+        res = evaluate.probe_train(weights, bb, spec, x[n_test:], y[n_test:])
+        acc = evaluate.classify_head_eval(res.backbone, bb, res.head, spec,
                                           x[:n_test], y[:n_test])
-        rows.append(("classify", "sine_mixture", "accuracy", acc))
+        return [("sine_mixture", "accuracy", acc)]
 
-    if "anomaly" in cfg.tasks:
+    if task == "anomaly":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 29)))
         train, test, labels = toy_anomaly(rng)
         win = bb.patch_len * min(bb.max_patches, 8)
@@ -535,32 +529,27 @@ def _evaluate_tasks(weights, bb: BackboneConfig, cfg: RunConfig, seed: int
         xw = np.stack([train[s : s + win] for s in starts])
         xn, _, _ = instance_norm(xw)
         targets = xn.reshape(len(starts), win // bb.patch_len, bb.patch_len)
-        res, sp = _probe_best(weights, bb, cfg, seed, "anomaly", xw, targets)
-        s_train = evaluate.anomaly_scores(res.backbone, bb, res.head, sp, train)
-        s_test = evaluate.anomaly_scores(res.backbone, bb, res.head, sp, test)
+        res = evaluate.probe_train(weights, bb, spec, xw, targets)
+        s_train = evaluate.anomaly_scores(res.backbone, bb, res.head, train)
+        s_test = evaluate.anomaly_scores(res.backbone, bb, res.head, test)
         preds = evaluate.threshold_by_percentile(s_train, s_test,
                                                  cfg.anomaly_percentile)
         preds = evaluate.point_adjust(preds, labels)
         precision, recall, f1 = evaluate.f1_score(preds, labels)
-        rows += [("anomaly", "spike_burst", "precision", precision),
-                 ("anomaly", "spike_burst", "recall", recall),
-                 ("anomaly", "spike_burst", "f1", f1)]
+        return [("spike_burst", "precision", precision),
+                ("spike_burst", "recall", recall),
+                ("spike_burst", "f1", f1)]
 
-    if "forecast" in cfg.tasks:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 37)))
-        ctx, tgt = toy_forecast(rng, context_len=cfg.context_len,
-                                horizon=cfg.horizon)
-        n = ctx.shape[0]
-        n_test = n // 4
-        sp = evaluate.ProbeSpec(mode=cfg.probe_mode, task="forecast",
-                                epochs=cfg.probe_epochs, seed=seed)
-        res = evaluate.probe_train(weights, bb, sp, ctx[n_test:], tgt[n_test:])
-        preds = evaluate.predict_head(res.backbone, bb, res.head, sp,
-                                      ctx[:n_test])
-        mse, mae = evaluate.forecast_metrics(preds, tgt[:n_test])
-        rows += [("forecast", f"ar2_h{cfg.horizon}", "mse", mse),
-                 ("forecast", f"ar2_h{cfg.horizon}", "mae", mae)]
-    return rows
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 37)))
+    ctx, tgt = toy_forecast(rng, context_len=cfg.context_len,
+                            horizon=cfg.horizon)
+    n_test = ctx.shape[0] // 4
+    res = evaluate.probe_train(weights, bb, spec, ctx[n_test:], tgt[n_test:])
+    preds = evaluate.predict_head(res.backbone, bb, res.head, spec,
+                                  ctx[:n_test])
+    mse, mae = evaluate.forecast_metrics(preds, tgt[:n_test])
+    return [(f"ar2_h{cfg.horizon}", "mse", mse),
+            (f"ar2_h{cfg.horizon}", "mae", mae)]
 
 
 def claim_run_dir(cfg: RunConfig) -> Path:
@@ -588,9 +577,10 @@ def claim_run_dir(cfg: RunConfig) -> Path:
 def run_experiment(cfg: RunConfig, log=None) -> list[MetricRecord]:
     """Pretrain + probe per seed, with crash-safe resume.
 
-    Each completed (seed, task) pair persists its rows under records/;
-    reruns load them instead of recomputing, so no duplicates and no
-    checkpoint clobbering.
+    Each (seed, task) pair writes its rows under records/ as soon as it
+    finishes; reruns load them instead of recomputing, so no duplicates,
+    and a seed with a task pending loads its checkpoint instead of
+    pretraining again.
     """
     run_dir = claim_run_dir(cfg)
     records_dir = run_dir / "records"
@@ -598,22 +588,19 @@ def run_experiment(cfg: RunConfig, log=None) -> list[MetricRecord]:
 
     records: list[MetricRecord] = []
     for seed in cfg.seeds:
-        pending = [t for t in cfg.tasks
-                   if not (records_dir / f"seed{seed}_{t}.csv").exists()]
-        if pending:
-            weights, bb = _backbone_for_seed(cfg, seed, ckpt_dir)
-            task_cfg = replace(cfg, tasks=tuple(pending))
-            rows = _evaluate_tasks(weights, bb, task_cfg, seed)
-            by_task: dict[str, list] = {t: [] for t in pending}
-            for task, dataset, metric, value in rows:
-                by_task[task].append(
+        backbone = None
+        for task in cfg.tasks:
+            path = records_dir / f"seed{seed}_{task}.csv"
+            if not path.exists():
+                if backbone is None:
+                    backbone = _backbone_for_seed(cfg, seed, ckpt_dir)
+                rows = _evaluate_task(*backbone, cfg, seed, task)
+                _write_record_file(path, [
                     MetricRecord(cfg.run_id, cfg.objective, cfg.data_source,
                                  cfg.n_layers, task, dataset, cfg.probe_mode,
-                                 metric, value, str(seed)))
-            for task, recs in by_task.items():
-                _write_record_file(records_dir / f"seed{seed}_{task}.csv", recs)
-        for task in cfg.tasks:
-            records += _read_record_file(records_dir / f"seed{seed}_{task}.csv")
+                                 metric, value, str(seed))
+                    for dataset, metric, value in rows])
+            records += _read_record_file(path)
         if log is not None:
             log({"seed": seed, "done": list(cfg.tasks)})
 
@@ -633,7 +620,7 @@ def _write_record_file(path: Path, records: list[MetricRecord]) -> None:
 
 def _read_record_file(path: Path) -> list[MetricRecord]:
     with open(path, newline="", encoding="utf-8") as fh:
-        return [MetricRecord.from_row(row) for row in csv.reader(fh) if row]
+        return _parse_rows(path, enumerate(csv.reader(fh), start=1))
 
 
 SWEEP_DIMENSIONS = ("layers", "data_source", "objective")

@@ -21,8 +21,10 @@ from .backbone import (
     encode,
     ema_update,
     init_encoder,
+    init_linear,
     init_predictor,
     instance_norm,
+    linear,
     run_predictor,
     save_backbone,
 )
@@ -128,15 +130,6 @@ class ObjectiveConfig:
             raise ValueError("lejepa_lambda must be in [0, 1]")
 
 
-def _linear(rng, d_in, d_out) -> dict[str, Tensor]:
-    s = 1.0 / np.sqrt(d_in)
-    return {
-        "w": Tensor(rng.normal(0, s, (d_in, d_out)).astype(np.float32),
-                    requires_grad=True),
-        "b": Tensor(np.zeros(d_out, np.float32), requires_grad=True),
-    }
-
-
 class ObjectiveState:
     """Backbone weights plus per-objective heads and teacher copies."""
 
@@ -154,19 +147,19 @@ class ObjectiveState:
         p = cfg.patch_len
         obj = ocfg.objective
         if obj == "mae":
-            self.heads["decoder"] = _linear(rng, d, p)
+            self.heads["decoder"] = init_linear(rng, d, p)
         elif obj == "ntp":
-            self.heads["horizon"] = _linear(rng, d, NTP_HORIZON * p)
+            self.heads["horizon"] = init_linear(rng, d, NTP_HORIZON * p)
         elif obj == "diffusion":
-            self.heads["dec1"] = _linear(rng, 2 * d, d)
-            self.heads["dec2"] = _linear(rng, d, p)
+            self.heads["dec1"] = init_linear(rng, 2 * d, d)
+            self.heads["dec2"] = init_linear(rng, d, p)
         elif obj == "jepa":
             self.predictor = init_predictor(self.cfg, rng)
             self.teacher = clone_weights(self.encoder)
         elif obj == "dino":
             k = ocfg.dino_prototypes
-            self.heads["proj1"] = _linear(rng, d, d)
-            self.heads["proj2"] = _linear(rng, d, k)
+            self.heads["proj1"] = init_linear(rng, d, d)
+            self.heads["proj2"] = init_linear(rng, d, k)
             self.teacher = clone_weights(self.encoder)
             self.teacher_heads = {name: clone_weights(hw)
                                   for name, hw in self.heads.items()}
@@ -189,10 +182,6 @@ class ObjectiveState:
             ema_update(hw, self.heads[head], m)
 
 
-def _apply_linear(x: Tensor, head: dict[str, Tensor]) -> Tensor:
-    return T.add(T.matmul(x, head["w"]), head["b"])
-
-
 def _pool(latents: Tensor) -> Tensor:
     return T.mean(latents, axis=1)
 
@@ -207,8 +196,8 @@ def mae_loss(state: ObjectiveState, batch: np.ndarray,
     b, n, p = patches.values.shape
     pm = sample_mask("random", rng, b, n)
     latents = encode(patches, state.encoder, state.cfg, patch_mask=pm)
-    recon = _apply_linear(T.reshape(latents, (b * n, state.cfg.d_model)),
-                          state.heads["decoder"])
+    recon = linear(T.reshape(latents, (b * n, state.cfg.d_model)),
+                   state.heads["decoder"])
     recon = T.reshape(recon, (b, n, p))
     diff = T.sub(recon, patches.values)
     sq = T.mul(diff, diff)
@@ -225,7 +214,7 @@ def ntp_loss(state: ObjectiveState, batch: np.ndarray) -> LossBreakdown:
         raise ShapeError(f"no positions with {h} future patches (n={n})")
     latents = encode(patches, state.encoder, state.cfg)
     valid = n - h  # positions 0..n-h-1 predict the next h patches
-    pred = _apply_linear(
+    pred = linear(
         T.reshape(latents[:, :valid], (b * valid, state.cfg.d_model)),
         state.heads["horizon"])
     pred = T.reshape(pred, (b, valid, h, p))
@@ -262,10 +251,9 @@ def diffusion_loss(state: ObjectiveState, batch: np.ndarray,
     # decoder sees the noised-patch embedding at n and causal context at n,
     # and predicts the clean next patch
     dec_in = T.concat([z_hat[:, : n - 1], context[:, : n - 1]], axis=2)
-    hidden = T.gelu(_apply_linear(
+    hidden = T.gelu(linear(
         T.reshape(dec_in, (b * (n - 1), 2 * d)), state.heads["dec1"]))
-    pred = T.reshape(_apply_linear(hidden, state.heads["dec2"]),
-                     (b, n - 1, p))
+    pred = T.reshape(linear(hidden, state.heads["dec2"]), (b, n - 1, p))
     diff = T.sub(pred, patches.values[:, 1:])
     total = T.mean(T.mul(diff, diff))
     return _single(total, "denoising")
@@ -336,8 +324,8 @@ def _dino_logits(view: np.ndarray, enc: Weights,
                  ) -> Tensor:
     patches = PatchBatch.from_windows(view, state.cfg.patch_len)
     pooled = _pool(encode(patches, enc, state.cfg))
-    hidden = T.gelu(_apply_linear(pooled, heads["proj1"]))
-    return _apply_linear(hidden, heads["proj2"])
+    hidden = T.gelu(linear(pooled, heads["proj1"]))
+    return linear(hidden, heads["proj2"])
 
 
 def dino_loss(state: ObjectiveState, view_pair: augment.ViewPair

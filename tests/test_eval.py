@@ -1,6 +1,7 @@
 """Probing, forecasting metrics, anomaly pipeline, and exports."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,8 +189,8 @@ def toy_classification(n=160, t=64, seed=5):
 def test_linear_probe_separable_through_random_backbone():
     w = make_backbone()
     x, y = toy_classification()
-    spec = E.ProbeSpec(mode="linear", task="classify", epochs=80, lr=1e-2,
-                       seed=1)
+    spec = E.ProbeSpec(mode="linear", task="classify", epochs=80,
+                       lrs=(1e-2,), seed=1)
     res = E.probe_train(w, CFG, spec, x, y)
     acc = E.classify_head_eval(w, CFG, res.head, spec, x, y)
     assert acc > 0.95
@@ -275,7 +276,7 @@ def test_finetune_returns_best_epoch_backbone():
     w = make_backbone()
     x, y = toy_classification(n=40)
     spec = E.ProbeSpec(mode="finetune", task="classify", epochs=6,
-                       batch_size=16, lr=0.03)
+                       batch_size=16, lrs=(0.03,))
     res = E.probe_train(w, CFG, spec, x, y)
     vals = [h["val_loss"] for h in res.history]
     assert int(np.argmin(vals)) < len(vals) - 1
@@ -353,8 +354,8 @@ def test_forecast_probe_learns_constant_map():
     sd = x.std(axis=1, keepdims=True) + 1e-8
     yn = ((y - mu) / sd).astype(np.float32)
     w = make_backbone()
-    spec = E.ProbeSpec(mode="linear", task="forecast", epochs=60, lr=1e-2,
-                       seed=2)
+    spec = E.ProbeSpec(mode="linear", task="forecast", epochs=60,
+                       lrs=(1e-2,), seed=2)
     res = E.probe_train(w, CFG, spec, x, yn)
     preds = E.predict_head(w, CFG, res.head, spec, x)
     mse, _ = E.forecast_metrics(preds, yn)
@@ -362,39 +363,50 @@ def test_forecast_probe_learns_constant_map():
     assert mse < 0.5 * zero_mse
 
 
-@pytest.mark.parametrize("mode", ["linear", "mlp"])
+def probe_targets(task, x, labels):
+    n_p = x.shape[1] // CFG.patch_len
+    return {"classify": labels,
+            "forecast": x[:, :4] * 0.1,
+            "anomaly": instance_norm(x)[0].reshape(len(x), n_p, CFG.patch_len),
+            }[task]
+
+
+@pytest.mark.parametrize("mode", ["linear", "mlp", "finetune"])
 @pytest.mark.parametrize("task", ["classify", "forecast", "anomaly"])
 def test_probe_train_shared_features_bitwise(mode, task):
-    # features computed once by the caller train the same head, bit for bit
+    # a grid call encodes a frozen backbone once for all its lrs, yet trains
+    # the heads the single-lr calls train, bit for bit, and returns the one
+    # with the lowest best_val
     w = make_backbone()
     x, labels = toy_classification(n=40)
-    n_p = x.shape[1] // CFG.patch_len
-    y = {"classify": labels,
-         "forecast": x[:, :4] * 0.1,
-         "anomaly": instance_norm(x)[0].reshape(40, n_p, CFG.patch_len),
-         }[task]
+    y = probe_targets(task, x, labels)
+    lrs = (3e-3, 1e-2, 3e-2)
     spec = E.ProbeSpec(mode=mode, task=task, epochs=3, batch_size=16,
-                       hidden=32, seed=4)
-    feats = E.frozen_features(w, CFG, task, x)
-    ref = E.probe_train(w, CFG, spec, x, y)
-    shared = E.probe_train(w, CFG, spec, x, y, features=feats)
-    assert shared.best_val == ref.best_val
-    assert shared.history == ref.history
-    assert shared.head.keys() == ref.head.keys()
-    for k in ref.head:
-        assert shared.head[k].data.tobytes() == ref.head[k].data.tobytes()
+                       hidden=32, seed=4, lrs=lrs)
+    singles = [E.probe_train(w, CFG, replace(spec, lrs=(lr,)), x, y)
+               for lr in lrs]
+    ref = min(singles, key=lambda r: r.best_val)
+    got = E.probe_train(w, CFG, spec, x, y)
+    assert got.best_val == ref.best_val
+    assert got.history == ref.history
+    for name, want in (("head", ref.head), ("backbone", ref.backbone)):
+        have = getattr(got, name)
+        assert have.keys() == want.keys()
+        for k in want:
+            assert have[k].data.tobytes() == want[k].data.tobytes(), (name, k)
+    if mode != "finetune":
+        assert got.backbone is w
 
 
-def test_probe_train_features_validation():
+def test_probe_default_lr_is_per_task():
     w = make_backbone()
-    x, y = toy_classification(n=40)
-    feats = E.frozen_features(w, CFG, "classify", x)
-    with pytest.raises(ShapeError):
-        E.probe_train(w, CFG, E.ProbeSpec(mode="finetune", task="classify"),
-                      x, y, features=feats)
-    with pytest.raises(ShapeError):
-        E.probe_train(w, CFG, E.ProbeSpec(task="classify"), x, y,
-                      features=feats[:-1])
+    x, labels = toy_classification(n=40)
+    for task, lr in E.DEFAULT_LR.items():
+        y = probe_targets(task, x, labels)
+        spec = E.ProbeSpec(task=task, epochs=2, seed=1)
+        got = E.probe_train(w, CFG, spec, x, y)
+        ref = E.probe_train(w, CFG, replace(spec, lrs=(lr,)), x, y)
+        assert got.history == ref.history
 
 
 @pytest.mark.parametrize("d", [32, 256])
@@ -429,7 +441,7 @@ def test_encode_tiles_match_one_encode(monkeypatch, d, n_patches):
 # anomaly pipeline
 
 
-def anomaly_scores_per_window(weights, cfg, head, spec, series):
+def anomaly_scores_per_window(weights, cfg, head, series):
     """Reference: one instance norm, encode and head forward per window."""
     series = np.asarray(series, dtype=np.float32)
     win = cfg.patch_len * min(cfg.max_patches, 32)
@@ -471,8 +483,8 @@ def test_anomaly_scores_match_per_window_reference(d, t, mode):
     head = E._init_head(spec, d, cfg.patch_len, rng)
     series = (np.sin(np.arange(t) * 0.05) + 0.3 * rng.standard_normal(t)
               ).astype(np.float32)
-    got = E.anomaly_scores(w, cfg, head, spec, series)
-    ref = anomaly_scores_per_window(w, cfg, head, spec, series)
+    got = E.anomaly_scores(w, cfg, head, series)
+    ref = anomaly_scores_per_window(w, cfg, head, series)
     assert got.tobytes() == ref.tobytes()
 
 
@@ -487,10 +499,10 @@ def test_anomaly_scores_cover_series_and_localize():
     targets = E.instance_norm(x_train)[0].reshape(8, n_p, CFG.patch_len)
     spec = E.ProbeSpec(mode="linear", task="anomaly", epochs=30, seed=3)
     res = E.probe_train(w, CFG, spec, x_train, targets)
-    clean = E.anomaly_scores(w, CFG, res.head, spec, base)
+    clean = E.anomaly_scores(w, CFG, res.head, base)
     assert clean.shape == (t,)
     assert np.isfinite(clean).all() and (clean >= 0).all()
     corrupted = base.copy()
     corrupted[200] += 30.0
-    scores = E.anomaly_scores(w, CFG, res.head, spec, corrupted)
+    scores = E.anomaly_scores(w, CFG, res.head, corrupted)
     assert abs(int(np.argmax(scores)) - 200) <= CFG.patch_len

@@ -308,9 +308,83 @@ def test_probe_grid_encodes_frozen_inputs_once(mode, passes, monkeypatch,
     weights = init_encoder(bb, np.random.default_rng(0))
     x, y = H.toy_classification(np.random.default_rng(1), n_per_class=10)
     assert x.shape[0] == 40  # 8 validation rows, 2 full batches of 16
-    res, spec = H._probe_best(weights, bb, cfg, 1, "classify", x, y)
+    spec = E.ProbeSpec(mode=mode, task="classify", epochs=1, seed=1,
+                       lrs=H.PROBE_LR_GRID, batch_size=16)
+    res = E.probe_train(weights, bb, spec, x, y)
     assert sum(rows) == passes * x.shape[0]
-    assert spec.mode == mode and len(res.history) == 1
+    assert len(res.history) == 1
+
+
+def run_files(run_dir):
+    """Bytes of every file a run wrote, but its config (which names the
+    output root)."""
+    return {p.relative_to(run_dir): p.read_bytes()
+            for p in sorted(run_dir.rglob("*"))
+            if p.is_file() and p.name != "config.ini"}
+
+
+def count_pretrain_calls(monkeypatch):
+    calls = []
+    pretrain = H.objectives.pretrain
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return pretrain(*args, **kwargs)
+
+    monkeypatch.setattr(H.objectives, "pretrain", spy)
+    return calls
+
+
+def test_a_failing_task_keeps_the_finished_tasks(tmp_path, monkeypatch):
+    # each (seed, task) is saved when it finishes, so a later task's
+    # failure loses nothing, and the rerun evaluates only what is pending
+    # from the seed's checkpoint
+    cfg = fast_cfg(tmp_path, run_id="fail", tasks=("classify", "forecast"))
+    toy_forecast = H.toy_forecast
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("forecast failed")
+
+    monkeypatch.setattr(H, "toy_forecast", boom)
+    with pytest.raises(RuntimeError, match="forecast failed"):
+        H.run_experiment(cfg)
+    records = cfg.run_dir() / "records"
+    assert [p.name for p in records.iterdir()] == ["seed1_classify.csv"]
+    classify = (records / "seed1_classify.csv").read_bytes()
+
+    monkeypatch.setattr(H, "toy_forecast", toy_forecast)
+    calls = count_pretrain_calls(monkeypatch)
+    H.run_experiment(cfg)
+    assert calls == []
+    assert (records / "seed1_classify.csv").read_bytes() == classify
+    whole = replace(cfg, output_root=str(tmp_path / "whole"))
+    H.run_experiment(whole)
+    assert run_files(cfg.run_dir()) == run_files(whole.run_dir())
+
+
+def test_evaluate_reuses_the_seed_checkpoints(tmp_path, monkeypatch, capsys):
+    # a seed's checkpoint stands for its pretraining: a rerun without
+    # records, and `evaluate` after `pretrain`, pretrain nothing more and
+    # write the bytes of one uninterrupted run
+    cfg = fast_cfg(tmp_path, run_id="re", seeds=(1, 2),
+                   tasks=("classify", "forecast"))
+    H.run_experiment(cfg)
+    before = run_files(cfg.run_dir())
+    calls = count_pretrain_calls(monkeypatch)
+    for path in (cfg.run_dir() / "records").iterdir():
+        path.unlink()
+    (cfg.run_dir() / "metrics.csv").unlink()
+    H.run_experiment(cfg)
+    assert calls == []
+    assert run_files(cfg.run_dir()) == before
+
+    split = replace(cfg, output_root=str(tmp_path / "split"))
+    H.save_run_config(split, tmp_path / "c.ini")
+    for command in ("pretrain", "evaluate"):
+        assert cli.main([command, "--config", str(tmp_path / "c.ini")]) == 0
+    assert len(calls) == 2  # one per seed, in `pretrain`
+    assert run_files(split.run_dir()) == before
+    capsys.readouterr()
 
 
 def test_finetune_metrics_independent_of_task_order(tmp_path):
@@ -398,6 +472,21 @@ def test_generated_corpus_is_a_dataset_path(tmp_path, capsys):
                                   generated.reshape(6, 128))
     records = H.run_experiment(real)
     assert records and all(np.isfinite(r.value) for r in records)
+
+
+@pytest.mark.parametrize("row", [
+    "r,mae,synthetic,1,classify",
+    "r,mae,synthetic,1,classify,sine_mixture,linear,accuracy,high,1",
+])
+def test_evaluate_rejects_a_malformed_record_file(tmp_path, capsys, row):
+    cfg = fast_cfg(tmp_path, run_id="mal", tasks=("classify",))
+    H.save_run_config(cfg, tmp_path / "c.ini")
+    assert cli.main(["evaluate", "--config", str(tmp_path / "c.ini")]) == 0
+    record = cfg.run_dir() / "records" / "seed1_classify.csv"
+    record.write_text(record.read_text() + row + "\n")
+    assert cli.main(["evaluate", "--config", str(tmp_path / "c.ini")]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{record}: line 2: bad metric row" in err
 
 
 @pytest.mark.parametrize("damage", ["count", "checksum", "missing_shard"])
