@@ -27,7 +27,8 @@ def main():
               f"final {res.final_loss:.4f} best-val {res.best_val:.4f}")
 
     # the loss dispatcher works step-by-step too
-    state = O.ObjectiveState(bb, O.ObjectiveConfig(objective="diffusion"),
+    state = O.ObjectiveState(O.PretrainConfig(objective="diffusion",
+                                              backbone=bb),
                              np.random.default_rng(1))
     batch = corpus.sample_windows(np.random.default_rng(2), 8, 128)
     out = O.compute_loss(state, batch, np.random.default_rng(3), step=0)

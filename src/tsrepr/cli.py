@@ -47,12 +47,6 @@ def cmd_generate(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
-    overrides = {"objective": args.objective, "n_layers": args.layers,
-                 "d_model": args.d_model, "epochs": args.epochs,
-                 "batch_size": args.batch, "output_root": args.out}
-    overrides = {k: v for k, v in overrides.items() if v}
-    if overrides:
-        cfg = replace(cfg, **overrides)
     if cfg.objective == "none":
         raise ConfigError("pretrain requires an objective other than 'none'")
     # a seed's checkpoint does not depend on the config's other seeds
@@ -145,14 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = with_config(sub.add_parser("pretrain", help="pretrain backbones"))
-    p.add_argument("--objective", default="")
-    p.add_argument("--layers", type=int, default=0)
-    p.add_argument("--d-model", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=0)
-    p.add_argument("--batch", type=int, default=0)
     p.add_argument("--seed", type=int, default=None,
                    help="pretrain this one seed (default: the config's seeds)")
-    p.add_argument("--out", default="", help="override output root")
     p.set_defaults(func=cmd_pretrain)
 
     p = with_config(sub.add_parser("evaluate", help="run the task battery"))

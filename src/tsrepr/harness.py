@@ -95,6 +95,10 @@ class RunConfig:
             raise ConfigError(f"tasks must be a non-empty subset of {TASKS}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        for name in ("seeds", "tasks"):  # one metric row per (seed, task)
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} repeat: {list(values)}")
         for name in ("d_model", "n_layers", "n_heads", "patch_len",
                      "max_patches", "epochs", "batch_size", "corpus_series",
                      "probe_epochs", "context_len", "horizon"):
@@ -285,6 +289,9 @@ class MetricRecord:
 
     @classmethod
     def from_row(cls, row: list[str]) -> "MetricRecord":
+        if len(row) != len(METRIC_COLUMNS):
+            raise ValueError(f"{len(row)} cells, expected "
+                             f"{len(METRIC_COLUMNS)}")
         return cls(row[0], row[1], row[2], int(row[3]), row[4], row[5],
                    row[6], row[7], float(row[8]), row[9])
 
@@ -325,7 +332,7 @@ def _parse_rows(path, numbered_rows) -> list[MetricRecord]:
             continue
         try:
             records.append(MetricRecord.from_row(row))
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: bad metric row "
                             f"({exc})") from exc
     return records

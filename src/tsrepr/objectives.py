@@ -2,7 +2,7 @@
 
 Objectives: mae, ntp, diffusion (generative, signal-space targets) and
 jepa, lejepa, dino (latent alignment).  Each loss returns a
-:class:`LossBreakdown` whose weighted components recombine to the total.
+:class:`LossBreakdown`: the total and its unweighted components.
 """
 
 from __future__ import annotations
@@ -87,19 +87,14 @@ ALPHA_BAR = np.cumprod(1.0 - np.linspace(1e-4, 0.02, 1000))
 @dataclass
 class LossBreakdown:
     total: Tensor
-    components: dict[str, float] = field(default_factory=dict)
-    weights: dict[str, float] = field(default_factory=dict)
-
-    def recombined(self) -> float:
-        return float(sum(self.weights.get(k, 1.0) * v
-                         for k, v in self.components.items()))
+    components: dict[str, float]
 
     def value(self) -> float:
         return float(self.total.data)
 
 
 def _single(total: Tensor, name: str) -> LossBreakdown:
-    return LossBreakdown(total, {name: float(total.data)}, {name: 1.0})
+    return LossBreakdown(total, {name: float(total.data)})
 
 
 # ---------------------------------------------------------------------------
@@ -114,38 +109,24 @@ DINO_TEACHER_TEMP = 0.04
 DINO_CENTER_MOMENTUM = 0.9
 
 
-@dataclass
-class ObjectiveConfig:
-    objective: str = "mae"
-    ema_momentum: float = 0.996
-    lejepa_lambda: float = 0.008
-    epps_pulley: sigreg.EppsPulleyConfig = field(
-        default_factory=lambda: sigreg.EppsPulleyConfig(n_projections=64))
-    dino_prototypes: int = 256
-
-    def __post_init__(self):
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}")
-        if not 0.0 <= self.lejepa_lambda <= 1.0:
-            raise ValueError("lejepa_lambda must be in [0, 1]")
-
-
 class ObjectiveState:
-    """Backbone weights plus per-objective heads and teacher copies."""
+    """Backbone weights plus per-objective heads and teacher copies;
+    ``cfg`` is the backbone config with the objective's causal flag."""
 
-    def __init__(self, cfg: BackboneConfig, ocfg: ObjectiveConfig,
-                 rng: np.random.Generator):
-        self.cfg = replace(cfg, causal=(ocfg.objective in ("ntp", "diffusion")))
-        self.ocfg = ocfg
+    def __init__(self, pcfg: PretrainConfig, rng: np.random.Generator):
+        obj = pcfg.objective
+        self.cfg = replace(pcfg.backbone, causal=(obj in ("ntp", "diffusion")))
+        self.pcfg = pcfg
+        self.epps_pulley = sigreg.EppsPulleyConfig(
+            n_projections=pcfg.sigreg_projections)
         self.encoder: Weights = init_encoder(self.cfg, rng)
         self.heads: dict[str, dict[str, Tensor]] = {}
         self.predictor: Weights | None = None
         self.teacher: Weights | None = None
         self.teacher_heads: dict[str, dict[str, Tensor]] | None = None
         self.center: np.ndarray | None = None
-        d = cfg.d_model
-        p = cfg.patch_len
-        obj = ocfg.objective
+        d = self.cfg.d_model
+        p = self.cfg.patch_len
         if obj == "mae":
             self.heads["decoder"] = init_linear(rng, d, p)
         elif obj == "ntp":
@@ -157,7 +138,7 @@ class ObjectiveState:
             self.predictor = init_predictor(self.cfg, rng)
             self.teacher = clone_weights(self.encoder)
         elif obj == "dino":
-            k = ocfg.dino_prototypes
+            k = pcfg.dino_prototypes
             self.heads["proj1"] = init_linear(rng, d, d)
             self.heads["proj2"] = init_linear(rng, d, k)
             self.teacher = clone_weights(self.encoder)
@@ -176,7 +157,7 @@ class ObjectiveState:
     def ema_step(self) -> None:
         if self.teacher is None:
             return
-        m = self.ocfg.ema_momentum
+        m = self.pcfg.ema_momentum
         ema_update(self.teacher, self.encoder, m)
         for head, hw in (self.teacher_heads or {}).items():
             ema_update(hw, self.heads[head], m)
@@ -296,13 +277,12 @@ def jepa_loss(state: ObjectiveState, batch: np.ndarray,
     return LossBreakdown(
         total,
         {"distill": float(distill.data), "variance": float(var_term.data),
-         "covariance": float(cov_term.data)},
-        {"distill": 1.0, "variance": lam_v, "covariance": lam_c})
+         "covariance": float(cov_term.data)})
 
 
 def lejepa_loss(state: ObjectiveState, view_pair: augment.ViewPair,
                 step: int = 0) -> LossBreakdown:
-    lam = state.ocfg.lejepa_lambda
+    lam = state.pcfg.lejepa_lambda
     p = state.cfg.patch_len
     g_patches = PatchBatch.from_windows(view_pair.teacher_view, p)
     a_patches = PatchBatch.from_windows(view_pair.student_view, p)
@@ -311,12 +291,11 @@ def lejepa_loss(state: ObjectiveState, view_pair: augment.ViewPair,
     diff = T.sub(z_g, z_a)
     invariance = T.mean(T.mul(diff, diff))
     z_m = T.concat([z_g, z_a], axis=0)
-    stat = sigreg.epps_pulley_statistic(z_m, state.ocfg.epps_pulley, step)
+    stat = sigreg.epps_pulley_statistic(z_m, state.epps_pulley, step)
     total = T.add(T.mul(invariance, 1.0 - lam), T.mul(stat, lam))
     return LossBreakdown(
         total,
-        {"invariance": float(invariance.data), "sigreg": float(stat.data)},
-        {"invariance": 1.0 - lam, "sigreg": lam})
+        {"invariance": float(invariance.data), "sigreg": float(stat.data)})
 
 
 def _dino_logits(view: np.ndarray, enc: Weights,
@@ -361,13 +340,18 @@ class PretrainConfig:
     lr: float | None = None
     seed: int = 2003
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
-    objective_cfg: ObjectiveConfig | None = None
     data_source: str = "corpus"  # origin named in the checkpoint header
+    # what the ablations vary; the other loss settings are module constants
+    ema_momentum: float = 0.996   # jepa and dino teachers
+    lejepa_lambda: float = 0.008  # SIGReg weight of the lejepa loss
+    sigreg_projections: int = 64
+    dino_prototypes: int = 256
 
-    def resolved_objective_cfg(self) -> ObjectiveConfig:
-        if self.objective_cfg is not None:
-            return self.objective_cfg
-        return ObjectiveConfig(objective=self.objective)
+    def __post_init__(self):
+        if self.objective not in OBJECTIVES:
+            raise ValueError(f"objective must be one of {OBJECTIVES}")
+        if not 0.0 <= self.lejepa_lambda <= 1.0:
+            raise ValueError("lejepa_lambda must be in [0, 1]")
 
     def resolved_lr(self) -> float:
         if self.lr is not None:
@@ -404,7 +388,7 @@ class ArrayCorpus:
 def compute_loss(state: ObjectiveState, batch: np.ndarray,
                  rng: np.random.Generator, step: int) -> LossBreakdown:
     """Dispatch one pretraining loss on an instance-normalized batch."""
-    obj = state.ocfg.objective
+    obj = state.pcfg.objective
     if obj == "mae":
         return mae_loss(state, batch, rng)
     if obj == "ntp":
@@ -436,13 +420,10 @@ class PretrainResult:
 def pretrain(corpus: ArrayCorpus, cfg: PretrainConfig,
              out_path=None, log=None) -> PretrainResult:
     """Run the epoch loop for one objective; deterministic given seed."""
-    if cfg.objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}")
     ss = np.random.SeedSequence(cfg.seed)
     init_rng, data_rng, loss_rng, val_rng = [
         np.random.default_rng(s) for s in ss.spawn(4)]
-    ocfg = cfg.resolved_objective_cfg()
-    state = ObjectiveState(cfg.backbone, ocfg, init_rng)
+    state = ObjectiveState(cfg, init_rng)
     params = state.trainable()
     if cfg.objective == "jepa":
         opt = optim.MomentumSGD(params, lr=cfg.resolved_lr())

@@ -46,11 +46,9 @@ def test_criterion_01_six_loss_gradient_check():
     worst_overall = 0.0
     per_objective = {}
     for objective in O.OBJECTIVES:
-        ocfg = O.ObjectiveConfig(
-            objective=objective,
-            epps_pulley=S.EppsPulleyConfig(n_projections=8),
-            dino_prototypes=32)
-        state = O.ObjectiveState(BB, ocfg, np.random.default_rng(0))
+        pcfg = O.PretrainConfig(objective=objective, backbone=BB,
+                                sigreg_projections=8, dino_prototypes=32)
+        state = O.ObjectiveState(pcfg, np.random.default_rng(0))
 
         def loss_value():
             if state.center is not None:
@@ -167,11 +165,10 @@ def test_criterion_03_sigreg_separation_and_gradient():
 def _lejepa_embedding_std(lam: float) -> float:
     corpus = O.ArrayCorpus(np.random.default_rng(0)
                            .standard_normal((500, 256)).astype(np.float32))
-    ocfg = O.ObjectiveConfig(objective="lejepa", lejepa_lambda=lam,
-                             epps_pulley=S.EppsPulleyConfig(n_projections=64))
     cfg = O.PretrainConfig(objective="lejepa", epochs=10, batch_size=32,
                            steps_per_epoch=20, window_len=128, seed=2003,
-                           backbone=BB, objective_cfg=ocfg, lr=0.025)
+                           backbone=BB, lejepa_lambda=lam,
+                           sigreg_projections=64, lr=0.025)
     res = O.pretrain(corpus, cfg)
     x = corpus.sample_windows(np.random.default_rng(99), 128, 128)
     xn, _, _ = instance_norm(x)
@@ -203,14 +200,11 @@ def test_criterion_05_all_objectives_train():
     ratios = {}
     deterministic = True
     for name, kw in settings.items():
-        ocfg = O.ObjectiveConfig(
-            objective=name, ema_momentum=kw.get("ema", 0.996),
-            epps_pulley=S.EppsPulleyConfig(n_projections=64),
-            dino_prototypes=64)
         pcfg = O.PretrainConfig(objective=name, epochs=20, batch_size=32,
                                 steps_per_epoch=20, window_len=128, seed=2003,
                                 lr=kw.get("lr"), backbone=BB,
-                                objective_cfg=ocfg)
+                                ema_momentum=kw.get("ema", 0.996),
+                                sigreg_projections=64, dino_prototypes=64)
         res = O.pretrain(corpus, pcfg)
         best = min(h["train_loss"] for h in res.history)
         ratios[name] = best / res.initial_loss
@@ -222,8 +216,9 @@ def test_criterion_05_all_objectives_train():
     batch = np.random.default_rng(1).standard_normal((4, 128)).astype(
         np.float32)
     for name in ("jepa", "dino"):
-        ocfg = O.ObjectiveConfig(objective=name, dino_prototypes=32)
-        state = O.ObjectiveState(BB, ocfg, np.random.default_rng(0))
+        pcfg = O.PretrainConfig(objective=name, backbone=BB,
+                                dino_prototypes=32)
+        state = O.ObjectiveState(pcfg, np.random.default_rng(0))
         with Tape():
             lb = O.compute_loss(state, batch, np.random.default_rng(8), 0)
             backward(lb.total)

@@ -90,7 +90,11 @@ def test_config_validation():
                 # -1 trained no step and saved the initial weights; a
                 # negative lr climbs the loss
                 dict(steps_per_epoch=-1),
-                dict(lr=-1e-3)):
+                dict(lr=-1e-3),
+                # a repeated seed or task once failed only when
+                # write_metrics met the duplicate rows
+                dict(seeds=(0, 0)),
+                dict(tasks=("classify", "classify"))):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     # the table need cover only windows the run encodes
@@ -189,6 +193,8 @@ def test_metric_bad_header_rejected(tmp_path, capsys):
     ("r,mae,synthetic,2,classify,sine_mixture,linear,accuracy,high,1", 3),
     ("r,mae,synthetic,2,classify", 3),
     ("r,mae,synthetic,two,classify,sine_mixture,linear,accuracy,0.5,1", 3),
+    # an extra cell once parsed to a record with seed '1'
+    ("r,mae,synthetic,2,classify,sine,linear,accuracy,0.5,1,EXTRA", 3),
 ])
 def test_metric_bad_row_names_file_and_line(tmp_path, row, lineno):
     path = tmp_path / "m.csv"
@@ -477,6 +483,7 @@ def test_generated_corpus_is_a_dataset_path(tmp_path, capsys):
 @pytest.mark.parametrize("row", [
     "r,mae,synthetic,1,classify",
     "r,mae,synthetic,1,classify,sine_mixture,linear,accuracy,high,1",
+    "r,mae,synthetic,2,classify,sine,linear,accuracy,0.5,1,EXTRA",
 ])
 def test_evaluate_rejects_a_malformed_record_file(tmp_path, capsys, row):
     cfg = fast_cfg(tmp_path, run_id="mal", tasks=("classify",))
@@ -609,6 +616,26 @@ def test_cli_pretrain_refuses_a_different_config(tmp_path, capsys):
     assert cli.main(["pretrain", "--config", str(tmp_path / "c3.ini")]) == 2
     assert "epochs" in capsys.readouterr().err
     assert ckpt.read_bytes() == before
+
+
+def test_cli_pretrain_takes_its_settings_from_the_config(tmp_path, capsys):
+    # a zero override was once dropped silently and the run went on
+    H.save_run_config(fast_cfg(tmp_path, run_id="flags"), tmp_path / "c.ini")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pretrain", "--config", str(tmp_path / "c.ini"),
+                  "--layers", "0"])
+    assert exc.value.code == 2
+    assert "--layers" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_repeated_seeds_exit_two(tmp_path, capsys):
+    path = tmp_path / "c.ini"
+    H.save_run_config(fast_cfg(tmp_path, run_id="rep"), path)
+    path.write_text(path.read_text().replace("seeds = 1", "seeds = 0,0"))
+    assert cli.main(["evaluate", "--config", str(path)]) == 2
+    assert "seeds repeat" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_config_error_exit_two(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tsrepr import augment, objectives as O, sigreg
+from tsrepr import augment, objectives as O
 from tsrepr.backbone import BackboneConfig, weights_hash
 from tsrepr.tensor import ShapeError, Tape, backward
 
@@ -12,11 +12,9 @@ TINY = BackboneConfig(d_model=16, n_layers=1, n_heads=2, patch_len=8,
 
 
 def make_state(objective, seed=0, cfg=TINY, **kw):
-    ocfg = O.ObjectiveConfig(
-        objective=objective,
-        epps_pulley=sigreg.EppsPulleyConfig(n_projections=8),
-        dino_prototypes=32, **kw)
-    return O.ObjectiveState(cfg, ocfg, np.random.default_rng(seed))
+    pcfg = O.PretrainConfig(objective=objective, backbone=cfg,
+                            sigreg_projections=8, dino_prototypes=32, **kw)
+    return O.ObjectiveState(pcfg, np.random.default_rng(seed))
 
 
 def make_batch(b=4, t=64, seed=1):
@@ -101,7 +99,12 @@ def test_breakdown_recombines(objective):
     with Tape():
         lb = O.compute_loss(state, batch, np.random.default_rng(3), step=0)
     assert np.isfinite(lb.value())
-    assert abs(lb.value() - lb.recombined()) < 1e-5 * max(1.0, abs(lb.value()))
+    lam = state.pcfg.lejepa_lambda
+    weights = {"variance": O.VICREG_VAR_WEIGHT,
+               "covariance": O.VICREG_COV_WEIGHT,
+               "invariance": 1.0 - lam, "sigreg": lam}
+    weighted = sum(weights.get(k, 1.0) * v for k, v in lb.components.items())
+    assert abs(lb.value() - weighted) < 1e-5 * max(1.0, abs(lb.value()))
 
 
 def test_mae_offset_oracle():
@@ -261,11 +264,8 @@ def _tiny_pretrain(objective, seed=2003):
         (16, 96)).astype(np.float32))
     cfg = O.PretrainConfig(
         objective=objective, epochs=2, batch_size=4, steps_per_epoch=2,
-        window_len=64, seed=seed, backbone=TINY,
-        objective_cfg=O.ObjectiveConfig(
-            objective=objective,
-            epps_pulley=sigreg.EppsPulleyConfig(n_projections=8),
-            dino_prototypes=32))
+        window_len=64, seed=seed, backbone=TINY, sigreg_projections=8,
+        dino_prototypes=32)
     return O.pretrain(corpus, cfg)
 
 
@@ -300,6 +300,8 @@ def test_pretrain_deterministic():
 
 
 def test_pretrain_rejects_unknown_objective():
-    corpus = O.ArrayCorpus(np.zeros((4, 32), np.float32))
-    with pytest.raises(ValueError):
-        O.pretrain(corpus, O.PretrainConfig(objective="cpc"))
+    # checked when the config is built, before any pretraining
+    for bad in (dict(objective="cpc"),
+                dict(objective="lejepa", lejepa_lambda=1.5)):
+        with pytest.raises(ValueError):
+            O.PretrainConfig(**bad)
