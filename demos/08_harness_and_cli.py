@@ -7,6 +7,10 @@ from the shell:
     tsrepr pretrain --config run.ini
     tsrepr evaluate --config run.ini
     tsrepr export-metrics --out metrics.csv runs/demo/metrics.csv
+
+and `tsrepr sweep --config run.ini KEY V1,V2,...` runs one child per value
+of any config key but run_id, output_root, seeds and tasks, for example
+`n_layers 1,2,4` for a depth curve or `probe_mode linear,finetune`.
 """
 
 import tempfile

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +59,6 @@ def cmd_pretrain(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    if args.mode:
-        cfg = replace(cfg, probe_mode=args.mode)
     records = harness.run_experiment(cfg)
     print(f"{len(records)} metric rows -> {cfg.run_dir() / 'metrics.csv'}")
     return 0
@@ -70,7 +67,7 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
-    records, failures = harness.sweep(args.dimension, values, cfg)
+    records, failures = harness.sweep(args.key, values, cfg)
     print(f"{len(records)} combined rows; {len(failures)} failed children")
     for value, err in failures:
         print(f"  {value}: {err}", file=sys.stderr)
@@ -144,14 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pretrain)
 
     p = with_config(sub.add_parser("evaluate", help="run the task battery"))
-    p.add_argument("--mode", choices=harness.PROBE_MODES, default="",
-                   help="probe mode (default: the config's probe_mode)")
     p.set_defaults(func=cmd_evaluate)
 
-    p = with_config(sub.add_parser("sweep", help="sweep one dimension"))
-    p.add_argument("--dimension", required=True,
-                   choices=harness.SWEEP_DIMENSIONS)
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p = with_config(sub.add_parser(
+        "sweep", help="run one child per value of a config key"))
+    p.add_argument("key", help="a RunConfig key, e.g. n_layers")
+    p.add_argument("values", help="comma-separated values")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("augment-preview", help="write teacher/student views")

@@ -104,6 +104,9 @@ class RunConfig:
                      "probe_epochs", "context_len", "horizon"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.d_model % self.n_heads:
+            raise ConfigError(f"n_heads {self.n_heads} does not divide "
+                              f"d_model {self.d_model}")
         for name in ("steps_per_epoch", "lr"):  # 0 means the default
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -185,10 +188,7 @@ def load_run_config(path) -> RunConfig:
             if key not in _CONFIG_SECTIONS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             kwargs[key] = _parse_value(key, raw)
-    try:
-        return RunConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**kwargs)
 
 
 def _parse_value(key: str, raw: str):
@@ -630,36 +630,39 @@ def _read_record_file(path: Path) -> list[MetricRecord]:
         return _parse_rows(path, enumerate(csv.reader(fh), start=1))
 
 
-SWEEP_DIMENSIONS = ("layers", "data_source", "objective")
+# keys that name the run itself rather than a setting of it
+_RUN_KEYS = ("run_id", "output_root", "seeds", "tasks")
 
 
-def sweep(dimension: str, values, base: RunConfig
+def sweep(key: str, values, base: RunConfig
           ) -> tuple[list[MetricRecord], list[tuple[str, str]]]:
-    """Run one child experiment per value; failures are recorded and the
-    sweep continues.  Returns (combined records, [(value, error), ...])."""
-    if dimension not in SWEEP_DIMENSIONS:
-        raise ConfigError(f"sweep dimension must be one of {SWEEP_DIMENSIONS}")
-    if not values:
-        raise ConfigError("sweep needs at least one value")
-    if len(set(values)) != len(values):
-        raise ConfigError(f"sweep values repeat: {list(values)}")
-    key = {"layers": "n_layers", "data_source": "data_source",
-           "objective": "objective"}[dimension]
+    """One child experiment per value of the RunConfig key ``key``, run
+    ``{run_id}_{key}_{value}``; returns (records, [(value, error), ...]).
+
+    Values parse as in a config file.  Every child config is built first,
+    so a refused key or a bad, invalid or repeated value raises ConfigError
+    and runs nothing; a child that fails while it runs is recorded."""
+    if key not in _FIELD_TYPES or key in _RUN_KEYS:
+        raise ConfigError(f"cannot sweep {key!r}: sweep a RunConfig key "
+                          f"other than {', '.join(_RUN_KEYS)}")
+    parsed = [_parse_value(key, str(v)) for v in values]
+    if not parsed or len(set(parsed)) != len(parsed):
+        raise ConfigError(f"sweep values are empty or repeat: {list(values)}")
+    children = [replace(base, run_id=f"{base.run_id}_{key}_{value}",
+                        **{key: value}) for value in parsed]
     combined: list[MetricRecord] = []
     failures: list[tuple[str, str]] = []
-    for value in values:
+    for value, child in zip(parsed, children):
         try:
-            child = replace(base, run_id=f"{base.run_id}_{dimension}_{value}",
-                            **{key: int(value) if key == "n_layers"
-                               else str(value)})
             combined += run_experiment(child)
         except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
             failures.append((str(value), f"{type(exc).__name__}: {exc}"))
     out_dir = Path(base.output_root)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics(out_dir / f"{base.run_id}_{dimension}_sweep.csv", combined)
+    write_metrics(out_dir / f"{base.run_id}_{key}_sweep.csv", combined)
+    failed = out_dir / f"{base.run_id}_{key}_failures.txt"
+    failed.unlink(missing_ok=True)  # a rerun reports only its own failures
     if failures:
-        (out_dir / f"{base.run_id}_{dimension}_failures.txt").write_text(
-            "\n".join(f"{v}\t{e}" for v, e in failures) + "\n",
-            encoding="utf-8")
+        failed.write_text("\n".join(f"{v}\t{e}" for v, e in failures) + "\n",
+                          encoding="utf-8")
     return combined, failures

@@ -58,19 +58,21 @@ class KernelComposition:
             raise ValueError("operators must be add|multiply")
 
 
+WEIBULL_SHAPE = 1.5
+WEIBULL_SCALE = 4.0
+LATENT_CLIP = (1, 10)
+DIRICHLET_ALPHA_RANGE = (0.1, 1.0)
+
+
 @dataclass
 class LcmConfig:
     n_channels: int = 160
     series_length: int = 2500
     series_count: int = 4000
-    weibull_shape: float = 1.5
-    weibull_scale: float = 4.0
-    latent_clip: tuple[int, int] = (1, 10)
-    dirichlet_alpha_range: tuple[float, float] = (0.1, 1.0)
 
     def __post_init__(self):
-        if self.n_channels < 1 or self.latent_clip[0] < 1:
-            raise ValueError("need n_channels >= 1 and latent clip >= 1")
+        if self.n_channels < 1:
+            raise ValueError("need n_channels >= 1")
 
 
 def sample_kernel_composition(rng: np.random.Generator) -> KernelComposition:
@@ -176,13 +178,16 @@ def sample_univariate(rng: np.random.Generator, t: int) -> np.ndarray:
 
 def sample_multivariate_lcm(cfg: LcmConfig, rng: np.random.Generator
                             ) -> np.ndarray:
-    """(C, T) channels mixed from J latent GP factors via simplex weights."""
-    lo, hi = cfg.latent_clip
-    j = int(np.clip(round(rng.weibull(cfg.weibull_shape) * cfg.weibull_scale),
-                    lo, hi))
+    """(C, T) channels mixed from J latent GP factors via simplex weights.
+
+    J is round(Weibull(WEIBULL_SHAPE) * WEIBULL_SCALE) clipped to
+    LATENT_CLIP; the Dirichlet concentration is uniform on
+    DIRICHLET_ALPHA_RANGE."""
+    j = int(np.clip(round(rng.weibull(WEIBULL_SHAPE) * WEIBULL_SCALE),
+                    *LATENT_CLIP))
     factors = np.stack([sample_univariate(rng, cfg.series_length)
                         for _ in range(j)])  # (J, T)
-    alpha = rng.uniform(*cfg.dirichlet_alpha_range)
+    alpha = rng.uniform(*DIRICHLET_ALPHA_RANGE)
     weights = rng.dirichlet(np.full(j, alpha), size=cfg.n_channels)  # (C, J)
     return weights @ factors
 
@@ -198,11 +203,6 @@ def standardized_series(entropy, t: int) -> np.ndarray:
     stream seeded by ``entropy`` (a SeedSequence entropy value)."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
     return _standardize(sample_univariate(rng, t))
-
-
-def _config_digest(cfg: LcmConfig, univariate: bool) -> str:
-    text = repr((cfg, univariate))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def generate_corpus(cfg: LcmConfig, univariate: bool, out_dir,
@@ -227,6 +227,7 @@ def generate_corpus(cfg: LcmConfig, univariate: bool, out_dir,
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         for i, series in enumerate(pool.map(make, range(n))):
             rows[i] = series
+    digest = hashlib.sha256(repr((cfg, univariate)).encode()).hexdigest()
     return tsb.write_dataset(out_dir, rows, {
         "seed": seed, "n_channels": 1 if univariate else cfg.n_channels,
-        "config_digest": _config_digest(cfg, univariate)}, shard_size)
+        "config_digest": digest[:16]}, shard_size)

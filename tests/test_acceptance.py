@@ -258,7 +258,7 @@ def test_criterion_06_synthetic_generator(tmp_path):
     lcm = G.LcmConfig(n_channels=5, series_length=32, series_count=1)
     sums_ok = True
     for _ in range(50):
-        alpha = mix_rng.uniform(*lcm.dirichlet_alpha_range)
+        alpha = mix_rng.uniform(*G.DIRICHLET_ALPHA_RANGE)
         w = mix_rng.dirichlet(np.full(3, alpha), size=lcm.n_channels)
         sums_ok &= bool(np.abs(w.sum(axis=1) - 1.0).max() < 1e-6)
 

@@ -8,6 +8,7 @@ import pytest
 from tsrepr import cli, evaluate as E, harness as H, synthgen as G, tsb
 from tsrepr.backbone import init_encoder, load_backbone
 from tsrepr.harness import ConfigError, DataError, MetricRecord, RunConfig
+from tsrepr.tensor import NumericError
 
 FAST = dict(seeds=(1,), d_model=16, n_layers=1, n_heads=2, patch_len=8,
             max_patches=16, epochs=1, batch_size=4, steps_per_epoch=2,
@@ -94,7 +95,8 @@ def test_config_validation():
                 # a repeated seed or task once failed only when
                 # write_metrics met the duplicate rows
                 dict(seeds=(0, 0)),
-                dict(tasks=("classify", "classify"))):
+                dict(tasks=("classify", "classify")),
+                dict(d_model=30, n_heads=4)):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     # the table need cover only windows the run encodes
@@ -407,24 +409,74 @@ def test_finetune_metrics_independent_of_task_order(tmp_path):
 
 def test_single_value_sweep_matches_run_experiment(tmp_path):
     base = fast_cfg(tmp_path, run_id="sw", tasks=("classify",))
-    records, failures = H.sweep("layers", ["1"], base)
+    records, failures = H.sweep("n_layers", ["1"], base)
     assert failures == []
     direct = H.run_experiment(
         RunConfig(**{**FAST, "output_root": str(tmp_path / "runs"),
-                     "run_id": "sw_layers_1", "n_layers": 1,
+                     "run_id": "sw_n_layers_1", "n_layers": 1,
                      "tasks": ("classify",)}))
     assert [r.to_row() for r in records] == [r.to_row() for r in direct]
 
 
-def test_sweep_counts_and_failure_recording(tmp_path):
+def test_sweep_children_match_direct_runs(tmp_path):
+    # a child is the run of its own config: same checkpoints, records and
+    # metrics as run_experiment on that config
+    base = fast_cfg(tmp_path, run_id="sw", tasks=("classify",))
+    records, failures = H.sweep("n_layers", ["1", "2"], base)
+    assert failures == []
+    for layers in (1, 2):
+        child = replace(base, run_id=f"sw_n_layers_{layers}",
+                        n_layers=layers)
+        direct = replace(child, output_root=str(tmp_path / "direct"))
+        H.run_experiment(direct)
+        assert H.load_run_config(child.run_dir() / "config.ini") == child
+        assert run_files(child.run_dir()) == run_files(direct.run_dir())
+        assert (child.run_dir() / "checkpoints"
+                / "backbone_seed1.tsbc").exists()
+    assert {r.layers for r in records} == {1, 2}
+    swept = H.read_metrics(tmp_path / "runs" / "sw_n_layers_sweep.csv")
+    assert [r.to_row() for r in swept] == [r.to_row() for r in records]
+
+
+def test_corpus_series_sweep(tmp_path):
+    base = fast_cfg(tmp_path, run_id="cs", tasks=("classify",),
+                    corpus_series=8)
+    records, failures = H.sweep("corpus_series", ["4", "16"], base)
+    assert failures == []
+    assert [r.run_id for r in records if r.seed == "1"] == [
+        "cs_corpus_series_4", "cs_corpus_series_16"]
+    ckpts = []
+    for n in (4, 16):
+        run_dir = tmp_path / "runs" / f"cs_corpus_series_{n}"
+        assert H.load_run_config(run_dir / "config.ini").corpus_series == n
+        ckpts.append((run_dir / "checkpoints" / "backbone_seed1.tsbc"
+                      ).read_bytes())
+    assert ckpts[0] != ckpts[1]
+
+
+def test_sweep_counts_and_failure_recording(tmp_path, monkeypatch):
+    # a child that fails while it runs is recorded, and the others complete
+    backbone_for_seed = H._backbone_for_seed
+
+    def flaky(cfg, seed, ckpt_dir):
+        if cfg.n_layers == 2:
+            raise NumericError("non-finite loss")
+        return backbone_for_seed(cfg, seed, ckpt_dir)
+
+    monkeypatch.setattr(H, "_backbone_for_seed", flaky)
     base = fast_cfg(tmp_path, run_id="grid", seeds=(1, 2),
                     tasks=("classify",))
-    records, failures = H.sweep("layers", ["1", "nope", "2"], base)
+    records, failures = H.sweep("n_layers", ["1", "2", "3"], base)
     # 2 good children x (2 seeds + mean + std) accuracy rows
     assert len(records) == 8
-    assert len(failures) == 1 and failures[0][0] == "nope"
-    assert (tmp_path / "runs" / "grid_layers_failures.txt").exists()
-    assert (tmp_path / "runs" / "grid_layers_sweep.csv").exists()
+    assert {r.run_id for r in records} == {"grid_n_layers_1",
+                                           "grid_n_layers_3"}
+    assert failures == [("2", "NumericError: non-finite loss")]
+    runs = tmp_path / "runs"
+    assert (runs / "grid_n_layers_failures.txt").read_text() == (
+        "2\tNumericError: non-finite loss\n")
+    swept = H.read_metrics(runs / "grid_n_layers_sweep.csv")
+    assert [r.to_row() for r in swept] == [r.to_row() for r in records]
 
 
 def test_real_and_hybrid_pretraining_paths(tmp_path):
@@ -519,36 +571,75 @@ def test_evaluate_rejects_a_dataset_unlike_its_manifest(tmp_path, capsys,
     assert not (tmp_path / "runs" / "bad" / "metrics.csv").exists()
 
 
-def test_data_source_sweep_records_missing_dataset(tmp_path):
-    base = fast_cfg(tmp_path, run_id="src", tasks=("classify",))
-    records, failures = H.sweep("data_source",
-                                ["synthetic", "hybrid", "real"], base)
+def test_data_source_sweep_records_missing_dataset(tmp_path, capsys):
+    # every child config is valid, so the sweep runs; the real child fails
+    # on its missing files and the synthetic child completes
+    corpus = tmp_path / "gen"
+    base = fast_cfg(tmp_path, run_id="src", tasks=("classify",),
+                    dataset_path=str(corpus))
+    records, failures = H.sweep("data_source", ["synthetic", "real"], base)
     assert {r.data_source for r in records} == {"synthetic"}
-    assert [v for v, _ in failures] == ["hybrid", "real"]
-    assert all("ConfigError" in e and "dataset_path" in e
-               for _, e in failures)
+    assert [v for v, _ in failures] == ["real"]
+    assert failures[0][1].startswith("FileNotFoundError")
+    assert str(corpus / "manifest.txt") in failures[0][1]
+    failed = tmp_path / "runs" / "src_data_source_failures.txt"
+    assert failed.read_text().startswith("real\t")
+    # with the files in place, a rerun completes and drops the stale report
+    assert cli.main(["generate", "--out", str(corpus), "--n-series", "2",
+                     "--length", "128"]) == 0
+    records, failures = H.sweep("data_source", ["synthetic", "real"], base)
+    assert failures == [] and not failed.exists()
+    assert {r.data_source for r in records} == {"synthetic", "real"}
+    capsys.readouterr()
 
 
-def test_sweep_validation(tmp_path):
-    base = fast_cfg(tmp_path)
-    with pytest.raises(ConfigError):
-        H.sweep("batch_size", ["1"], base)
-    with pytest.raises(ConfigError):
-        H.sweep("layers", [], base)
-
-
-def test_sweep_rejects_repeated_values(tmp_path, monkeypatch, capsys):
-    # two children with one run_id would write duplicate metric rows
+def test_sweep_validation(tmp_path, monkeypatch):
+    # every child config is built before any child runs
     calls = []
     monkeypatch.setattr(H, "run_experiment",
                         lambda cfg: calls.append(cfg) or [])
-    with pytest.raises(ConfigError, match="repeat"):
-        H.sweep("layers", ["1", "1"], fast_cfg(tmp_path))
+    base = fast_cfg(tmp_path)
+    for key, values, match in (
+            ("width", ["1"], "width"),
+            ("layers", ["1"], "layers"),  # the config key is n_layers
+            ("run_id", ["x"], "run_id"), ("output_root", ["x"], "output_root"),
+            ("seeds", ["1", "2"], "seeds"), ("tasks", ["classify"], "tasks"),
+            ("n_layers", ["1", "nope"], "n_layers"),
+            ("data_source", ["synthetic", "hybrid"], "dataset_path"),
+            ("n_heads", ["2", "3"], "n_heads"),
+            ("n_layers", [], "empty")):
+        with pytest.raises(ConfigError, match=match):
+            H.sweep(key, values, base)
+    assert calls == []
+    assert not (tmp_path / "runs").exists()
+
+
+def test_sweep_rejects_repeated_values(tmp_path, monkeypatch, capsys):
+    # two children with one run_id would write duplicate metric rows;
+    # values repeat once parsed, as in a config file
+    calls = []
+    monkeypatch.setattr(H, "run_experiment",
+                        lambda cfg: calls.append(cfg) or [])
+    for key, values in (("n_layers", ["1", "1"]), ("n_layers", ["1", "01"]),
+                        ("lr", ["1e-3", "0.001"])):
+        with pytest.raises(ConfigError, match="repeat"):
+            H.sweep(key, values, fast_cfg(tmp_path))
     H.save_run_config(fast_cfg(tmp_path), tmp_path / "c.ini")
     assert cli.main(["sweep", "--config", str(tmp_path / "c.ini"),
-                     "--dimension", "layers", "--values", "1,1"]) == 2
+                     "lr", "1e-3,0.001"]) == 2
     assert "repeat" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("key, values", [
+    ("width", "1,2"), ("seeds", "1,2"), ("n_layers", "1,nope"),
+    ("data_source", "synthetic,hybrid")])
+def test_cli_sweep_config_error_exit_two(tmp_path, capsys, key, values):
+    H.save_run_config(fast_cfg(tmp_path, run_id="bad"), tmp_path / "c.ini")
+    assert cli.main(["sweep", "--config", str(tmp_path / "c.ini"), key,
+                     values]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +674,25 @@ def test_cli_generate_rejects_bad_arguments(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-def test_cli_evaluate_mode_overrides_config(tmp_path, capsys):
+def test_cli_sweep_probe_mode(tmp_path, capsys):
+    # one INI gives the linear run and its fine-tune sibling
     H.save_run_config(fast_cfg(tmp_path, run_id="ev", tasks=("classify",),
                                probe_mode="linear"), tmp_path / "c.ini")
-    assert cli.main(["evaluate", "--config", str(tmp_path / "c.ini"),
-                     "--mode", "finetune"]) == 0
-    records = H.read_metrics(tmp_path / "runs" / "ev" / "metrics.csv")
+    assert cli.main(["sweep", "--config", str(tmp_path / "c.ini"),
+                     "probe_mode", "finetune"]) == 0
+    runs = tmp_path / "runs"
+    records = H.read_metrics(runs / "ev_probe_mode_finetune" / "metrics.csv")
     assert records and {r.protocol for r in records} == {"finetune"}
-    capsys.readouterr()
+    swept = H.read_metrics(runs / "ev_probe_mode_sweep.csv")
+    assert [r.to_row() for r in swept] == [r.to_row() for r in records]
+    assert "0 failed children" in capsys.readouterr().out
+    # evaluate reads every setting from its config
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evaluate", "--config", str(tmp_path / "c.ini"),
+                  "--mode", "finetune"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+    assert not (runs / "ev").exists()
 
 
 def test_cli_pretrain_seed_zero(tmp_path, capsys):
@@ -638,6 +740,18 @@ def test_cli_repeated_seeds_exit_two(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_cli_heads_must_divide_d_model(tmp_path, capsys):
+    # the backbone's own check once raised ValueError (a traceback, exit 1)
+    # after the run directory was written
+    path = tmp_path / "c.ini"
+    H.save_run_config(fast_cfg(tmp_path, run_id="heads"), path)
+    path.write_text(path.read_text().replace("d_model = 16", "d_model = 30")
+                    .replace("n_heads = 2", "n_heads = 4"))
+    assert cli.main(["evaluate", "--config", str(path)]) == 2
+    assert "n_heads 4 does not divide d_model 30" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_config_error_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     H.save_run_config(RunConfig(), path)
@@ -654,8 +768,6 @@ def test_cli_data_error_exit_three(tmp_path, capsys):
 
 
 def test_cli_numeric_error_exit_four(tmp_path, capsys, monkeypatch):
-    from tsrepr.tensor import NumericError
-
     def boom(*a, **k):
         raise NumericError("non-finite loss")
 

@@ -102,16 +102,28 @@ def test_lcm_shape_and_mixing():
 def test_lcm_validation():
     with pytest.raises(ValueError):
         G.LcmConfig(n_channels=0)
-    with pytest.raises(ValueError):
-        G.LcmConfig(latent_clip=(0, 4))
 
 
-def test_latent_count_respects_clip():
-    cfg = G.LcmConfig(n_channels=2, series_length=8, latent_clip=(1, 3))
+def test_latent_count_respects_clip(monkeypatch):
+    # one univariate draw per latent factor
+    draws = []
+    sample_univariate = G.sample_univariate
+
+    def spy(rng, t):
+        draws.append(t)
+        return sample_univariate(rng, t)
+
+    monkeypatch.setattr(G, "sample_univariate", spy)
+    cfg = G.LcmConfig(n_channels=2, series_length=8)
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        out = G.sample_multivariate_lcm(cfg, rng)
-        assert out.shape == (2, 8)
+    counts = set()
+    for _ in range(200):
+        before = len(draws)
+        assert G.sample_multivariate_lcm(cfg, rng).shape == (2, 8)
+        counts.add(len(draws) - before)
+    # round(Weibull(1.5) * 4) is 0 about one time in 23 and above 10
+    # about one time in 70, so 200 draws meet both ends of the clip
+    assert (min(counts), max(counts)) == G.LATENT_CLIP
 
 
 def test_dirichlet_rows_sum_to_one():
@@ -138,7 +150,7 @@ def test_generate_corpus_round_trip(tmp_path):
     assert man.counts == [8, 8, 4]
     assert (tmp_path / "c" / "manifest.txt").read_bytes() == (
         b"series_length=48\ntrain_end=48\nchecksum=f1ca4c6f49e33ac8\n"
-        b"seed=7\nn_channels=1\nconfig_digest=333bdaff350c2e43\n"
+        b"seed=7\nn_channels=1\nconfig_digest=01fc790b49edaa0f\n"
         b"shard=shard_00000.tsb:8\nshard=shard_00001.tsb:8\n"
         b"shard=shard_00002.tsb:4\n")
     fields, data = tsb.read_dataset(tmp_path / "c")
