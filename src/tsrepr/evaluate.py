@@ -6,7 +6,6 @@ backbones alike, so measured deltas isolate the pretraining objective.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +26,9 @@ from .tensor import ShapeError, Tape, Tensor, backward
 
 
 # share of the probe windows held out to pick the best epoch, and the
-# dropout rate on the mlp head's hidden layer while it trains
+# width of the mlp head's hidden layer and its dropout rate while it trains
 VAL_FRACTION = 0.2
+HIDDEN = 512
 DROPOUT = 0.2
 
 # float32 FFN activations per frozen encode chunk (1 MiB), so each GELU
@@ -47,12 +47,13 @@ DEFAULT_LR = {"forecast": 2e-4, "classify": 1e-3, "anomaly": 1e-4}
 
 @dataclass
 class ProbeSpec:
+    """How one probe trains; an mlp head is ``HIDDEN`` units wide."""
+
     mode: str = "linear"        # one of PROBE_MODES
     task: str = "classify"      # one of TASKS
     epochs: int = 20
     batch_size: int = 64
     lrs: tuple[float, ...] = ()  # grid tried in order; () is DEFAULT_LR
-    hidden: int = 512
     seed: int = 0
 
     def __post_init__(self):
@@ -98,8 +99,8 @@ def _encode_batched(x: np.ndarray, weights: Weights, cfg: BackboneConfig
 def _init_head(spec: ProbeSpec, d_in: int, d_out: int,
                rng: np.random.Generator) -> dict[str, Tensor]:
     if spec.mode == "mlp":
-        return {**init_linear(rng, d_in, spec.hidden, "1"),
-                **init_linear(rng, spec.hidden, d_out, "2")}
+        return {**init_linear(rng, d_in, HIDDEN, "1"),
+                **init_linear(rng, HIDDEN, d_out, "2")}
     return init_linear(rng, d_in, d_out)
 
 
@@ -115,15 +116,6 @@ def _head_forward(head: dict[str, Tensor], x: Tensor,
     return linear(x, head)
 
 
-def _task_features(task: str, latents: np.ndarray) -> np.ndarray:
-    if task == "forecast":
-        n, np_, d = latents.shape
-        return latents.reshape(n, np_ * d)
-    if task == "classify":
-        return latents.mean(axis=1)
-    return latents  # anomaly: per-patch latents
-
-
 def frozen_features(weights: Weights, cfg: BackboneConfig, task: str,
                     x: np.ndarray) -> np.ndarray:
     """Probe features of raw (n, T) windows under a frozen backbone.
@@ -133,39 +125,18 @@ def frozen_features(weights: Weights, cfg: BackboneConfig, task: str,
     (n, N, d) for anomaly.
     """
     xn, _, _ = instance_norm(np.asarray(x, dtype=np.float32))
-    return _task_features(task, _encode_batched(xn, weights, cfg))
+    latents = _encode_batched(xn, weights, cfg)
+    if task == "forecast":
+        return latents.reshape(len(latents), -1)
+    if task == "classify":
+        return latents.mean(axis=1)
+    return latents
 
 
 def _cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     logp = T.log_softmax(logits)
     picked = logp[np.arange(labels.shape[0]), labels]
     return T.mul(T.mean(picked), -1.0)
-
-
-@contextmanager
-def _read_only(weights: Weights):
-    """Make the caller's parameter arrays read-only for the block.
-
-    A write to one raises at the write site.  Every flag is restored on
-    the way out, and a block that rebinds a parameter to a new array
-    fails with an ``AssertionError``.
-    """
-    arrays = {k: t.data for k, t in weights.items()}
-    # one entry per array (a key may share another's), recorded before any
-    # flag is cleared; owners come first so their views can be restored
-    flags = sorted({id(a): (a, a.flags.writeable)
-                    for a in arrays.values()}.values(),
-                   key=lambda entry: entry[0].base is not None)
-    try:
-        for a, _ in flags:
-            a.flags.writeable = False
-        yield
-    finally:
-        for a, writeable in flags:
-            a.flags.writeable = writeable
-    if (weights.keys() != arrays.keys()
-            or any(weights[k].data is not a for k, a in arrays.items())):
-        raise AssertionError("caller's backbone was modified during probing")
 
 
 @dataclass
@@ -187,21 +158,29 @@ def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
     empty), each from the same seed, and the lowest ``best_val`` wins; on
     a tie the earlier lr does.  A frozen backbone is encoded once for the
     whole grid.  Fine-tuning trains a fresh copy of the backbone per lr
-    and returns its best-epoch state with the best-epoch head.  In every
-    mode the caller's parameter arrays are read-only while probes train.
+    and returns its best-epoch state with the best-epoch head.
+
+    Probes see the caller's parameters only through read-only views, so a
+    write to one raises and the caller's dict, arrays and flags are never
+    changed.  A frozen mode returns those views as ``backbone``, which
+    keeps the scoring calls on it read-only too.
     """
     if x.shape[0] != y.shape[0] or x.shape[0] < 2:
         raise ShapeError("x/y length mismatch or too few samples")
-    with _read_only(weights):
-        if spec.freeze_backbone:
-            inputs = frozen_features(weights, cfg, spec.task, x)
-        else:
-            inputs, _, _ = instance_norm(np.asarray(x, dtype=np.float32))
-        best = None
-        for lr in spec.lrs or (DEFAULT_LR[spec.task],):
-            res = _probe_train(weights, cfg, spec, lr, x, y, inputs)
-            if best is None or res.best_val < best.best_val:
-                best = res
+    views = {}
+    for k, t in weights.items():
+        view = t.data.view()
+        view.flags.writeable = False
+        views[k] = Tensor(view, _check=False)
+    if spec.freeze_backbone:
+        inputs = frozen_features(views, cfg, spec.task, x)
+    else:
+        inputs, _, _ = instance_norm(np.asarray(x, dtype=np.float32))
+    best = None
+    for lr in spec.lrs or (DEFAULT_LR[spec.task],):
+        res = _probe_train(views, cfg, spec, lr, x, y, inputs)
+        if best is None or res.best_val < best.best_val:
+            best = res
     return best
 
 
@@ -218,18 +197,14 @@ def _probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
     if spec.task == "classify":
-        d_out = int(np.max(y)) + 1
         if np.min(y) < 0:
             raise ShapeError("negative class index")
-    elif spec.task == "forecast":
-        d_out = y.shape[1]
-    else:
-        d_out = cfg.patch_len
+        d_out = int(np.max(y)) + 1
+    else:  # (n, horizon) forecast or (n, N, patch_len) anomaly targets
+        d_out = y.shape[-1]
 
     n_patches = x.shape[1] // cfg.patch_len
-    d_feat = {"forecast": n_patches * cfg.d_model,
-              "classify": cfg.d_model,
-              "anomaly": cfg.d_model}[spec.task]
+    d_feat = cfg.d_model * (n_patches if spec.task == "forecast" else 1)
     head = _init_head(spec, d_feat, d_out, rng)
 
     params = dict(head)

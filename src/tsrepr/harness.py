@@ -79,6 +79,10 @@ class RunConfig:
     anomaly_percentile: float = 1.0
 
     def __post_init__(self):
+        # the run id names one directory under output_root
+        if self.run_id in ("", ".", "..") or {"/", "\\"} & set(self.run_id):
+            raise ConfigError(f"run_id {self.run_id!r} is empty, '.', '..' "
+                              "or holds a path separator")
         if self.objective != "none" and self.objective not in objectives.OBJECTIVES:
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.data_source not in DATA_SOURCES:
@@ -300,7 +304,7 @@ def write_metrics(path, records: list[MetricRecord]) -> None:
     seen = set()
     for rec in records:
         if rec.key() in seen:
-            raise ValueError(f"duplicate metric row {rec.key()}")
+            raise DataError(f"duplicate metric row {rec.key()}")
         seen.add(rec.key())
     path = Path(path)
     tmp = path.with_suffix(".tmp")
@@ -637,19 +641,24 @@ _RUN_KEYS = ("run_id", "output_root", "seeds", "tasks")
 def sweep(key: str, values, base: RunConfig
           ) -> tuple[list[MetricRecord], list[tuple[str, str]]]:
     """One child experiment per value of the RunConfig key ``key``, run
-    ``{run_id}_{key}_{value}``; returns (records, [(value, error), ...]).
+    ``{run_id}_{key}_{value}`` with each ``/`` and ``\\`` of the value
+    replaced by ``_``; returns (records, [(value, error), ...]).
 
     Values parse as in a config file.  Every child config is built first,
-    so a refused key or a bad, invalid or repeated value raises ConfigError
-    and runs nothing; a child that fails while it runs is recorded."""
+    so a refused key, a bad or invalid value, or two values that give one
+    child id raise ConfigError and run nothing; a child that fails while
+    it runs is recorded."""
     if key not in _FIELD_TYPES or key in _RUN_KEYS:
         raise ConfigError(f"cannot sweep {key!r}: sweep a RunConfig key "
                           f"other than {', '.join(_RUN_KEYS)}")
     parsed = [_parse_value(key, str(v)) for v in values]
-    if not parsed or len(set(parsed)) != len(parsed):
-        raise ConfigError(f"sweep values are empty or repeat: {list(values)}")
-    children = [replace(base, run_id=f"{base.run_id}_{key}_{value}",
-                        **{key: value}) for value in parsed]
+    ids = [f"{base.run_id}_{key}_{value}".replace("/", "_").replace("\\", "_")
+           for value in parsed]
+    if not ids or len(set(ids)) != len(ids):
+        raise ConfigError(f"sweep values are empty or repeat a child id: "
+                          f"{list(values)}")
+    children = [replace(base, run_id=run_id, **{key: value})
+                for run_id, value in zip(ids, parsed)]
     combined: list[MetricRecord] = []
     failures: list[tuple[str, str]] = []
     for value, child in zip(parsed, children):

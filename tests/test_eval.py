@@ -216,21 +216,27 @@ def test_finetune_updates_backbone():
     assert weights_hash(w) == before
 
 
-def test_probe_makes_caller_arrays_read_only(monkeypatch):
+def test_probe_reads_caller_arrays_through_read_only_views(monkeypatch):
+    # a probe sees read-only views: a write raises, a rebinding stays in
+    # the probe, and the caller's dict, arrays and flags are never touched
     w = make_backbone()
     w["pos.alias"] = Tensor(w["pos"].data, _check=False)  # same array
     w["pos.view"] = Tensor(w["pos"].data[:2], _check=False)
     w["embed.b"].data.flags.writeable = False  # read-only before the call
+    tensors = {k: (t, t.data, t.data.flags.writeable) for k, t in w.items()}
     before = weights_hash(w)
     x, y = toy_classification(n=40)
     spec = E.ProbeSpec(task="classify", epochs=1)
 
-    def flags():
-        return {k: t.data.flags.writeable for k, t in w.items()}
+    def unchanged():
+        assert w.keys() == tensors.keys()
+        for k, (t, data, flag) in tensors.items():
+            assert w[k] is t and t.data is data, k
+            assert data.flags.writeable == flag, k
+        assert weights_hash(w) == before
 
-    expected = {k: k != "embed.b" for k in w}
     E.probe_train(w, CFG, spec, x, y)
-    assert flags() == expected
+    unchanged()
 
     real = E.frozen_features
 
@@ -241,17 +247,16 @@ def test_probe_makes_caller_arrays_read_only(monkeypatch):
     monkeypatch.setattr(E, "frozen_features", writes)
     with pytest.raises(ValueError, match="read-only"):
         E.probe_train(w, CFG, spec, x, y)
-    assert flags() == expected
-    assert weights_hash(w) == before
+    unchanged()
 
     def rebinds(weights, *args):
-        weights["pos"].data = weights["pos"].data.copy()
+        weights["pos"].data = weights["pos"].data + 1.0
+        weights["embed.b"] = Tensor(np.ones_like(weights["embed.b"].data))
         return real(weights, *args)
 
     monkeypatch.setattr(E, "frozen_features", rebinds)
-    with pytest.raises(AssertionError, match="modified"):
-        E.probe_train(w, CFG, spec, x, y)
-    assert flags() == expected
+    E.probe_train(w, CFG, spec, x, y)
+    unchanged()
 
 
 @pytest.mark.parametrize("mode", ["linear", "finetune"])
@@ -373,16 +378,17 @@ def probe_targets(task, x, labels):
 
 @pytest.mark.parametrize("mode", ["linear", "mlp", "finetune"])
 @pytest.mark.parametrize("task", ["classify", "forecast", "anomaly"])
-def test_probe_train_shared_features_bitwise(mode, task):
+def test_probe_train_shared_features_bitwise(monkeypatch, mode, task):
     # a grid call encodes a frozen backbone once for all its lrs, yet trains
     # the heads the single-lr calls train, bit for bit, and returns the one
     # with the lowest best_val
+    monkeypatch.setattr(E, "HIDDEN", 32)
     w = make_backbone()
     x, labels = toy_classification(n=40)
     y = probe_targets(task, x, labels)
     lrs = (3e-3, 1e-2, 3e-2)
     spec = E.ProbeSpec(mode=mode, task=task, epochs=3, batch_size=16,
-                       hidden=32, seed=4, lrs=lrs)
+                       seed=4, lrs=lrs)
     singles = [E.probe_train(w, CFG, replace(spec, lrs=(lr,)), x, y)
                for lr in lrs]
     ref = min(singles, key=lambda r: r.best_val)
@@ -394,8 +400,13 @@ def test_probe_train_shared_features_bitwise(mode, task):
         assert have.keys() == want.keys()
         for k in want:
             assert have[k].data.tobytes() == want[k].data.tobytes(), (name, k)
-    if mode != "finetune":
-        assert got.backbone is w
+    # a frozen mode returns read-only views of the caller's arrays, a
+    # fine-tune writable copies
+    assert got.backbone.keys() == w.keys()
+    frozen = mode != "finetune"
+    for k, t in got.backbone.items():
+        assert np.shares_memory(t.data, w[k].data) == frozen, k
+        assert t.data.flags.writeable != frozen, k
 
 
 def test_probe_default_lr_is_per_task():
@@ -472,14 +483,15 @@ def anomaly_scores_per_window(weights, cfg, head, series):
 @pytest.mark.parametrize("d", [32, 256])
 @pytest.mark.parametrize("t", [10, 300, 1000, 4096, 6144])
 @pytest.mark.parametrize("mode", ["linear", "mlp"])
-def test_anomaly_scores_match_per_window_reference(d, t, mode):
+def test_anomaly_scores_match_per_window_reference(monkeypatch, d, t, mode):
     # one batched encode over all windows, the right-aligned tail included,
     # gives the bits of one encode per window
+    monkeypatch.setattr(E, "HIDDEN", 64)
     cfg = BackboneConfig(d_model=d, n_layers=2, n_heads=4, patch_len=16,
                          max_patches=64)
     rng = np.random.default_rng(t + d)
     w = init_encoder(cfg, rng)
-    spec = E.ProbeSpec(mode=mode, task="anomaly", hidden=64)
+    spec = E.ProbeSpec(mode=mode, task="anomaly")
     head = E._init_head(spec, d, cfg.patch_len, rng)
     series = (np.sin(np.arange(t) * 0.05) + 0.3 * rng.standard_normal(t)
               ).astype(np.float32)

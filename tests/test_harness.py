@@ -96,7 +96,10 @@ def test_config_validation():
                 # write_metrics met the duplicate rows
                 dict(seeds=(0, 0)),
                 dict(tasks=("classify", "classify")),
-                dict(d_model=30, n_heads=4)):
+                dict(d_model=30, n_heads=4),
+                # the run directory must be one entry under output_root
+                dict(run_id=""), dict(run_id="."), dict(run_id=".."),
+                dict(run_id="../../escaped"), dict(run_id="a\\b")):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     # the table need cover only windows the run encodes
@@ -175,9 +178,15 @@ def test_metric_row_round_trip(tmp_path):
     assert header == ",".join(H.METRIC_COLUMNS)
 
 
-def test_metric_duplicate_rejected(tmp_path):
+def test_metric_duplicate_rejected(tmp_path, capsys):
     with pytest.raises(ValueError, match="duplicate"):
         H.write_metrics(tmp_path / "m.csv", [rec(), rec()])
+    # one file given twice once ended in a ValueError traceback (exit 1)
+    H.write_metrics(tmp_path / "m.csv", [rec()])
+    assert cli.main(["export-metrics", "--out", str(tmp_path / "o.csv"),
+                     str(tmp_path / "m.csv"), str(tmp_path / "m.csv")]) == 3
+    assert "data error: duplicate metric row" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_metric_bad_header_rejected(tmp_path, capsys):
@@ -628,6 +637,28 @@ def test_sweep_rejects_repeated_values(tmp_path, monkeypatch, capsys):
     assert cli.main(["sweep", "--config", str(tmp_path / "c.ini"),
                      "lr", "1e-3,0.001"]) == 2
     assert "repeat" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_sweep_path_values_stay_under_output_root(tmp_path, monkeypatch):
+    # a path value once nested the child directory and could leave
+    # output_root; each separator in it is now an underscore
+    calls = []
+    monkeypatch.setattr(H, "run_experiment",
+                        lambda cfg: calls.append(cfg) or [])
+    corpora = [str(tmp_path / "corpora" / name) for name in ("a", "b")]
+    base = fast_cfg(tmp_path, run_id="d", data_source="real",
+                    dataset_path=corpora[0])
+    H.sweep("dataset_path", corpora + ["../x\\y"], base)
+    root = tmp_path / "runs"
+    assert [c.run_id for c in calls] == [
+        "d_dataset_path_" + p.replace("/", "_") for p in corpora] + [
+        "d_dataset_path_.._x_y"]
+    assert [c.dataset_path for c in calls] == corpora + ["../x\\y"]
+    assert all(c.run_dir().parent == root for c in calls)
+    calls.clear()
+    with pytest.raises(ConfigError, match="repeat"):
+        H.sweep("dataset_path", ["a/b", "a_b"], base)
     assert calls == []
 
 
