@@ -352,6 +352,11 @@ class PretrainConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         if not 0.0 <= self.lejepa_lambda <= 1.0:
             raise ValueError("lejepa_lambda must be in [0, 1]")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.lr is not None and not self.lr > 0:  # NaN included
+            raise ValueError("lr must be > 0 when set")
 
     def resolved_lr(self) -> float:
         if self.lr is not None:

@@ -1,10 +1,14 @@
-"""Imports: every imported name is used, and the package needs no scipy."""
+"""Imports: every imported name is used, the package needs no scipy, and
+importing it keeps freed heap mapped."""
 
 import ast
+import ctypes
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(p for d in ("src/tsrepr", "tests", "demos")
@@ -85,3 +89,30 @@ def test_cli_module_runs_without_warnings():
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+# minor page faults of 20 GP draws after a warm-up draw; the bound is about
+# 40x below the ~41,000 faults the draws made with glibc's default
+# thresholds, and about 100x above the ~10 they make once they are set
+HEAP_SCRIPT = """
+import resource
+import tsrepr
+from tsrepr import synthgen
+synthgen.standardized_series((0, 0), 512)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for i in range(20):
+    synthgen.standardized_series((1, i), 512)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None,
+                    reason="libc has no mallopt")
+def test_import_keeps_freed_heap_mapped():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", HEAP_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert int(proc.stdout) < 1000

@@ -302,6 +302,8 @@ def test_pretrain_deterministic():
 def test_pretrain_rejects_unknown_objective():
     # checked when the config is built, before any pretraining
     for bad in (dict(objective="cpc"),
-                dict(objective="lejepa", lejepa_lambda=1.5)):
+                dict(objective="lejepa", lejepa_lambda=1.5),
+                dict(epochs=0), dict(batch_size=0), dict(lr=-1.0),
+                dict(lr=0.0), dict(lr=float("nan"))):
         with pytest.raises(ValueError):
             O.PretrainConfig(**bad)

@@ -1,8 +1,10 @@
-"""Optimizers: the in-place Adam step against its reference formula."""
+"""Optimizers: the chunked Adam and momentum steps against per-tensor
+references, bitwise."""
 
 import numpy as np
+import pytest
 
-from tsrepr.optim import Adam
+from tsrepr.optim import CHUNK, Adam, MomentumSGD
 from tsrepr.tensor import Tensor
 
 
@@ -38,3 +40,99 @@ def test_adam_matches_reference_bitwise():
     want = reference_adam(start, grads, 3e-3)
     assert p.data.dtype == np.float32
     assert p.data.tobytes() == want.tobytes()
+
+
+class LoopMomentumSGD:
+    """Per-tensor momentum SGD: the reference for the chunked step."""
+
+    def __init__(self, params):
+        self.params = params
+        self.vel = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self, lr):
+        lr, m = np.float32(lr), np.float32(0.9)
+        for k, p in self.params.items():
+            if p.grad is None:
+                continue
+            v = self.vel[k]
+            v *= m
+            v += p.grad
+            p.data -= lr * v
+
+
+class LoopAdam:
+    """Per-tensor Adam: the reference for the chunked step."""
+
+    def __init__(self, params, b1=0.9, b2=0.999, eps=1e-8):
+        self.params, self.b1, self.b2, self.eps = params, b1, b2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self, lr):
+        self.t += 1
+        bc1 = 1.0 - self.b1 ** self.t
+        bc2 = 1.0 - self.b2 ** self.t
+        for k, p in self.params.items():
+            if p.grad is None:
+                continue
+            g, m, v = p.grad, self.m[k], self.v[k]
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            denom = v / bc2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update = m / bc1
+            update /= denom
+            update *= np.float32(lr)
+            p.data -= update
+
+
+# one element, below a chunk, several tensors packed into one chunk, tiles
+# of whole rows, a 1-D tensor over several chunks, a row longer than a chunk
+SHAPES = {"one": (1,), "small": (3,), "mat": (7, 5), "never": (4, 4),
+          "late": (6,), "tiled": (300, 301), "long": (CHUNK * 2 + 5,),
+          "wide": (2, CHUNK + 3), "tail": (2, 3)}
+NO_GRAD = {0: {"never", "late"}, 1: {"never", "small", "tiled"}}
+
+
+def _grads(rng, step):
+    """Gradients of one step: ``never`` gets none, ``late`` none at the
+    first step, ``small`` and ``tiled`` none at the second only; two are
+    Fortran-ordered, so they must be gathered."""
+    out = {}
+    for k, shape in SHAPES.items():
+        g = rng.standard_normal(shape).astype(np.float32) * 10.0 ** -step
+        out[k] = np.asfortranarray(g) if k in ("mat", "tiled") else g
+    for k in NO_GRAD.get(step, {"never"}):
+        out[k] = None
+    return out
+
+
+@pytest.mark.parametrize("chunked, loop", [(Adam, LoopAdam),
+                                           (MomentumSGD, LoopMomentumSGD)])
+def test_chunked_step_matches_per_tensor_loop_bitwise(chunked, loop):
+    rng = np.random.default_rng(1)
+    start = {k: rng.standard_normal(s).astype(np.float32)
+             for k, s in SHAPES.items()}
+    got = {k: Tensor(a.copy(), requires_grad=True) for k, a in start.items()}
+    want = {k: Tensor(a.copy(), requires_grad=True) for k, a in start.items()}
+    opt, ref = chunked(got, lr=1e-3), loop(want)
+    for step in range(4):
+        grads = _grads(rng, step)
+        before = {k: p.data.copy() for k, p in got.items()}
+        for params in (got, want):
+            for k, g in grads.items():
+                params[k].grad = g
+        lr = 1e-3 * (step + 1)
+        opt.step(lr)
+        ref.step(lr)
+        for k in SHAPES:
+            # equal data at later steps also means a skipped tensor's
+            # moments were left as they were
+            assert got[k].data.tobytes() == want[k].data.tobytes(), (k, step)
+            if grads[k] is None:
+                assert got[k].data.tobytes() == before[k].tobytes(), (k, step)
+    assert got["never"].data.tobytes() == start["never"].tobytes()
