@@ -4,7 +4,6 @@ import numpy as np
 
 from tsrepr.backbone import (
     BackboneConfig,
-    PatchBatch,
     encode,
     init_encoder,
     instance_norm,
@@ -22,8 +21,7 @@ def main():
 
     x = rng.standard_normal((4, 128)).astype(np.float32)  # 4 windows
     xn, mu, sd = instance_norm(x)
-    patches = PatchBatch(xn.reshape(4, 8, cfg.patch_len))
-    latents = encode(patches, weights, cfg)
+    latents = encode(xn, weights, cfg)  # cut into 8 patches of 16
     print("latents shape    :", latents.shape)  # (batch, patches, d_model)
 
     # same seed, same bytes: initialization and the forward pass are

@@ -35,36 +35,27 @@ class BackboneConfig:
     def __post_init__(self):
         if self.n_heads is None:
             self.n_heads = 16 if self.d_model == 128 else 8
+        for name in ("patch_len", "d_model", "n_heads", "n_layers",
+                     "n_predictor_layers", "max_patches", "ffn_ratio"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if self.patch_len < 1 or self.n_layers < 1:
-            raise ValueError("patch_len and n_layers must be >= 1")
-
-
-@dataclass
-class PatchBatch:
-    """Non-overlapping patches: values (B, N, patch_len)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float32)
-        if self.values.ndim != 3:
-            raise ShapeError("PatchBatch values must be (batch, n_patches, patch_len)")
-
-    @classmethod
-    def from_windows(cls, windows: np.ndarray, patch_len: int) -> "PatchBatch":
-        """Cut (B, T) windows into T // patch_len patches; drop the remainder."""
-        windows = np.asarray(windows, dtype=np.float32)
-        b, t = windows.shape
-        n = t // patch_len
-        if n < 1:
-            raise ShapeError("window shorter than one patch")
-        return cls(windows[:, : n * patch_len].reshape(b, n, patch_len))
 
 
 # ---------------------------------------------------------------------------
 # input plumbing
+
+
+def patchify(windows: np.ndarray, patch_len: int) -> np.ndarray:
+    """Cut (B, T) windows into (B, T // patch_len, patch_len) float32
+    patches; drop the remainder."""
+    windows = np.asarray(windows, dtype=np.float32)
+    b, t = windows.shape
+    n = t // patch_len
+    if n < 1:
+        raise ShapeError("window shorter than one patch")
+    return windows[:, : n * patch_len].reshape(b, n, patch_len)
 
 
 def instance_norm(window: np.ndarray, eps: float = 1e-5):
@@ -190,19 +181,19 @@ def run_stack(x: Tensor, w: Weights, cfg: BackboneConfig, layer_prefixes,
     return out
 
 
-def encode(patches: PatchBatch, weights: Weights, cfg: BackboneConfig,
+def encode(windows: np.ndarray, weights: Weights, cfg: BackboneConfig,
            patch_mask: np.ndarray | None = None) -> Tensor:
-    """Encode a PatchBatch to per-patch latents (B, N, d_model).
+    """Encode (B, T) windows, cut into ``cfg.patch_len`` patches, to
+    per-patch latents (B, N, d_model).
 
     ``patch_mask`` (B, N) replaces masked patch embeddings by the learned
     mask token before positional encoding (MAE/JEPA style).
     """
-    b, n, p = patches.values.shape
-    if p != cfg.patch_len:
-        raise ShapeError(f"patch_len {p} != config {cfg.patch_len}")
+    patches = patchify(windows, cfg.patch_len)
+    b, n, p = patches.shape
     if n > cfg.max_patches:
         raise ShapeError(f"{n} patches exceed positional table {cfg.max_patches}")
-    flat = T.reshape(Tensor(patches.values, _check=True), (b * n, p))
+    flat = T.reshape(Tensor(patches, _check=True), (b * n, p))
     x = T.reshape(T.add(T.matmul(flat, weights["embed.w"]), weights["embed.b"]),
                   (b, n, cfg.d_model))
     if patch_mask is not None:

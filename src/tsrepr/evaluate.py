@@ -14,7 +14,6 @@ from . import optim
 from . import tensor as T
 from .backbone import (
     BackboneConfig,
-    PatchBatch,
     Weights,
     clone_weights,
     encode,
@@ -87,8 +86,7 @@ def _encode_batched(x: np.ndarray, weights: Weights, cfg: BackboneConfig
     if len(starts) > 1 and (n - starts[-1]) * n_patches < MIN_ROWS:
         starts.pop()
     return np.concatenate([
-        encode(PatchBatch.from_windows(x[start:end], cfg.patch_len),
-               weights, cfg).data
+        encode(x[start:end], weights, cfg).data
         for start, end in zip(starts, starts[1:] + [n])], axis=0)
 
 
@@ -218,9 +216,7 @@ def _probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
         if spec.freeze_backbone:
             feats = Tensor(inputs[idx], _check=False)
         else:
-            latents = encode(
-                PatchBatch.from_windows(inputs[idx], cfg.patch_len),
-                backbone, cfg)
+            latents = encode(inputs[idx], backbone, cfg)
             if spec.task == "forecast":
                 feats = T.reshape(latents, (len(idx), d_feat))
             elif spec.task == "classify":

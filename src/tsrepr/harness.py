@@ -114,33 +114,47 @@ class RunConfig:
         for name in ("steps_per_epoch", "lr"):  # 0 means the default
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        # a pretraining window, min(window_len, corpus_length) samples,
-        # must hold a patch, and a GP draw needs two grid points
-        if min(self.window_len, self.corpus_length) < self.patch_len:
-            raise ConfigError("window_len and corpus_length must be >= "
-                              f"patch_len ({self.patch_len})")
-        if self.corpus_length < 2:
+        if self.corpus_length < 2:  # a GP draw needs two grid points
             raise ConfigError("corpus_length must be >= 2")
-        # the positional table must cover every window the run encodes:
-        # pretraining windows, the 128-sample classify windows and the
-        # forecast contexts
+        # every window the run encodes must hold a patch, and the
+        # positional table must cover its patches: pretraining windows,
+        # the 128-sample classify windows and the forecast contexts
         lengths = {"pretraining": min(self.window_len, self.corpus_length)}
         if "classify" in self.tasks:
             lengths["classify"] = 128
         if "forecast" in self.tasks:
             lengths["forecast"] = self.context_len
         for use, length in lengths.items():
+            if length < self.patch_len:
+                raise ConfigError(f"{use} window {length} is shorter than "
+                                  f"patch_len {self.patch_len}")
             if length // self.patch_len > self.max_patches:
                 raise ConfigError(
                     f"max_patches {self.max_patches} < {use} window patches "
                     f"{length // self.patch_len}")
         if not 0.0 < self.anomaly_percentile < 100.0:
             raise ConfigError("anomaly_percentile must be in (0, 100)")
+        if self.objective != "none":  # what the objective's loss needs
+            try:
+                self.pretrain_config(self.seeds[0])
+            except ValueError as exc:
+                raise ConfigError(f"pretraining: {exc}") from exc
 
     def backbone(self) -> BackboneConfig:
         return BackboneConfig(d_model=self.d_model, n_layers=self.n_layers,
                               n_heads=self.n_heads, patch_len=self.patch_len,
                               max_patches=self.max_patches)
+
+    def pretrain_config(self, seed: int) -> PretrainConfig:
+        """The pretraining settings of ``seed``, with the window that
+        ``pretrain`` cuts from a corpus of ``corpus_length`` samples."""
+        return PretrainConfig(
+            objective=self.objective, epochs=self.epochs,
+            batch_size=self.batch_size,
+            steps_per_epoch=self.steps_per_epoch or None,
+            window_len=min(self.window_len, self.corpus_length),
+            lr=self.lr or None, seed=seed, backbone=self.backbone(),
+            data_source=self.data_source)
 
     def run_dir(self) -> Path:
         return Path(self.output_root) / self.run_id
@@ -495,13 +509,8 @@ def _backbone_for_seed(cfg: RunConfig, seed: int, ckpt_dir: Path):
     ckpt = ckpt_dir / f"backbone_seed{seed}.tsbc"
     if ckpt.exists():
         return load_backbone(ckpt)[:2]
-    corpus = _pretrain_corpus(cfg, seed)
-    pcfg = PretrainConfig(
-        objective=cfg.objective, epochs=cfg.epochs, batch_size=cfg.batch_size,
-        steps_per_epoch=cfg.steps_per_epoch or None,
-        window_len=cfg.window_len, lr=cfg.lr or None, seed=seed, backbone=bb,
-        data_source=cfg.data_source)
-    result = objectives.pretrain(corpus, pcfg, out_path=ckpt)
+    result = objectives.pretrain(_pretrain_corpus(cfg, seed),
+                                 cfg.pretrain_config(seed), out_path=ckpt)
     return result.best_weights, result.state.cfg
 
 

@@ -15,7 +15,6 @@ from . import augment, optim, sigreg
 from . import tensor as T
 from .backbone import (
     BackboneConfig,
-    PatchBatch,
     Weights,
     clone_weights,
     encode,
@@ -25,6 +24,7 @@ from .backbone import (
     init_predictor,
     instance_norm,
     linear,
+    patchify,
     run_predictor,
     save_backbone,
 )
@@ -117,8 +117,6 @@ class ObjectiveState:
         obj = pcfg.objective
         self.cfg = replace(pcfg.backbone, causal=(obj in ("ntp", "diffusion")))
         self.pcfg = pcfg
-        self.epps_pulley = sigreg.EppsPulleyConfig(
-            n_projections=pcfg.sigreg_projections)
         self.encoder: Weights = init_encoder(self.cfg, rng)
         self.heads: dict[str, dict[str, Tensor]] = {}
         self.predictor: Weights | None = None
@@ -173,14 +171,14 @@ def _pool(latents: Tensor) -> Tensor:
 
 def mae_loss(state: ObjectiveState, batch: np.ndarray,
              rng: np.random.Generator) -> LossBreakdown:
-    patches = PatchBatch.from_windows(batch, state.cfg.patch_len)
-    b, n, p = patches.values.shape
+    patches = patchify(batch, state.cfg.patch_len)
+    b, n, p = patches.shape
     pm = sample_mask("random", rng, b, n)
-    latents = encode(patches, state.encoder, state.cfg, patch_mask=pm)
+    latents = encode(batch, state.encoder, state.cfg, patch_mask=pm)
     recon = linear(T.reshape(latents, (b * n, state.cfg.d_model)),
                    state.heads["decoder"])
     recon = T.reshape(recon, (b, n, p))
-    diff = T.sub(recon, patches.values)
+    diff = T.sub(recon, patches)
     sq = T.mul(diff, diff)
     masked_sq = T.mul(sq, pm[:, :, None].astype(np.float32))
     total = T.div(T.tsum(masked_sq), float(pm.sum() * p))
@@ -189,18 +187,18 @@ def mae_loss(state: ObjectiveState, batch: np.ndarray,
 
 def ntp_loss(state: ObjectiveState, batch: np.ndarray) -> LossBreakdown:
     h = NTP_HORIZON
-    patches = PatchBatch.from_windows(batch, state.cfg.patch_len)
-    b, n, p = patches.values.shape
+    patches = patchify(batch, state.cfg.patch_len)
+    b, n, p = patches.shape
     if n - h < 1:
         raise ShapeError(f"no positions with {h} future patches (n={n})")
-    latents = encode(patches, state.encoder, state.cfg)
+    latents = encode(batch, state.encoder, state.cfg)
     valid = n - h  # positions 0..n-h-1 predict the next h patches
     pred = linear(
         T.reshape(latents[:, :valid], (b * valid, state.cfg.d_model)),
         state.heads["horizon"])
     pred = T.reshape(pred, (b, valid, h, p))
     targets = np.stack(
-        [patches.values[:, j + 1 : j + 1 + h] for j in range(valid)], axis=1)
+        [patches[:, j + 1 : j + 1 + h] for j in range(valid)], axis=1)
     diff = T.sub(pred, targets)
     total = T.mean(T.mul(diff, diff))
     return _single(total, "forecast")
@@ -218,13 +216,13 @@ def corrupt_patches(values: np.ndarray, rng: np.random.Generator):
 
 def diffusion_loss(state: ObjectiveState, batch: np.ndarray,
                    rng: np.random.Generator) -> LossBreakdown:
-    patches = PatchBatch.from_windows(batch, state.cfg.patch_len)
-    b, n, p = patches.values.shape
+    patches = patchify(batch, state.cfg.patch_len)
+    b, n, p = patches.shape
     if n < 2:
         raise ShapeError("diffusion loss needs at least 2 patches")
     d = state.cfg.d_model
-    noised, _t_idx, _eps = corrupt_patches(patches.values, rng)
-    context = encode(patches, state.encoder, state.cfg)  # causal
+    noised, _t_idx, _eps = corrupt_patches(patches, rng)
+    context = encode(batch, state.encoder, state.cfg)  # causal
     noised_flat = T.reshape(Tensor(noised), (b * n, p))
     z_hat = T.reshape(
         T.add(T.matmul(noised_flat, state.encoder["embed.w"]),
@@ -235,7 +233,7 @@ def diffusion_loss(state: ObjectiveState, batch: np.ndarray,
     hidden = T.gelu(linear(
         T.reshape(dec_in, (b * (n - 1), 2 * d)), state.heads["dec1"]))
     pred = T.reshape(linear(hidden, state.heads["dec2"]), (b, n - 1, p))
-    diff = T.sub(pred, patches.values[:, 1:])
+    diff = T.sub(pred, patches[:, 1:])
     total = T.mean(T.mul(diff, diff))
     return _single(total, "denoising")
 
@@ -260,13 +258,12 @@ def _vicreg_terms(pooled: Tensor, margin: float = 1.0, eps: float = 1e-4):
 def jepa_loss(state: ObjectiveState, batch: np.ndarray,
               rng: np.random.Generator) -> LossBreakdown:
     lam_v, lam_c = VICREG_VAR_WEIGHT, VICREG_COV_WEIGHT
-    patches = PatchBatch.from_windows(batch, state.cfg.patch_len)
-    b, n, _ = patches.values.shape
+    b, n, _ = patchify(batch, state.cfg.patch_len).shape
     pm = sample_mask("multi_block", rng, b, n)
-    student = encode(patches, state.encoder, state.cfg, patch_mask=pm)
+    student = encode(batch, state.encoder, state.cfg, patch_mask=pm)
     pred = run_predictor(student, state.predictor, state.cfg)
     # teacher sees the full unmasked batch; its weights carry no grad
-    target = encode(patches, state.teacher, state.cfg)
+    target = encode(batch, state.teacher, state.cfg)
     diff = T.sub(pred, target.detach())
     sq = T.mul(diff, diff)
     masked_sq = T.mul(sq, pm[:, :, None].astype(np.float32))
@@ -283,15 +280,13 @@ def jepa_loss(state: ObjectiveState, batch: np.ndarray,
 def lejepa_loss(state: ObjectiveState, view_pair: augment.ViewPair,
                 step: int = 0) -> LossBreakdown:
     lam = state.pcfg.lejepa_lambda
-    p = state.cfg.patch_len
-    g_patches = PatchBatch.from_windows(view_pair.teacher_view, p)
-    a_patches = PatchBatch.from_windows(view_pair.student_view, p)
-    z_g = _pool(encode(g_patches, state.encoder, state.cfg))
-    z_a = _pool(encode(a_patches, state.encoder, state.cfg))
+    z_g = _pool(encode(view_pair.teacher_view, state.encoder, state.cfg))
+    z_a = _pool(encode(view_pair.student_view, state.encoder, state.cfg))
     diff = T.sub(z_g, z_a)
     invariance = T.mean(T.mul(diff, diff))
     z_m = T.concat([z_g, z_a], axis=0)
-    stat = sigreg.epps_pulley_statistic(z_m, state.epps_pulley, step)
+    stat = sigreg.epps_pulley_statistic(z_m, state.pcfg.sigreg_projections,
+                                        step)
     total = T.add(T.mul(invariance, 1.0 - lam), T.mul(stat, lam))
     return LossBreakdown(
         total,
@@ -301,8 +296,7 @@ def lejepa_loss(state: ObjectiveState, view_pair: augment.ViewPair,
 def _dino_logits(view: np.ndarray, enc: Weights,
                  heads: dict[str, dict[str, Tensor]], state: ObjectiveState
                  ) -> Tensor:
-    patches = PatchBatch.from_windows(view, state.cfg.patch_len)
-    pooled = _pool(encode(patches, enc, state.cfg))
+    pooled = _pool(encode(view, enc, state.cfg))
     hidden = T.gelu(linear(pooled, heads["proj1"]))
     return linear(hidden, heads["proj2"])
 
@@ -355,8 +349,20 @@ class PretrainConfig:
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if (self.steps_per_epoch or 0) < 0:
+            raise ValueError("steps_per_epoch must be >= 0 (0: the default)")
         if self.lr is not None and not self.lr > 0:  # NaN included
             raise ValueError("lr must be > 0 when set")
+        # the fewest patches a window must hold for the objective's loss
+        need = {"mae": 2, "diffusion": 2, "jepa": N_BLOCKS + 1,
+                "ntp": NTP_HORIZON + 1}.get(self.objective, 1)
+        n = self.window_len // self.backbone.patch_len
+        if n < need:
+            raise ValueError(f"{self.objective} needs windows of >= {need} "
+                             f"patches; window_len {self.window_len} has {n}")
+        if self.objective in ("lejepa", "dino"):  # its views cut the window
+            augment.make_view_pair(np.zeros((1, self.window_len)),
+                                   augment.DwtConfig(), np.random.default_rng(0))
 
     def resolved_lr(self) -> float:
         if self.lr is not None:

@@ -9,30 +9,22 @@ differentiable with respect to the embeddings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
 
-
-@dataclass
-class EppsPulleyConfig:
-    n_projections: int = 1024
-    n_grid: int = 17
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(-5.0, 5.0, self.n_grid)
+# the points t at which the characteristic functions are compared
+GRID = np.linspace(-5.0, 5.0, 17)
 
 
-def sample_projections(d_model: int, cfg: EppsPulleyConfig,
+def sample_projections(d_model: int, n_projections: int,
                        step: int) -> np.ndarray:
     """M standard-normal directions, L2-normalized, seeded by the step."""
     if d_model < 1:
         raise ValueError("d_model must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence((0, step)))
-    a = rng.normal(size=(cfg.n_projections, d_model))
+    a = rng.normal(size=(n_projections, d_model))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     return a.astype(np.float32)
 
@@ -44,7 +36,7 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def _residuals(proj: np.ndarray, cfg: EppsPulleyConfig, grad: bool = False):
+def _residuals(proj: np.ndarray, grad: bool = False):
     """Per-projection Epps-Pulley residuals of float64 projections (N, M).
 
     Residual m is ``N * sum_j w_j |phi_m(t_j) - e^(-t_j^2/2)|^2`` with the
@@ -54,19 +46,18 @@ def _residuals(proj: np.ndarray, cfg: EppsPulleyConfig, grad: bool = False):
     respect to ``proj``.  The grid loop keeps memory at O(N * M).
     """
     n = proj.shape[0]
-    grid = cfg.grid()
     # phi(-t) = conj(phi(t)) for real samples, so the summand (and its
     # gradient) is even in t and 0 at t = 0: sum t > 0 at double weight
-    positive = grid > 0.0
-    t_pos = grid[positive]
+    positive = GRID > 0.0
+    t_pos = GRID[positive]
     target = np.exp(-0.5 * t_pos ** 2)
-    weights = 2.0 * target * _trapezoid_weights(grid)[positive]
+    weights = 2.0 * target * _trapezoid_weights(GRID)[positive]
     residuals = np.zeros(proj.shape[1])
     dproj = np.zeros_like(proj) if grad else None
     # exp(i t proj) on the uniform grid: each next point is the previous
     # one rotated by exp(i dt proj), far cheaper than float64 trig per point
     e = np.exp(1j * t_pos[0] * proj)
-    rotation = np.exp(1j * (grid[1] - grid[0]) * proj)
+    rotation = np.exp(1j * (GRID[1] - GRID[0]) * proj)
     for j, (t, tg, w) in enumerate(zip(t_pos, target, weights)):
         if j:
             e *= rotation
@@ -78,7 +69,7 @@ def _residuals(proj: np.ndarray, cfg: EppsPulleyConfig, grad: bool = False):
     return n * residuals, dproj
 
 
-def epps_pulley_statistic(embeddings, cfg: EppsPulleyConfig,
+def epps_pulley_statistic(embeddings, n_projections: int,
                           step: int = 0) -> Tensor:
     """Mean weighted CF residual over M random unit projections.
 
@@ -89,10 +80,11 @@ def epps_pulley_statistic(embeddings, cfg: EppsPulleyConfig,
     z = embeddings if isinstance(embeddings, Tensor) else Tensor(embeddings)
     if z.ndim != 2 or z.shape[0] < 2:
         raise ValueError("embeddings must be (N >= 2, D)")
-    directions = sample_projections(z.shape[1], cfg, step).astype(np.float64)
+    directions = sample_projections(z.shape[1], n_projections,
+                                    step).astype(np.float64)
     taped = z.requires_grad and T.Tape.active() is not None
     per_projection, dproj = _residuals(z.data.astype(np.float64) @ directions.T,
-                                       cfg, grad=taped)
+                                       grad=taped)
     stat = float(per_projection.mean())
     out = Tensor(np.float32(stat), _check=False)
     out.hi = stat
@@ -108,12 +100,13 @@ def epps_pulley_statistic(embeddings, cfg: EppsPulleyConfig,
 # embedding-geometry diagnostics
 
 
-def sigreg_diagnostics(embeddings: np.ndarray, cfg: EppsPulleyConfig,
+def sigreg_diagnostics(embeddings: np.ndarray, n_projections: int,
                        step: int = 0) -> dict:
     """Per-projection residuals plus covariance spectrum / effective rank."""
     z = np.asarray(embeddings, dtype=np.float64)
-    directions = sample_projections(z.shape[1], cfg, step).astype(np.float64)
-    residuals, _ = _residuals(z @ directions.T, cfg)
+    directions = sample_projections(z.shape[1], n_projections,
+                                    step).astype(np.float64)
+    residuals, _ = _residuals(z @ directions.T)
     cov = np.cov(z, rowvar=False)
     eigvals = np.linalg.eigvalsh(np.atleast_2d(cov))[::-1]
     pos = np.clip(eigvals, 1e-12, None)

@@ -17,7 +17,6 @@ from tsrepr import synthgen as G
 from tsrepr import tensor as T
 from tsrepr.backbone import (
     BackboneConfig,
-    PatchBatch,
     encode,
     instance_norm,
     weights_hash,
@@ -135,23 +134,22 @@ def test_criterion_02_dwt_reconstruction_and_views():
 
 
 def test_criterion_03_sigreg_separation_and_gradient():
-    cfg = S.EppsPulleyConfig(n_projections=256)
+    m = 256  # random projection directions
     hits_shift = hits_scale = 0
     for seed in range(20):
         rng = np.random.default_rng(500 + seed)
         z = rng.standard_normal((4096, 16)).astype(np.float32)
-        base = float(S.epps_pulley_statistic(z, cfg, step=seed).data)
+        base = float(S.epps_pulley_statistic(z, m, step=seed).data)
         shifted = z + 3.0
         scaled = z.copy()
         scaled[:, 0] *= 3.0
-        if float(S.epps_pulley_statistic(shifted, cfg, step=seed).data) > base:
+        if float(S.epps_pulley_statistic(shifted, m, step=seed).data) > base:
             hits_shift += 1
-        if float(S.epps_pulley_statistic(scaled, cfg, step=seed).data) > base:
+        if float(S.epps_pulley_statistic(scaled, m, step=seed).data) > base:
             hits_scale += 1
 
-    small = S.EppsPulleyConfig(n_projections=4)
     z0 = np.random.default_rng(6).standard_normal((8, 4)).astype(np.float32)
-    err = T.grad_check(lambda z: S.epps_pulley_statistic(z, small, step=0),
+    err = T.grad_check(lambda z: S.epps_pulley_statistic(z, 4, step=0),
                        T.Tensor(z0, requires_grad=True), epsilon=1e-2)
     _report(3, hits_shift == 20 and hits_scale == 20 and err < 1e-2,
             f"shift {hits_shift}/20, coord-scale {hits_scale}/20 separations; "
@@ -172,8 +170,7 @@ def _lejepa_embedding_std(lam: float) -> float:
     res = O.pretrain(corpus, cfg)
     x = corpus.sample_windows(np.random.default_rng(99), 128, 128)
     xn, _, _ = instance_norm(x)
-    lat = encode(PatchBatch(xn.reshape(128, 8, 16)), res.state.encoder,
-                 res.state.cfg).data.mean(axis=1)
+    lat = encode(xn, res.state.encoder, res.state.cfg).data.mean(axis=1)
     return float(lat.std(axis=0).mean())
 
 

@@ -26,6 +26,17 @@ def test_default_head_counts():
         B.BackboneConfig(d_model=100, n_heads=7)
 
 
+@pytest.mark.parametrize("field", ["patch_len", "d_model", "n_heads",
+                                   "n_layers", "n_predictor_layers",
+                                   "max_patches", "ffn_ratio"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_integer_fields_must_be_positive(field, value):
+    # n_heads=0 used to raise ZeroDivisionError in the divisibility test,
+    # and d_model=0 or max_patches=0 were accepted
+    with pytest.raises(ValueError, match=field):
+        B.BackboneConfig(**{field: value})
+
+
 def test_instance_norm_moments():
     x = RNG.standard_normal((4, 64)).astype(np.float32) * 5 + 3
     normed, mu, sigma = B.instance_norm(x)
@@ -36,11 +47,11 @@ def test_instance_norm_moments():
 
 def test_from_windows_cuts_patches():
     x = np.arange(2 * 19, dtype=np.float64).reshape(2, 19)
-    pb = B.PatchBatch.from_windows(x, 8)  # trailing 3 samples dropped
-    assert pb.values.shape == (2, 2, 8) and pb.values.dtype == np.float32
-    np.testing.assert_array_equal(pb.values[1, 1], x[1, 8:16])
+    pb = B.patchify(x, 8)  # trailing 3 samples dropped
+    assert pb.shape == (2, 2, 8) and pb.dtype == np.float32
+    np.testing.assert_array_equal(pb[1, 1], x[1, 8:16])
     with pytest.raises(ShapeError):
-        B.PatchBatch.from_windows(x[:, :7], 8)
+        B.patchify(x[:, :7], 8)
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +59,10 @@ def test_from_windows_cuts_patches():
 
 
 def batch(b=2, n=4, cfg=CFG, seed=1):
+    """(b, n * patch_len) windows of n patches each."""
     vals = np.random.default_rng(seed).standard_normal(
         (b, n, cfg.patch_len)).astype(np.float32)
-    return B.PatchBatch(vals)
+    return vals.reshape(b, n * cfg.patch_len)
 
 
 def test_encode_shape_and_determinism():
@@ -66,7 +78,7 @@ def test_batch_permutation_no_cross_sample_leakage():
     pb = batch(b=4)
     out = B.encode(pb, w, CFG).data
     perm = np.array([2, 0, 3, 1])
-    out_p = B.encode(B.PatchBatch(pb.values[perm]), w, CFG).data
+    out_p = B.encode(pb[perm], w, CFG).data
     np.testing.assert_allclose(out_p, out[perm], atol=1e-5)
 
 
@@ -76,9 +88,10 @@ def test_causal_no_future_leakage():
     w = make_weights(cfg)
     pb = batch(b=1, cfg=cfg)
     base = B.encode(pb, w, cfg).data.copy()
-    vals = pb.values.copy()
-    vals[0, 2] += 1.0  # perturb patch 2; positions 0,1 must not move
-    out = B.encode(B.PatchBatch(vals), w, cfg).data
+    vals = pb.copy()
+    p = cfg.patch_len
+    vals[0, 2 * p : 3 * p] += 1.0  # patch 2; positions 0,1 must not move
+    out = B.encode(vals, w, cfg).data
     np.testing.assert_array_equal(out[0, :2], base[0, :2])
     assert np.abs(out[0, 2:] - base[0, 2:]).max() > 1e-6
 
@@ -87,9 +100,10 @@ def test_noncausal_sees_future():
     w = make_weights()
     pb = batch(b=1)
     base = B.encode(pb, w, CFG).data.copy()
-    vals = pb.values.copy()
-    vals[0, 3] += 1.0
-    out = B.encode(B.PatchBatch(vals), w, CFG).data
+    vals = pb.copy()
+    p = CFG.patch_len
+    vals[0, 3 * p : 4 * p] += 1.0
+    out = B.encode(vals, w, CFG).data
     assert np.abs(out[0, 0] - base[0, 0]).max() > 1e-7
 
 
@@ -99,19 +113,17 @@ def test_mask_token_replaces_embedding():
     mask = np.zeros((1, 4), dtype=bool)
     mask[0, 1] = True
     out_m = B.encode(pb, w, CFG, patch_mask=mask).data
-    vals = pb.values.copy()
-    vals[0, 1] = RNG.standard_normal(CFG.patch_len)
-    out_m2 = B.encode(B.PatchBatch(vals), w, CFG, patch_mask=mask).data
+    vals = pb.copy()
+    p = CFG.patch_len
+    vals[0, p : 2 * p] = RNG.standard_normal(p)
+    out_m2 = B.encode(vals, w, CFG, patch_mask=mask).data
     np.testing.assert_array_equal(out_m, out_m2)  # masked content irrelevant
 
 
 def test_shape_validation():
     w = make_weights()
     with pytest.raises(ShapeError):
-        B.encode(B.PatchBatch(np.zeros((1, 2, 5), np.float32)), w, CFG)
-    with pytest.raises(ShapeError):
-        B.encode(B.PatchBatch(np.zeros((1, 99, CFG.patch_len), np.float32)),
-                 w, CFG)
+        B.encode(np.zeros((1, 99 * CFG.patch_len), np.float32), w, CFG)
 
 
 def test_predictor_shape():
@@ -164,8 +176,8 @@ def test_checkpoint_bit_identical_outputs(tmp_path):
     cfg = B.BackboneConfig(d_model=256, n_layers=8, patch_len=16,
                            max_patches=24)
     w = B.init_encoder(cfg, np.random.default_rng(5))
-    pb = B.PatchBatch(np.random.default_rng(6).standard_normal(
-        (1, 4, 16)).astype(np.float32))
+    pb = np.random.default_rng(6).standard_normal(
+        (1, 4, 16)).astype(np.float32).reshape(1, 64)
     before = B.encode(pb, w, cfg).data
     path = tmp_path / "bb.tsbc"
     B.save_backbone(path, w, cfg, objective="mae", seed=9)

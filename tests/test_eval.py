@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tsrepr import backbone as B, evaluate as E
-from tsrepr.backbone import (BackboneConfig, PatchBatch, encode, init_encoder,
+from tsrepr.backbone import (BackboneConfig, encode, init_encoder,
                              instance_norm, weights_hash)
 from tsrepr.tensor import ShapeError, Tensor
 
@@ -432,9 +432,9 @@ def test_encode_tiles_match_one_encode(monkeypatch, d, n_patches):
     chunk = max(1, E.TILE // (n_patches * cfg.ffn_ratio * d))
     sizes = []
 
-    def spy(patches, *args):
-        sizes.append(patches.values.shape[0])
-        return encode(patches, *args)
+    def spy(windows, *args):
+        sizes.append(windows.shape[0])
+        return encode(windows, *args)
 
     monkeypatch.setattr(E, "encode", spy)
     for n in sorted({1, max(1, chunk - 1), chunk, chunk + 1, 3 * chunk + 1}):
@@ -442,7 +442,7 @@ def test_encode_tiles_match_one_encode(monkeypatch, d, n_patches):
                                 ).astype(np.float32)
         sizes.clear()
         got = E._encode_batched(x, w, cfg)
-        whole = encode(PatchBatch.from_windows(x, cfg.patch_len), w, cfg).data
+        whole = encode(x, w, cfg).data
         assert got.tobytes() == whole.tobytes(), n
         assert sum(sizes) == n and set(sizes[:-1]) <= {chunk}
         assert min(sizes) * n_patches >= min(E.MIN_ROWS, n * n_patches)
@@ -469,8 +469,7 @@ def anomaly_scores_per_window(weights, cfg, head, series):
             continue
         chunk = chunk[:usable]
         xn, _, _ = instance_norm(chunk[None, :])
-        lat = encode(PatchBatch.from_windows(xn, cfg.patch_len),
-                     weights, cfg).data[0]  # (N, d)
+        lat = encode(xn, weights, cfg).data[0]  # (N, d)
         recon = E._head_forward(head, Tensor(lat, _check=False)).data
         err = (recon.reshape(-1) - xn[0]) ** 2
         sl = slice(s, s + usable)

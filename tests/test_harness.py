@@ -315,9 +315,9 @@ def test_probe_grid_encodes_frozen_inputs_once(mode, passes, monkeypatch,
     rows = []
     encode = E.encode
 
-    def spy(patches, *args, **kwargs):
-        rows.append(patches.values.shape[0])
-        return encode(patches, *args, **kwargs)
+    def spy(windows, *args, **kwargs):
+        rows.append(windows.shape[0])
+        return encode(windows, *args, **kwargs)
 
     monkeypatch.setattr(E, "encode", spy)
     cfg = fast_cfg(tmp_path, probe_mode=mode, probe_epochs=1)
@@ -780,6 +780,34 @@ def test_cli_heads_must_divide_d_model(tmp_path, capsys):
                     .replace("n_heads = 2", "n_heads = 4"))
     assert cli.main(["evaluate", "--config", str(path)]) == 2
     assert "n_heads 4 does not divide d_model 30" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+# configs that passed RunConfig and then failed once the run had started,
+# leaving a run directory whose config.ini refused the corrected config
+CANNOT_TRAIN = [
+    dict(objective="ntp", window_len=32),     # 4 patches, horizon 4
+    dict(objective="mae", window_len=8),      # 1 patch: nothing to mask
+    dict(objective="jepa", window_len=16),    # 2 patches for 2 mask blocks
+    dict(objective="lejepa", window_len=33),  # odd: no wavelet level
+    dict(objective="mae", context_len=4),     # forecast context < 1 patch
+]
+
+
+@pytest.mark.parametrize("bad", CANNOT_TRAIN)
+def test_configs_that_cannot_train_are_refused(tmp_path, capsys, bad):
+    with pytest.raises(ConfigError):
+        fast_cfg(tmp_path, **bad)
+    path = tmp_path / "c.ini"
+    H.save_run_config(fast_cfg(tmp_path, run_id="bad"), path)
+    text = path.read_text()
+    for key, value in bad.items():
+        old = f"{key} = {getattr(fast_cfg(tmp_path), key)}\n"
+        assert old in text
+        text = text.replace(old, f"{key} = {value}\n")
+    path.write_text(text)
+    assert cli.main(["evaluate", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 

@@ -304,6 +304,31 @@ def test_pretrain_rejects_unknown_objective():
     for bad in (dict(objective="cpc"),
                 dict(objective="lejepa", lejepa_lambda=1.5),
                 dict(epochs=0), dict(batch_size=0), dict(lr=-1.0),
-                dict(lr=0.0), dict(lr=float("nan"))):
+                dict(lr=0.0), dict(lr=float("nan")),
+                # -3 once trained no step and returned normally
+                dict(steps_per_epoch=-3)):
         with pytest.raises(ValueError):
             O.PretrainConfig(**bad)
+
+
+@pytest.mark.parametrize("objective", O.OBJECTIVES)
+def test_pretrain_config_rejects_windows_the_loss_cannot_use(objective):
+    # mae and diffusion need 2 patches, jepa more than its mask blocks, ntp
+    # more than its horizon; lejepa and dino views need an even length
+    # (no wavelet level otherwise).  Each used to fail only in the loss.
+    fewest = {"mae": 2, "diffusion": 2, "jepa": O.N_BLOCKS + 1,
+              "ntp": O.NTP_HORIZON + 1}.get(objective, 1)
+    p = TINY.patch_len
+    bad = [(fewest - 1) * p] if fewest > 1 else [p - 1, 3 * p + 1]
+    for window in bad:
+        with pytest.raises(ValueError):
+            O.PretrainConfig(objective=objective, window_len=window,
+                             backbone=TINY)
+    # the shortest accepted window trains
+    corpus = O.ArrayCorpus(np.random.default_rng(11).standard_normal(
+        (8, 64)).astype(np.float32))
+    cfg = O.PretrainConfig(
+        objective=objective, epochs=1, batch_size=4, steps_per_epoch=1,
+        window_len=fewest * p, backbone=TINY, sigreg_projections=8,
+        dino_prototypes=32)
+    assert np.isfinite(O.pretrain(corpus, cfg).final_loss)

@@ -7,7 +7,7 @@ from tsrepr import sigreg as S
 from tsrepr import tensor as T
 from tsrepr.tensor import Tape, Tensor, backward
 
-CFG = S.EppsPulleyConfig(n_projections=64)
+M = 64  # random projection directions
 
 
 # ---------------------------------------------------------------------------
@@ -15,17 +15,17 @@ CFG = S.EppsPulleyConfig(n_projections=64)
 
 
 def test_trapezoid_weights_sum_to_span():
-    grid = CFG.grid()
+    grid = S.GRID
     assert abs(S._trapezoid_weights(grid).sum() - 10.0) < 1e-10
 
 
-def zero_sample_statistic(n: int, cfg: S.EppsPulleyConfig) -> float:
+def zero_sample_statistic(n: int) -> float:
     """Closed form of the statistic when every projected sample is zero.
 
     The empirical CF is identically (1, 0), so the residual integral is
     the same for every direction: N * trapz(|1 - e^(-t^2/2)|^2 e^(-t^2/2)).
     """
-    grid = cfg.grid()
+    grid = S.GRID
     w = np.exp(-0.5 * grid ** 2)
     integrand = (1.0 - w) ** 2 * w
     return float(n * np.sum(integrand * S._trapezoid_weights(grid)))
@@ -34,15 +34,15 @@ def zero_sample_statistic(n: int, cfg: S.EppsPulleyConfig) -> float:
 def test_zero_sample_closed_form():
     # all-zero embeddings hit the closed form exactly
     z = np.zeros((32, 8), dtype=np.float32)
-    got = float(S.epps_pulley_statistic(z, CFG).data)
-    want = zero_sample_statistic(32, CFG)
+    got = float(S.epps_pulley_statistic(z, M).data)
+    want = zero_sample_statistic(32)
     assert abs(got - want) / want < 1e-5
 
 
 def test_projections_unit_norm_and_seeded():
-    a = S.sample_projections(16, CFG, step=3)
-    b = S.sample_projections(16, CFG, step=3)
-    c = S.sample_projections(16, CFG, step=4)
+    a = S.sample_projections(16, M, step=3)
+    b = S.sample_projections(16, M, step=3)
+    c = S.sample_projections(16, M, step=4)
     np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-5)
     assert a.tobytes() == b.tobytes()
     assert a.tobytes() != c.tobytes()
@@ -52,17 +52,17 @@ def test_statistic_nonnegative_and_deterministic():
     rng = np.random.default_rng(2)
     for _ in range(5):
         z = rng.standard_normal((64, 8)).astype(np.float32)
-        s1 = float(S.epps_pulley_statistic(z, CFG, step=1).data)
-        s2 = float(S.epps_pulley_statistic(z, CFG, step=1).data)
+        s1 = float(S.epps_pulley_statistic(z, M, step=1).data)
+        s2 = float(S.epps_pulley_statistic(z, M, step=1).data)
         assert s1 >= 0.0
         assert s1 == s2
 
 
 def test_small_sample_rejected():
     with pytest.raises(ValueError):
-        S.epps_pulley_statistic(np.zeros((1, 4), np.float32), CFG)
+        S.epps_pulley_statistic(np.zeros((1, 4), np.float32), M)
     with pytest.raises(ValueError):
-        S.epps_pulley_statistic(np.zeros(4, np.float32), CFG)
+        S.epps_pulley_statistic(np.zeros(4, np.float32), M)
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +78,8 @@ def test_rotation_invariance_in_expectation():
     zr = (z @ q.astype(np.float32)).astype(np.float32)
     vals, vals_r = [], []
     for step in range(60):
-        vals.append(float(S.epps_pulley_statistic(z, CFG, step=step).data))
-        vals_r.append(float(S.epps_pulley_statistic(zr, CFG, step=step).data))
+        vals.append(float(S.epps_pulley_statistic(z, M, step=step).data))
+        vals_r.append(float(S.epps_pulley_statistic(zr, M, step=step).data))
     m, mr = np.mean(vals), np.mean(vals_r)
     assert abs(m - mr) / m < 0.10
 
@@ -89,8 +89,8 @@ def test_monotone_sensitivity_to_variance_inflation():
     for seed in range(10):
         rng = np.random.default_rng(100 + seed)
         z = rng.standard_normal((512, 8)).astype(np.float32)
-        base = float(S.epps_pulley_statistic(z, CFG, step=seed).data)
-        wide = float(S.epps_pulley_statistic(z * 3.0, CFG, step=seed).data)
+        base = float(S.epps_pulley_statistic(z, M, step=seed).data)
+        wide = float(S.epps_pulley_statistic(z * 3.0, M, step=seed).data)
         if wide > base:
             hits += 1
     assert hits == 10
@@ -99,8 +99,8 @@ def test_monotone_sensitivity_to_variance_inflation():
 def test_shift_increases_statistic():
     rng = np.random.default_rng(4)
     z = rng.standard_normal((512, 8)).astype(np.float32)
-    base = float(S.epps_pulley_statistic(z, CFG).data)
-    shifted = float(S.epps_pulley_statistic(z + 3.0, CFG).data)
+    base = float(S.epps_pulley_statistic(z, M).data)
+    shifted = float(S.epps_pulley_statistic(z + 3.0, M).data)
     assert shifted > base
 
 
@@ -109,12 +109,12 @@ def test_shift_increases_statistic():
 
 
 def test_gradient_matches_finite_differences():
-    cfg = S.EppsPulleyConfig(n_projections=4)
+    m = 4
     rng = np.random.default_rng(6)
     z0 = rng.standard_normal((8, 4)).astype(np.float32)
 
     def loss(z):
-        return S.epps_pulley_statistic(z, cfg, step=0)
+        return S.epps_pulley_statistic(z, m, step=0)
 
     z = Tensor(z0.copy(), requires_grad=True)
     with Tape():
@@ -127,11 +127,11 @@ def test_gradient_matches_finite_differences():
     assert np.abs(z.grad).max() > 0.0
 
 
-def composed_statistic(z, cfg, step=0):
+def composed_statistic(z, m, step=0):
     """The statistic built from primitive tape ops, one grid point at a time."""
-    directions = S.sample_projections(z.shape[1], cfg, step)
+    directions = S.sample_projections(z.shape[1], m, step)
     proj = T.matmul(z, T.transpose(Tensor(directions)))
-    grid = cfg.grid()
+    grid = S.GRID
     target = np.exp(-0.5 * grid ** 2)
     trapz = S._trapezoid_weights(grid)
     residual = None
@@ -146,13 +146,13 @@ def composed_statistic(z, cfg, step=0):
 
 
 def test_fused_statistic_matches_composed():
-    cfg = S.EppsPulleyConfig(n_projections=16)
+    m = 16
     z0 = np.random.default_rng(10).standard_normal((24, 6)).astype(np.float32)
     results = []
     for op in (S.epps_pulley_statistic, composed_statistic):
         z = Tensor(z0.copy(), requires_grad=True)
         with Tape() as tape:
-            out = op(z, cfg, 3)
+            out = op(z, m, 3)
             n_records = len(tape.records)  # backward empties the tape
             backward(out)
         results.append((float(out.data), z.grad, n_records))
@@ -162,10 +162,10 @@ def test_fused_statistic_matches_composed():
     np.testing.assert_allclose(g_fused, g_ref, rtol=1e-3, atol=1e-6)
 
 
-def full_grid_residuals(proj, cfg):
+def full_grid_residuals(proj):
     """Residuals and their gradient summed over every grid point, the
     negative half and t = 0 included, with exp(i t proj) taken afresh."""
-    grid = cfg.grid()
+    grid = S.GRID
     target = np.exp(-0.5 * grid ** 2)
     weights = target * S._trapezoid_weights(grid)
     residuals = np.zeros(proj.shape[1])
@@ -180,12 +180,13 @@ def full_grid_residuals(proj, cfg):
 
 
 @pytest.mark.parametrize("n_grid", [17, 16])
-def test_residuals_match_full_grid(n_grid):
-    cfg = S.EppsPulleyConfig(n_projections=32, n_grid=n_grid)
+def test_residuals_match_full_grid(n_grid, monkeypatch):
+    # an even point count puts no grid point at t = 0
+    monkeypatch.setattr(S, "GRID", np.linspace(-5.0, 5.0, n_grid))
     rng = np.random.default_rng(11)
     proj = rng.standard_normal((200, 32)) * rng.uniform(0.2, 3.0, size=32)
-    got, dgot = S._residuals(proj, cfg, grad=True)
-    want, dwant = full_grid_residuals(proj, cfg)
+    got, dgot = S._residuals(proj, grad=True)
+    want, dwant = full_grid_residuals(proj)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     np.testing.assert_allclose(dgot, dwant, rtol=0,
                                atol=1e-12 * np.abs(dwant).max())
@@ -193,13 +194,13 @@ def test_residuals_match_full_grid(n_grid):
 
 def test_gradient_pushes_collapsed_cloud_apart():
     # near-zero embeddings: descending the statistic should spread them out
-    cfg = S.EppsPulleyConfig(n_projections=16)
+    m = 16
     z0 = (np.random.default_rng(7).standard_normal((64, 8)) * 1e-2)
     z = Tensor(z0.astype(np.float32), requires_grad=True)
     for _ in range(50):
         z.grad = None
         with Tape():
-            backward(S.epps_pulley_statistic(z, cfg, step=0))
+            backward(S.epps_pulley_statistic(z, m, step=0))
         z.data -= 0.5 * z.grad
     assert z.data.std() > 5 * z0.std()
 
@@ -211,8 +212,8 @@ def test_gradient_pushes_collapsed_cloud_apart():
 def test_diagnostics_shapes_and_consistency():
     rng = np.random.default_rng(8)
     z = rng.standard_normal((256, 8)).astype(np.float32)
-    d = S.sigreg_diagnostics(z, CFG, step=0)
-    assert d["per_projection_residuals"].shape == (CFG.n_projections,)
+    d = S.sigreg_diagnostics(z, M, step=0)
+    assert d["per_projection_residuals"].shape == (M,)
     assert abs(d["statistic"] - d["per_projection_residuals"].mean()) < 1e-12
     assert len(d["covariance_eigenvalues"]) == 8
     assert d["covariance_eigenvalues"][0] >= d["covariance_eigenvalues"][-1]
@@ -220,7 +221,7 @@ def test_diagnostics_shapes_and_consistency():
     # isotropic cloud: effective rank close to full
     assert d["effective_rank"] > 7.0
     # the tape op and the diagnostics share one float64 kernel
-    auto = S.epps_pulley_statistic(z, CFG, step=0).hi
+    auto = S.epps_pulley_statistic(z, M, step=0).hi
     assert abs(auto - d["statistic"]) / d["statistic"] < 1e-12
 
 
@@ -228,5 +229,5 @@ def test_diagnostics_detect_collapse():
     rng = np.random.default_rng(9)
     flat = np.outer(rng.standard_normal(256),
                     rng.standard_normal(8)).astype(np.float32)
-    d = S.sigreg_diagnostics(flat, CFG)
+    d = S.sigreg_diagnostics(flat, M)
     assert d["effective_rank"] < 1.5

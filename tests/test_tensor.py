@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsrepr import tensor as T
-from tsrepr.backbone import (BackboneConfig, PatchBatch, _causal_bias, encode,
-                             init_encoder)
+from tsrepr.backbone import BackboneConfig, _causal_bias, encode, init_encoder
 from tsrepr.tensor import (DomainError, NumericError, ShapeError, Tape,
                            Tensor, backward, grad_check)
 
@@ -160,13 +159,13 @@ def test_backward_frees_activations_as_it_runs():
     cfg = BackboneConfig(d_model=64, n_layers=2, n_heads=4, patch_len=16,
                          max_patches=64)
     weights = init_encoder(cfg, np.random.default_rng(0))
-    patches = PatchBatch(rand(16, 64, 16))
+    windows = rand(16, 64, 16).reshape(16, 64 * 16)
     grad_bytes = sum(t.data.nbytes for t in weights.values())
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         with Tape():
-            loss = T.mean(T.mul(encode(patches, weights, cfg), 0.5))
+            loss = T.mean(T.mul(encode(windows, weights, cfg), 0.5))
             forward_end = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             backward(loss)
