@@ -148,20 +148,6 @@ def clone_weights(w: Weights, requires_grad: bool = False) -> Weights:
 # forward pass
 
 
-def _attention(x: Tensor, w: Weights, prefix: str, cfg: BackboneConfig,
-               attn_bias: np.ndarray | None, residual: Tensor) -> Tensor:
-    a = f"{prefix}.attn"
-    return T.attention(x, w[f"{a}.wq"], w[f"{a}.wk"], w[f"{a}.wv"],
-                       w[f"{a}.wo"], w[f"{a}.bo"], cfg.n_heads, attn_bias,
-                       residual=residual)
-
-
-def _ffn(x: Tensor, w: Weights, prefix: str, residual: Tensor) -> Tensor:
-    f = f"{prefix}.ffn"
-    return T.ffn(x, w[f"{f}.w1"], w[f"{f}.b1"], w[f"{f}.w2"], w[f"{f}.b2"],
-                 residual=residual)
-
-
 def _causal_bias(n: int) -> np.ndarray:
     """Additive (1, 1, N, N) bias: large negative at future keys."""
     tri = np.triu(np.ones((n, n), dtype=bool), k=1)
@@ -171,10 +157,14 @@ def _causal_bias(n: int) -> np.ndarray:
 def run_stack(x: Tensor, w: Weights, cfg: BackboneConfig, layer_prefixes,
               final_prefix: str, attn_bias=None) -> Tensor:
     for prefix in layer_prefixes:
+        a, f = f"{prefix}.attn", f"{prefix}.ffn"
         normed = T.layer_norm(x, w[f"{prefix}.ln1.g"], w[f"{prefix}.ln1.b"])
-        x = _attention(normed, w, prefix, cfg, attn_bias, residual=x)
+        x = T.attention(normed, w[f"{a}.wq"], w[f"{a}.wk"], w[f"{a}.wv"],
+                        w[f"{a}.wo"], w[f"{a}.bo"], cfg.n_heads, attn_bias,
+                        residual=x)
         normed = T.layer_norm(x, w[f"{prefix}.ln2.g"], w[f"{prefix}.ln2.b"])
-        x = _ffn(normed, w, prefix, residual=x)
+        x = T.ffn(normed, w[f"{f}.w1"], w[f"{f}.b1"], w[f"{f}.w2"],
+                  w[f"{f}.b2"], residual=x)
     out = T.layer_norm(x, w[f"{final_prefix}.g"], w[f"{final_prefix}.b"])
     if not np.all(np.isfinite(out.data)):
         raise NumericError("non-finite activation after final norm")

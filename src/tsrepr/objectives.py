@@ -110,7 +110,11 @@ DINO_CENTER_MOMENTUM = 0.9
 
 
 class ObjectiveState:
-    """Backbone weights plus per-objective heads and teacher copies;
+    """The weights of one objective, one flat dict per role: ``encoder``;
+    ``heads``, every other trainable weight (the mae and ntp ``w``/``b``
+    layer, the diffusion decoder's and dino projector's ``w1``..``b2``,
+    jepa's ``pred.*`` predictor); ``teacher``, the EMA copy of the weights
+    the teacher runs (jepa: the encoder, dino: encoder and projector).
     ``cfg`` is the backbone config with the objective's causal flag."""
 
     def __init__(self, pcfg: PretrainConfig, rng: np.random.Generator):
@@ -118,51 +122,45 @@ class ObjectiveState:
         self.cfg = replace(pcfg.backbone, causal=(obj in ("ntp", "diffusion")))
         self.pcfg = pcfg
         self.encoder: Weights = init_encoder(self.cfg, rng)
-        self.heads: dict[str, dict[str, Tensor]] = {}
-        self.predictor: Weights | None = None
+        self.heads: Weights = {}
         self.teacher: Weights | None = None
-        self.teacher_heads: dict[str, dict[str, Tensor]] | None = None
         self.center: np.ndarray | None = None
         d = self.cfg.d_model
         p = self.cfg.patch_len
         if obj == "mae":
-            self.heads["decoder"] = init_linear(rng, d, p)
+            self.heads = init_linear(rng, d, p)
         elif obj == "ntp":
-            self.heads["horizon"] = init_linear(rng, d, NTP_HORIZON * p)
+            self.heads = init_linear(rng, d, NTP_HORIZON * p)
         elif obj == "diffusion":
-            self.heads["dec1"] = init_linear(rng, 2 * d, d)
-            self.heads["dec2"] = init_linear(rng, d, p)
+            self.heads = {**init_linear(rng, 2 * d, d, "1"),
+                          **init_linear(rng, d, p, "2")}
         elif obj == "jepa":
-            self.predictor = init_predictor(self.cfg, rng)
+            self.heads = init_predictor(self.cfg, rng)
             self.teacher = clone_weights(self.encoder)
         elif obj == "dino":
             k = pcfg.dino_prototypes
-            self.heads["proj1"] = init_linear(rng, d, d)
-            self.heads["proj2"] = init_linear(rng, d, k)
-            self.teacher = clone_weights(self.encoder)
-            self.teacher_heads = {name: clone_weights(hw)
-                                  for name, hw in self.heads.items()}
+            self.heads = {**init_linear(rng, d, d, "1"),
+                          **init_linear(rng, d, k, "2")}
+            self.teacher = clone_weights(self.trainable())
             self.center = np.zeros(k, dtype=np.float32)
 
-    def trainable(self) -> dict[str, Tensor]:
-        params = {f"enc.{k}": v for k, v in self.encoder.items()}
-        for head, hw in self.heads.items():
-            params.update({f"head.{head}.{k}": v for k, v in hw.items()})
-        if self.predictor is not None:
-            params.update({f"predictor.{k}": v for k, v in self.predictor.items()})
-        return params
+    def trainable(self) -> Weights:
+        return {**self.encoder, **self.heads}
 
     def ema_step(self) -> None:
-        if self.teacher is None:
-            return
-        m = self.pcfg.ema_momentum
-        ema_update(self.teacher, self.encoder, m)
-        for head, hw in (self.teacher_heads or {}).items():
-            ema_update(hw, self.heads[head], m)
+        if self.teacher is not None:
+            student = (self.trainable() if self.pcfg.objective == "dino"
+                       else self.encoder)
+            ema_update(self.teacher, student, self.pcfg.ema_momentum)
 
 
 def _pool(latents: Tensor) -> Tensor:
     return T.mean(latents, axis=1)
+
+
+def _gelu_mlp(x: Tensor, w: Weights) -> Tensor:
+    """``gelu(x w1 + b1) w2 + b2`` over the last axis, one tape record."""
+    return T.ffn(x, w["w1"], w["b1"], w["w2"], w["b2"])
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +174,7 @@ def mae_loss(state: ObjectiveState, batch: np.ndarray,
     pm = sample_mask("random", rng, b, n)
     latents = encode(batch, state.encoder, state.cfg, patch_mask=pm)
     recon = linear(T.reshape(latents, (b * n, state.cfg.d_model)),
-                   state.heads["decoder"])
+                   state.heads)
     recon = T.reshape(recon, (b, n, p))
     diff = T.sub(recon, patches)
     sq = T.mul(diff, diff)
@@ -195,7 +193,7 @@ def ntp_loss(state: ObjectiveState, batch: np.ndarray) -> LossBreakdown:
     valid = n - h  # positions 0..n-h-1 predict the next h patches
     pred = linear(
         T.reshape(latents[:, :valid], (b * valid, state.cfg.d_model)),
-        state.heads["horizon"])
+        state.heads)
     pred = T.reshape(pred, (b, valid, h, p))
     targets = np.stack(
         [patches[:, j + 1 : j + 1 + h] for j in range(valid)], axis=1)
@@ -230,9 +228,7 @@ def diffusion_loss(state: ObjectiveState, batch: np.ndarray,
     # decoder sees the noised-patch embedding at n and causal context at n,
     # and predicts the clean next patch
     dec_in = T.concat([z_hat[:, : n - 1], context[:, : n - 1]], axis=2)
-    hidden = T.gelu(linear(
-        T.reshape(dec_in, (b * (n - 1), 2 * d)), state.heads["dec1"]))
-    pred = T.reshape(linear(hidden, state.heads["dec2"]), (b, n - 1, p))
+    pred = _gelu_mlp(dec_in, state.heads)
     diff = T.sub(pred, patches[:, 1:])
     total = T.mean(T.mul(diff, diff))
     return _single(total, "denoising")
@@ -261,7 +257,7 @@ def jepa_loss(state: ObjectiveState, batch: np.ndarray,
     b, n, _ = patchify(batch, state.cfg.patch_len).shape
     pm = sample_mask("multi_block", rng, b, n)
     student = encode(batch, state.encoder, state.cfg, patch_mask=pm)
-    pred = run_predictor(student, state.predictor, state.cfg)
+    pred = run_predictor(student, state.heads, state.cfg)
     # teacher sees the full unmasked batch; its weights carry no grad
     target = encode(batch, state.teacher, state.cfg)
     diff = T.sub(pred, target.detach())
@@ -293,22 +289,21 @@ def lejepa_loss(state: ObjectiveState, view_pair: augment.ViewPair,
         {"invariance": float(invariance.data), "sigreg": float(stat.data)})
 
 
-def _dino_logits(view: np.ndarray, enc: Weights,
-                 heads: dict[str, dict[str, Tensor]], state: ObjectiveState
+def _dino_logits(view: np.ndarray, w: Weights, state: ObjectiveState
                  ) -> Tensor:
-    pooled = _pool(encode(view, enc, state.cfg))
-    hidden = T.gelu(linear(pooled, heads["proj1"]))
-    return linear(hidden, heads["proj2"])
+    """Projector logits of ``view`` under the encoder and projector in
+    ``w``: the student's ``trainable()`` or the ``teacher``."""
+    return _gelu_mlp(_pool(encode(view, w, state.cfg)), w)
 
 
 def dino_loss(state: ObjectiveState, view_pair: augment.ViewPair
               ) -> LossBreakdown:
     t_s, t_t = DINO_STUDENT_TEMP, DINO_TEACHER_TEMP
     center = state.center
-    student_logits = _dino_logits(view_pair.student_view, state.encoder,
-                                  state.heads, state)
+    student_logits = _dino_logits(view_pair.student_view, state.trainable(),
+                                  state)
     teacher_logits = _dino_logits(view_pair.teacher_view, state.teacher,
-                                  state.teacher_heads, state).detach()
+                                  state).detach()
     p_teacher = T.softmax(T.div(T.sub(teacher_logits, center), t_t))
     log_p_student = T.log_softmax(T.div(student_logits, t_s))
     ce = T.mul(T.tsum(T.mul(p_teacher.detach(), log_p_student), axis=-1), -1.0)
@@ -430,7 +425,13 @@ class PretrainResult:
 
 def pretrain(corpus: ArrayCorpus, cfg: PretrainConfig,
              out_path=None, log=None) -> PretrainResult:
-    """Run the epoch loop for one objective; deterministic given seed."""
+    """Run the epoch loop for one objective; deterministic given seed.
+
+    Windows are cut to ``min(cfg.window_len, corpus.length)``; a cut
+    window the objective cannot train on raises ``ValueError`` before any
+    work, as ``PretrainConfig`` does for ``window_len``."""
+    window = min(cfg.window_len, corpus.length)
+    replace(cfg, window_len=window)  # runs PretrainConfig's checks
     ss = np.random.SeedSequence(cfg.seed)
     init_rng, data_rng, loss_rng, val_rng = [
         np.random.default_rng(s) for s in ss.spawn(4)]
@@ -444,7 +445,6 @@ def pretrain(corpus: ArrayCorpus, cfg: PretrainConfig,
     steps_per_epoch = cfg.steps_per_epoch or max(
         1, len(corpus) // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
-    window = min(cfg.window_len, corpus.length)
     val_batch, _, _ = instance_norm(
         corpus.sample_windows(val_rng, min(cfg.batch_size, 64), window))
 

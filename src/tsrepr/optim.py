@@ -114,7 +114,6 @@ class MomentumSGD:
     """SGD with heavy-ball momentum 0.9."""
 
     def __init__(self, params: Params, lr: float = 1e-2):
-        self.params = params
         self.lr = lr
         self._flat = _FlatState(params, n_state=1, n_scratch=1)
 
@@ -137,7 +136,6 @@ class Adam:
     b1, b2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params: Params, lr: float = 1e-3):
-        self.params = params
         self.lr = lr
         self.t = 0
         self._flat = _FlatState(params, n_state=2, n_scratch=2)

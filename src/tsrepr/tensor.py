@@ -650,13 +650,15 @@ def attention(x, wq, wk, wv, wo, bo, n_heads: int, bias=None, *,
     return out
 
 
-def ffn(x, w1, b1, w2, b2, *, residual) -> Tensor:
-    """Residual GELU feed-forward ``residual + gelu(x w1 + b1) w2 + b2``
-    over the last axis."""
-    x, w1, b1, w2, b2, residual = (
-        as_tensor(t) for t in (x, w1, b1, w2, b2, residual))
+def ffn(x, w1, b1, w2, b2, *, residual=None) -> Tensor:
+    """GELU feed-forward ``gelu(x w1 + b1) w2 + b2`` over the last axis,
+    plus ``residual`` when one is given."""
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    inputs = (x, w1, b1, w2, b2)
+    if residual is not None:
+        residual = as_tensor(residual)
+        inputs += (residual,)
     lead = x.shape[:-1]
-    inputs = (x, w1, b1, w2, b2, residual)
     flat = x.data.reshape(-1, x.shape[-1])
     pre = flat @ w1.data
     pre += b1.data
@@ -664,11 +666,12 @@ def ffn(x, w1, b1, w2, b2, *, residual) -> Tensor:
     val = act @ w2.data
     val += b2.data
     val = val.reshape(lead + (w2.shape[-1],))
-    val += residual.data
+    if residual is not None:
+        val += residual.data
     out = Tensor(val, _check=False)
 
     def bw(g):
-        if residual.requires_grad:
+        if residual is not None and residual.requires_grad:
             residual._accumulate(g)
         g = g.reshape(-1, w2.shape[-1])
         if w2.requires_grad:

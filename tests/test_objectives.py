@@ -111,8 +111,8 @@ def test_mae_offset_oracle():
     # decoder forced to output zeros: loss is the mean masked square,
     # which for an all-ones batch is exactly 1
     state = make_state("mae")
-    state.heads["decoder"]["w"].data[:] = 0.0
-    state.heads["decoder"]["b"].data[:] = 0.0
+    state.heads["w"].data[:] = 0.0
+    state.heads["b"].data[:] = 0.0
     batch = np.ones((4, 64), dtype=np.float32)
     lb = O.mae_loss(state, batch, np.random.default_rng(4))
     assert abs(lb.value() - 1.0) < 1e-6
@@ -121,8 +121,8 @@ def test_mae_offset_oracle():
 def test_ntp_perfect_prediction_zero_loss():
     state = make_state("ntp")
     batch = np.zeros((2, 64), dtype=np.float32)
-    state.heads["horizon"]["w"].data[:] = 0.0
-    state.heads["horizon"]["b"].data[:] = 0.0
+    state.heads["w"].data[:] = 0.0
+    state.heads["b"].data[:] = 0.0
     lb = O.ntp_loss(state, batch)
     assert lb.value() < 1e-10
 
@@ -151,9 +151,8 @@ def test_lejepa_lambda_endpoints():
 def test_dino_uniform_teacher_floor():
     # teacher distribution uniform over K: CE >= entropy = log K
     state = make_state("dino")
-    for head in state.teacher_heads.values():
-        for t in head.values():
-            t.data[:] = 0.0
+    for k in state.heads:  # the teacher's projector
+        state.teacher[k].data[:] = 0.0
     pair = augment.make_view_pair(make_batch(b=4), augment.DwtConfig(),
                                   np.random.default_rng(6))
     lb = O.dino_loss(state, pair)
@@ -178,10 +177,6 @@ def test_teacher_receives_no_gradient(objective):
         backward(lb.total)
     for t in state.teacher.values():
         assert t.grad is None
-    if state.teacher_heads is not None:
-        for head in state.teacher_heads.values():
-            for t in head.values():
-                assert t.grad is None
     # the student side does get gradients
     grads = [v.grad for v in state.trainable().values() if v.grad is not None]
     assert any(np.abs(g).max() > 0 for g in grads)
@@ -224,18 +219,15 @@ def test_causality_forced_for_autoregressive_objectives():
 def test_ema_step_moves_teacher_toward_student():
     for objective in ("jepa", "dino"):
         state = make_state(objective, ema_momentum=0.9)
-        pairs = [(state.teacher, state.encoder)] + [
-            (hw, state.heads[name])
-            for name, hw in (state.teacher_heads or {}).items()]
-        before = [{k: v.data.copy() for k, v in t.items()} for t, _ in pairs]
-        for _, student in pairs:
-            for v in student.values():
-                v.data += 1.0
+        params = state.trainable()
+        student = {k: params[k] for k in state.teacher}
+        before = {k: v.data.copy() for k, v in state.teacher.items()}
+        for v in student.values():
+            v.data += 1.0
         state.ema_step()
-        for (teacher, student), old in zip(pairs, before):
-            for k, v in teacher.items():
-                np.testing.assert_allclose(
-                    v.data, 0.9 * old[k] + 0.1 * student[k].data, atol=1e-5)
+        for k, v in state.teacher.items():
+            np.testing.assert_allclose(
+                v.data, 0.9 * before[k] + 0.1 * student[k].data, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -332,3 +324,22 @@ def test_pretrain_config_rejects_windows_the_loss_cannot_use(objective):
         window_len=fewest * p, backbone=TINY, sigreg_projections=8,
         dino_prototypes=32)
     assert np.isfinite(O.pretrain(corpus, cfg).final_loss)
+
+
+@pytest.mark.parametrize("objective,length", [
+    ("ntp", 32), ("lejepa", 33), ("dino", 33), ("jepa", 16), ("mae", 8),
+    ("diffusion", 8)])
+def test_pretrain_rejects_short_corpus_before_any_work(objective, length,
+                                                       monkeypatch):
+    # pretrain cuts min(window_len, corpus length): the cut window gets
+    # PretrainConfig's check before the state draws its weights.  Unchecked,
+    # each of these fails only in the loss of the first step.
+    def no_state(*args):
+        raise AssertionError("state built for a window the loss cannot use")
+
+    monkeypatch.setattr(O, "ObjectiveState", no_state)
+    corpus = O.ArrayCorpus(np.zeros((8, length), np.float32))
+    cfg = O.PretrainConfig(objective=objective, window_len=128, backbone=TINY,
+                           epochs=1, steps_per_epoch=1, batch_size=4)
+    with pytest.raises(ValueError):
+        O.pretrain(corpus, cfg)

@@ -337,6 +337,10 @@ def composed_ffn(x, residual, w1, b1, w2, b2):
                  T.reshape(T.add(T.matmul(h, w2), b2), (b, n, w2.shape[1])))
 
 
+def composed_mlp(x, w1, b1, w2, b2):
+    return T.add(T.matmul(T.gelu(T.add(T.matmul(x, w1), b1)), w2), b2)
+
+
 def fused_attention(x, residual, *weights, n_heads, bias=None):
     return T.attention(x, *weights, n_heads, bias, residual=residual)
 
@@ -371,6 +375,9 @@ FUSED = [
     pytest.param(fused_ffn, composed_ffn,
                  [rand(3, 5, 8), rand(3, 5, 8), 0.4 * rand(8, 32), rand(32),
                   0.2 * rand(32, 8), rand(8)], id="ffn"),
+    pytest.param(T.ffn, composed_mlp,
+                 [rand(6, 8), 0.4 * rand(8, 32), rand(32), 0.2 * rand(32, 5),
+                  rand(5)], id="ffn_no_residual"),
 ]
 
 
