@@ -181,12 +181,16 @@ def teacher_view(signal: np.ndarray, cfg: DwtConfig) -> np.ndarray:
     tau = teacher_sigma * median(|finest detail|) / 0.6745 per row
     (universal threshold convention); the approximation band is untouched.
     """
-    pyr = dwt_forward(signal, cfg)
-    finest = pyr.details[-1]
-    tau = (cfg.teacher_sigma * np.median(np.abs(finest), axis=-1,
+    return _teacher(dwt_forward(signal, cfg), cfg)
+
+
+def _teacher(pyr: Pyramid, cfg: DwtConfig) -> np.ndarray:
+    """:func:`teacher_view` from the rows' pyramid, which it leaves as is."""
+    tau = (cfg.teacher_sigma * np.median(np.abs(pyr.details[-1]), axis=-1,
                                          keepdims=True) / 0.6745)
-    pyr.details = [soft_threshold(d, tau) for d in pyr.details]
-    return dwt_inverse(pyr).astype(np.float32)
+    details = [soft_threshold(d, tau) for d in pyr.details]
+    return dwt_inverse(Pyramid(pyr.approx, details, pyr.family)
+                       ).astype(np.float32)
 
 
 def student_view(signal: np.ndarray, cfg: DwtConfig,
@@ -199,19 +203,27 @@ def student_view(signal: np.ndarray, cfg: DwtConfig,
     zero-out choice, so a batch gets exactly the views of its rows taken one
     at a time.
     """
-    pyr = dwt_forward(signal, cfg)
-    finest = pyr.details[-1]
+    return _student(dwt_forward(signal, cfg), cfg, rng)
+
+
+def _student(pyr: Pyramid, cfg: DwtConfig,
+             rng: np.random.Generator) -> np.ndarray:
+    """:func:`student_view` from the rows' pyramid; it changes copies of
+    the detail bands, so the pyramid is left as is."""
+    details = [d.copy() for d in pyr.details]
+    finest = details[-1]
     lo, hi = cfg.student_noise_range
     k = int(round(cfg.zero_out_fraction * finest.shape[-1]))
     for row in np.ndindex(finest.shape[:-1]):
         amp = rng.uniform(lo, hi)
         if amp > 0.0:
-            for d in pyr.details:
+            for d in details:
                 d[row] += rng.uniform(-amp, amp, size=d.shape[-1])
         if k > 0:
             finest[row][rng.choice(finest.shape[-1], size=k,
                                    replace=False)] = 0.0
-    return dwt_inverse(pyr).astype(np.float32)
+    return dwt_inverse(Pyramid(pyr.approx, details, pyr.family)
+                       ).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +250,9 @@ def make_view_pair(batch: np.ndarray, cfg: DwtConfig, rng: np.random.Generator,
     lvl = max_dwt_level(batch.shape[1], cfg.level)
     eff = DwtConfig(cfg.family, lvl, cfg.teacher_sigma,
                     cfg.student_noise_range, cfg.zero_out_fraction)
-    teacher = teacher_view(batch, eff)
-    student = student_view(batch, eff, rng)
+    pyr = dwt_forward(batch, eff)  # one transform serves both views
+    teacher = _teacher(pyr, eff)
+    student = _student(pyr, eff, rng)
     if stochastic:
         teacher = stochastic_transforms(teacher, rng)
     return ViewPair(teacher, student)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -144,6 +145,30 @@ def clone_weights(w: Weights, requires_grad: bool = False) -> Weights:
     }
 
 
+# encoder weights that act on (B, N, d) activations; the others act on the
+# (B*N, d) rows of a product
+_TOKEN_WISE = re.compile(r"pos|mask_token|(.*\.)?(ln\d|final)\.[gb]")
+
+
+def stack_weights(w: Weights, m: int, rank: int | None = None) -> Weights:
+    """``m`` trainable copies of ``w`` on a new leading model axis, for
+    :func:`encode` and the fused ops to run ``m`` models in lockstep.
+
+    Each copy gets unit axes after the model axis, up to ``rank`` axes
+    per model, so that it broadcasts against the activations it meets.
+    The default is the encoder's layout: rank 3, (B, N, d), for the
+    position table, the mask token and the norms, and rank 2, (B*N, d),
+    for the rest.
+    """
+    out = {}
+    for k, t in w.items():
+        r = rank or (3 if _TOKEN_WISE.fullmatch(k) else 2)
+        one = t.data.reshape((1,) * (r + 1 - t.ndim) + t.shape)
+        out[k] = Tensor(np.repeat(one, m, axis=0), requires_grad=True,
+                        _check=False)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # forward pass
 
@@ -177,21 +202,24 @@ def encode(windows: np.ndarray, weights: Weights, cfg: BackboneConfig,
     per-patch latents (B, N, d_model).
 
     ``patch_mask`` (B, N) replaces masked patch embeddings by the learned
-    mask token before positional encoding (MAE/JEPA style).
+    mask token before positional encoding (MAE/JEPA style).  Weights from
+    :func:`stack_weights` encode the same windows with M models at once,
+    to (M, B, N, d_model), each slice with the bits of its own encode.
     """
     patches = patchify(windows, cfg.patch_len)
     b, n, p = patches.shape
     if n > cfg.max_patches:
         raise ShapeError(f"{n} patches exceed positional table {cfg.max_patches}")
+    lead = weights["embed.w"].shape[:-2]  # (M,) when stacked, else ()
     flat = T.reshape(Tensor(patches, _check=True), (b * n, p))
     x = T.reshape(T.add(T.matmul(flat, weights["embed.w"]), weights["embed.b"]),
-                  (b, n, cfg.d_model))
+                  lead + (b, n, cfg.d_model))
     if patch_mask is not None:
         mask3 = np.asarray(patch_mask, dtype=bool)[:, :, None]
-        tok = T.reshape(weights["mask_token"], (1, 1, cfg.d_model))
+        tok = T.reshape(weights["mask_token"], lead + (1, 1, cfg.d_model))
         x = T.add(T.mul(x, (~mask3).astype(np.float32)),
                   T.mul(tok, mask3.astype(np.float32)))
-    x = T.add(x, weights["pos"][:n])
+    x = T.add(x, weights["pos"][..., :n, :])
     bias = _causal_bias(n) if cfg.causal else None
     return run_stack(x, weights, cfg, [f"layer{i}" for i in range(cfg.n_layers)],
                      "final", attn_bias=bias)

@@ -6,6 +6,7 @@ backbones alike, so measured deltas isolate the pretraining objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,11 +16,11 @@ from . import tensor as T
 from .backbone import (
     BackboneConfig,
     Weights,
-    clone_weights,
     encode,
     init_linear,
     instance_norm,
     linear,
+    stack_weights,
 )
 from .tensor import ShapeError, Tape, Tensor, backward
 
@@ -60,6 +61,11 @@ class ProbeSpec:
             raise ValueError(f"unknown probe mode {self.mode!r}")
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
+        if not all(math.isfinite(lr) and lr > 0 for lr in self.lrs):
+            raise ValueError(f"learning rates must be finite and > 0, "
+                             f"got {self.lrs}")
 
     @property
     def freeze_backbone(self) -> bool:
@@ -104,11 +110,12 @@ def _init_head(spec: ProbeSpec, d_in: int, d_out: int,
 
 def _head_forward(head: dict[str, Tensor], x: Tensor,
                   rng: np.random.Generator | None = None) -> Tensor:
-    """Head output; an mlp head drops hidden units when ``rng`` is given."""
+    """Head output; an mlp head of stacked models drops hidden units when
+    ``rng`` is given, with one mask for all the models on the leading axis."""
     if "w1" in head:
         h = T.gelu(linear(x, head, "1"))
         if rng is not None:
-            keep = (rng.random(h.shape) >= DROPOUT).astype(np.float32)
+            keep = (rng.random(h.shape[1:]) >= DROPOUT).astype(np.float32)
             h = T.mul(h, keep / (1.0 - DROPOUT))
         return linear(h, head, "2")
     return linear(x, head)
@@ -132,9 +139,10 @@ def frozen_features(weights: Weights, cfg: BackboneConfig, task: str,
 
 
 def _cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean cross-entropy of (..., B, C) logits over the B rows."""
     logp = T.log_softmax(logits)
-    picked = logp[np.arange(labels.shape[0]), labels]
-    return T.mul(T.mean(picked), -1.0)
+    picked = logp[..., np.arange(labels.shape[0]), labels]
+    return T.mul(T.mean(picked, axis=-1), -1.0)
 
 
 @dataclass
@@ -153,10 +161,18 @@ def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
     backbone); ``y`` is (n,) int labels for classify, (n, horizon) floats
     for forecast, (n, N, patch_len) normalized patch targets for anomaly.
     One head trains per lr in ``spec.lrs`` (the task's ``DEFAULT_LR`` when
-    empty), each from the same seed, and the lowest ``best_val`` wins; on
-    a tie the earlier lr does.  A frozen backbone is encoded once for the
-    whole grid.  Fine-tuning trains a fresh copy of the backbone per lr
-    and returns its best-epoch state with the best-epoch head.
+    empty), and the lowest ``best_val`` wins; on a tie the earlier lr
+    does.  Fine-tuning trains a fresh copy of the backbone per lr and
+    returns its best-epoch state with the best-epoch head.
+
+    The M lrs train in lockstep as one stacked model (see
+    ``backbone.stack_weights``): one rng stream draws the split, the head
+    init, each epoch's order and each dropout mask once for all of them,
+    the loss is the sum of the per-model losses, and each model keeps its
+    own best epoch.  Each model computes the bits a call with its lr alone
+    computes.  A frozen backbone is encoded once for the whole grid; a
+    fine-tuned one holds M backbone copies, their best-epoch copies and
+    their Adam moments at once.
 
     Probes see the caller's parameters only through read-only views, so a
     write to one raises and the caller's dict, arrays and flags are never
@@ -165,6 +181,8 @@ def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
     """
     if x.shape[0] != y.shape[0] or x.shape[0] < 2:
         raise ShapeError("x/y length mismatch or too few samples")
+    if spec.task == "classify" and np.min(y) < 0:
+        raise ShapeError("negative class index")
     views = {}
     for k, t in weights.items():
         view = t.data.view()
@@ -174,19 +192,8 @@ def probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
         inputs = frozen_features(views, cfg, spec.task, x)
     else:
         inputs, _, _ = instance_norm(np.asarray(x, dtype=np.float32))
-    best = None
-    for lr in spec.lrs or (DEFAULT_LR[spec.task],):
-        res = _probe_train(views, cfg, spec, lr, x, y, inputs)
-        if best is None or res.best_val < best.best_val:
-            best = res
-    return best
-
-
-def _probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
-                 lr: float, x: np.ndarray, y: np.ndarray,
-                 inputs: np.ndarray) -> ProbeResult:
-    """One head at one lr; ``inputs`` are the frozen features, or the
-    normalized windows a fine-tuned backbone encodes."""
+    lrs = spec.lrs or (DEFAULT_LR[spec.task],)
+    m = len(lrs)
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 31)))
 
     n = x.shape[0]
@@ -194,68 +201,80 @@ def _probe_train(weights: Weights, cfg: BackboneConfig, spec: ProbeSpec,
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
-    if spec.task == "classify":
-        if np.min(y) < 0:
-            raise ShapeError("negative class index")
-        d_out = int(np.max(y)) + 1
-    else:  # (n, horizon) forecast or (n, N, patch_len) anomaly targets
-        d_out = y.shape[-1]
-
+    # (n, horizon) forecast or (n, N, patch_len) anomaly targets
+    d_out = int(np.max(y)) + 1 if spec.task == "classify" else y.shape[-1]
     n_patches = x.shape[1] // cfg.patch_len
     d_feat = cfg.d_model * (n_patches if spec.task == "forecast" else 1)
-    head = _init_head(spec, d_feat, d_out, rng)
-
+    # heads broadcast against (M, B, d) features, or (M, B, N, d) ones
+    unstacked = _init_head(spec, d_feat, d_out, rng)
+    head = stack_weights(unstacked, m, rank=3 if spec.task == "anomaly" else 2)
     params = dict(head)
-    backbone = weights
+    backbone = views
     if not spec.freeze_backbone:
-        backbone = clone_weights(weights, requires_grad=True)
+        backbone = stack_weights(views, m)
         params.update({f"backbone.{k}": v for k, v in backbone.items()})
-    opt = optim.Adam(params, lr=lr)
+    opt = optim.Adam(params, lr=lrs)
 
     def batch_loss(idx, train: bool) -> Tensor:
+        """(M,) losses of the models on the windows ``idx``."""
         if spec.freeze_backbone:
             feats = Tensor(inputs[idx], _check=False)
         else:
             latents = encode(inputs[idx], backbone, cfg)
             if spec.task == "forecast":
-                feats = T.reshape(latents, (len(idx), d_feat))
+                feats = T.reshape(latents, (m, len(idx), d_feat))
             elif spec.task == "classify":
-                feats = T.mean(latents, axis=1)
+                feats = T.mean(latents, axis=-2)
             else:
                 feats = latents
         out = _head_forward(head, feats, rng if train else None)
         if spec.task == "classify":
             return _cross_entropy(out, y[idx])
         diff = T.sub(out, y[idx])
-        return T.mean(T.mul(diff, diff))
+        return T.mean(T.mul(diff, diff), axis=tuple(range(1, diff.ndim)))
 
-    best_val = np.inf
-    best_head, best_backbone = clone_weights(head), backbone
-    history = []
+    best_val = np.full(m, np.inf)
+    best = {k: t.data.copy() for k, t in params.items()}
+    histories = [[] for _ in lrs]
     for epoch in range(spec.epochs):
         order = rng.permutation(train_idx)
-        ep_loss, n_batches = 0.0, 0
+        ep_loss, n_batches = np.zeros(m), 0
         for start in range(0, len(order), spec.batch_size):
             idx = order[start : start + spec.batch_size]
             if len(idx) < 2:
                 continue
             optim.zero_grads(params)
             with Tape():
-                loss = batch_loss(idx, train=True)
-                backward(loss)
+                losses = batch_loss(idx, train=True)
+                backward(T.tsum(losses))
             opt.step()
-            ep_loss += float(loss.data)
+            ep_loss += losses.data
             n_batches += 1
-        val = float(batch_loss(val_idx, train=False).data)
-        history.append({"epoch": epoch, "train_loss": ep_loss / max(1, n_batches),
-                        "val_loss": val})
-        if val < best_val:
-            best_val = val
-            best_head = clone_weights(head)
-            if not spec.freeze_backbone:
-                best_backbone = clone_weights(backbone)
+        val = batch_loss(val_idx, train=False).data
+        for hist, loss, v in zip(histories, ep_loss, val):
+            hist.append({"epoch": epoch,
+                         "train_loss": float(loss) / max(1, n_batches),
+                         "val_loss": float(v)})
+        better = val < best_val
+        if better.any():
+            best_val[better] = val[better]
+            for k, t in params.items():
+                best[k][better] = t.data[better]
 
-    return ProbeResult(best_head, best_backbone, history, best_val)
+    # the first lr with the lowest best_val, unstacked; a model whose
+    # validation loss never fell keeps its initial head and last backbone
+    win = int(np.argmin(best_val))
+    if best_val[win] == np.inf:
+        best.update({k: t.data for k, t in params.items() if k not in head})
+
+    def unstack(prefix, like):
+        return {k: Tensor(best[prefix + k][win].reshape(t.shape).copy(),
+                          _check=False) for k, t in like.items()}
+
+    head = unstack("", unstacked)
+    if not spec.freeze_backbone:
+        backbone = unstack("backbone.", views)
+    return ProbeResult(head, backbone, histories[win], float(best_val[win]))
 
 
 # ---------------------------------------------------------------------------

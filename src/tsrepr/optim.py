@@ -35,20 +35,27 @@ class _FlatState:
     chunked walk that subtracts an update from the parameters."""
 
     def __init__(self, params: Params, n_state: int, n_scratch: int):
-        # a chunk lists pieces (tensor, row slice or None for the whole
+        # a chunk lists pieces (tensor, index key or None for the whole
         # tensor, flat offset, size); tensors up to CHUNK floats share
-        # chunks, a larger one is split into tiles of whole first-axis rows
-        # that are chunks of their own, so their gradients are read in place
+        # chunks, a larger one is split into tiles of whole rows along its
+        # first axis whose rows fit in a chunk, e.g. a stacked (M, d, 4d)
+        # weight into tiles of one model's rows; each tile is a chunk of
+        # its own, so its gradient is read in place
         self._chunks: list[list[tuple]] = []
         fill, off = CHUNK + 1, 0  # no chunk open
         for p in params.values():
-            n = p.data.size
+            n, shape = p.data.size, p.data.shape
             if n > CHUNK:
-                row = n // len(p.data)
-                step = max(1, CHUNK // row) * row
-                self._chunks += [[(p, slice(a // row, (a + step) // row),
-                                   off + a, min(step, n - a))]
-                                 for a in range(0, n, step)]
+                k = 1
+                while math.prod(shape[k:]) > CHUNK:
+                    k += 1
+                row, rows = math.prod(shape[k:]), shape[k - 1]
+                step = max(1, CHUNK // row)
+                self._chunks += [
+                    [(p, outer + (slice(a, a + step),),
+                      off + (i * rows + a) * row, min(step, rows - a) * row)]
+                    for i, outer in enumerate(np.ndindex(shape[:k - 1]))
+                    for a in range(0, rows, step)]
                 fill = CHUNK + 1
             else:
                 if fill + n > CHUNK:
@@ -65,10 +72,10 @@ class _FlatState:
         # (scratch buffer 0), shaped like the piece
         for chunk in self._chunks:
             base = chunk[0][2]
-            for i, (p, rows, off, n) in enumerate(chunk):
-                shape = p.data.shape if rows is None else p.data[rows].shape
+            for i, (p, key, off, n) in enumerate(chunk):
+                shape = p.data.shape if key is None else p.data[key].shape
                 at = slice(off - base, off - base + n)
-                chunk[i] = (p, rows, off, n, self._grad[at].reshape(shape),
+                chunk[i] = (p, key, off, n, self._grad[at].reshape(shape),
                             self._scratch[0][at].reshape(shape))
 
     def _runs(self):
@@ -92,21 +99,21 @@ class _FlatState:
         ``scratch[0]``, which is then subtracted from the parameters."""
         for run, base in self._runs():
             lo, hi = run[0][2], run[-1][2] + run[-1][3]
-            p, rows = run[0][:2]
-            g = p.grad if rows is None else p.grad[rows]
+            p, key = run[0][:2]
+            g = p.grad if key is None else p.grad[key]
             if len(run) == 1 and g.flags.c_contiguous:
                 g = g.reshape(-1)
             else:
-                for p, rows, _, _, dst, _ in run:
-                    np.copyto(dst, p.grad if rows is None else p.grad[rows])
+                for p, key, _, _, dst, _ in run:
+                    np.copyto(dst, p.grad if key is None else p.grad[key])
                 g = self._grad[lo - base : hi - base]
             update(g, [s[lo:hi] for s in self.state],
                    [s[lo - base : hi - base] for s in self._scratch])
-            for p, rows, _, _, _, delta in run:
-                if rows is None:
+            for p, key, _, _, _, delta in run:
+                if key is None:
                     p.data -= delta
                 else:
-                    dst = p.data[rows]
+                    dst = p.data[key]
                     dst -= delta
 
 
@@ -131,23 +138,39 @@ class MomentumSGD:
 
 
 class Adam:
-    """Adam with betas (0.9, 0.999) and eps 1e-8."""
+    """Adam with betas (0.9, 0.999) and eps 1e-8.
+
+    ``lr`` may instead be a sequence of M rates, one per model on the
+    leading axis of every parameter (models stacked by
+    ``backbone.stack_weights``): each model then steps at its own rate, in
+    the same chunked pass, with the bits of M separate optimizers.
+    """
 
     b1, b2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: Params, lr: float = 1e-3):
+    def __init__(self, params: Params, lr=1e-3):
         self.lr = lr
         self.t = 0
         self._flat = _FlatState(params, n_state=2, n_scratch=2)
+        if np.ndim(lr) > 0:  # a float32 rate per element, used like a scalar
+            rates = np.asarray(lr, np.float32)
+            if any(len(p.data) != len(rates) for p in params.values()):
+                raise ValueError(f"{len(rates)} rates, but not as many models"
+                                 " on every parameter's leading axis")
+            self._flat.state.append(np.concatenate(
+                [np.repeat(rates, p.data[0].size) for p in params.values()]))
 
     def step(self, lr: float | None = None) -> None:
-        lr = np.float32(self.lr if lr is None else lr)
+        """One step, at ``lr`` for every model when given."""
+        per_model = lr is None and np.ndim(self.lr) > 0
+        if not per_model:
+            lr = np.float32(self.lr if lr is None else lr)
         self.t += 1
         bc1 = 1.0 - self.b1 ** self.t
         bc2 = 1.0 - self.b2 ** self.t
 
         def update(g, state, scratch):
-            (m, v), (upd, denom) = state, scratch
+            (m, v), (upd, denom) = state[:2], scratch
             m *= self.b1
             m += np.multiply(1.0 - self.b1, g, out=upd)
             v *= self.b2
@@ -159,7 +182,7 @@ class Adam:
             denom += self.eps
             np.divide(m, bc1, out=upd)
             upd /= denom
-            upd *= lr
+            upd *= state[2] if per_model else lr
 
         self._flat.step(update)
 

@@ -16,7 +16,9 @@ The Transformer hot path is three fused ops, each one tape record with an
 analytic backward: :func:`layer_norm`, :func:`attention` (the whole
 multi-head self-attention block) and :func:`ffn` (the GELU feed-forward).
 The last two also add the block's residual input, so a pre-LN layer is
-four records.  ``reshape`` and ``transpose`` return views.  Gradients are
+four records.  Given weights with a leading model axis, the last two run
+M stacked models in lockstep, each with the bits of its own call.
+``reshape`` and ``transpose`` return views.  Gradients are
 never updated in place, so views and shared gradient arrays are safe.
 """
 
@@ -578,6 +580,11 @@ def layer_norm(a, gamma=None, beta=None, eps: float = 1e-5) -> Tensor:
 # fused Transformer blocks
 
 
+def _tr(m: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack transposed; ``m.T`` for one matrix."""
+    return m.swapaxes(-1, -2)
+
+
 def attention(x, wq, wk, wv, wo, bo, n_heads: int, bias=None, *,
               residual) -> Tensor:
     """Residual multi-head self-attention block on (B, N, d) as one tape op.
@@ -587,27 +594,35 @@ def attention(x, wq, wk, wv, wo, bo, n_heads: int, bias=None, *,
     ``residual`` (broadcast to the output).  ``bias`` is a constant additive
     array broadcast against the (B, H, N, N) scores.  Head tensors are kept
     C-contiguous (B, H, N, dh) so every matmul is a BLAS call.
+
+    Stacked models: weights of shape (M, d, d), ``bo`` (M, 1, d), and ``x``
+    (M, B, N, d) run M blocks in lockstep; each model's slice gets the bits
+    of its own unstacked call, because every product is one BLAS call per
+    slice of the same shape.
     """
     x, wq, wk, wv, wo, bo, residual = (
         as_tensor(t) for t in (x, wq, wk, wv, wo, bo, residual))
-    if x.ndim != 3:
+    lead = wq.shape[:-2]  # (M,) for stacked models, else ()
+    if x.ndim != 3 + len(lead):
         raise ShapeError("attention input must be (batch, n, d_model)")
-    b, n, d = x.shape
+    b, n, d = x.shape[-3:]
     h = n_heads
     if d % h != 0:
         raise ShapeError(f"d_model {d} not divisible by {h} heads")
     dh = d // h
     scale = np.float32(1.0 / math.sqrt(dh))
 
-    def split(m):  # (B*N, d) -> (B, H, N, dh)
-        return np.ascontiguousarray(m.reshape(b, n, h, dh).transpose(0, 2, 1, 3))
+    def split(m):  # (..., B*N, d) -> (..., B, H, N, dh)
+        return np.ascontiguousarray(
+            m.reshape(lead + (b, n, h, dh)).swapaxes(-3, -2))
 
-    def merge(m):  # (B, H, N, dh) -> (B*N, d)
-        return np.ascontiguousarray(m.transpose(0, 2, 1, 3)).reshape(b * n, d)
+    def merge(m):  # (..., B, H, N, dh) -> (..., B*N, d)
+        return np.ascontiguousarray(m.swapaxes(-3, -2)).reshape(
+            lead + (b * n, d))
 
-    flat = x.data.reshape(b * n, d)
+    flat = x.data.reshape(lead + (b * n, d))
     q, k, v = (split(flat @ w.data) for w in (wq, wk, wv))
-    scores = q @ k.swapaxes(-1, -2)
+    scores = q @ _tr(k)
     scores *= scale
     if bias is not None:
         scores += bias
@@ -617,34 +632,34 @@ def attention(x, wq, wk, wv, wo, bo, n_heads: int, bias=None, *,
     ctx = merge(probs @ v)
     val = ctx @ wo.data
     val += bo.data
-    val = val.reshape(b, n, d)
+    val = val.reshape(x.shape)
     val += residual.data
     out = Tensor(val, _check=False)
 
     def bw(g):
         if residual.requires_grad:
             residual._accumulate(g)
-        g = g.reshape(b * n, d)
+        g = g.reshape(flat.shape)
         if wo.requires_grad:
-            wo._accumulate(ctx.T @ g)
+            wo._accumulate(_tr(ctx) @ g)
         if bo.requires_grad:
             bo._accumulate(g)
-        dctx = split(g @ wo.data.T)
-        dprobs = dctx @ v.swapaxes(-1, -2)
+        dctx = split(g @ _tr(wo.data))
+        dprobs = dctx @ _tr(v)
         dscores = dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)
         dscores *= probs
         dscores *= scale
-        grads = (merge(dscores @ k), merge(dscores.swapaxes(-1, -2) @ q),
-                 merge(probs.swapaxes(-1, -2) @ dctx))
+        grads = (merge(dscores @ k), merge(_tr(dscores) @ q),
+                 merge(_tr(probs) @ dctx))
         dx = None
         for w, gm in zip((wq, wk, wv), grads):
             if w.requires_grad:
-                w._accumulate(flat.T @ gm)
+                w._accumulate(_tr(flat) @ gm)
             if x.requires_grad:
-                part = gm @ w.data.T
+                part = gm @ _tr(w.data)
                 dx = part if dx is None else dx + part
         if dx is not None:
-            x._accumulate(dx.reshape(b, n, d))
+            x._accumulate(dx.reshape(x.shape))
 
     _record(out, (x, wq, wk, wv, wo, bo, residual), bw)
     return out
@@ -652,20 +667,25 @@ def attention(x, wq, wk, wv, wo, bo, n_heads: int, bias=None, *,
 
 def ffn(x, w1, b1, w2, b2, *, residual=None) -> Tensor:
     """GELU feed-forward ``gelu(x w1 + b1) w2 + b2`` over the last axis,
-    plus ``residual`` when one is given."""
+    plus ``residual`` when one is given.
+
+    Stacked models: weights of shape (M, d_in, d_out), biases (M, 1, d_out)
+    and ``x`` with a leading M axis run M feed-forwards in lockstep, each
+    slice with the bits of its own unstacked call.
+    """
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
     inputs = (x, w1, b1, w2, b2)
     if residual is not None:
         residual = as_tensor(residual)
         inputs += (residual,)
-    lead = x.shape[:-1]
-    flat = x.data.reshape(-1, x.shape[-1])
+    lead = w1.shape[:-2]  # (M,) for stacked models, else ()
+    flat = x.data.reshape(lead + (-1, x.shape[-1]))
     pre = flat @ w1.data
     pre += b1.data
     act, slope = _gelu_kernel(pre, _recording_tape(inputs) is not None)
     val = act @ w2.data
     val += b2.data
-    val = val.reshape(lead + (w2.shape[-1],))
+    val = val.reshape(x.shape[:-1] + (w2.shape[-1],))
     if residual is not None:
         val += residual.data
     out = Tensor(val, _check=False)
@@ -673,19 +693,19 @@ def ffn(x, w1, b1, w2, b2, *, residual=None) -> Tensor:
     def bw(g):
         if residual is not None and residual.requires_grad:
             residual._accumulate(g)
-        g = g.reshape(-1, w2.shape[-1])
+        g = g.reshape(act.shape[:-1] + (w2.shape[-1],))
         if w2.requires_grad:
-            w2._accumulate(act.T @ g)
+            w2._accumulate(_tr(act) @ g)
         if b2.requires_grad:
             b2._accumulate(g)
-        dpre = g @ w2.data.T
+        dpre = g @ _tr(w2.data)
         dpre *= slope
         if w1.requires_grad:
-            w1._accumulate(flat.T @ dpre)
+            w1._accumulate(_tr(flat) @ dpre)
         if b1.requires_grad:
             b1._accumulate(dpre)
         if x.requires_grad:
-            x._accumulate((dpre @ w1.data.T).reshape(x.shape))
+            x._accumulate((dpre @ _tr(w1.data)).reshape(x.shape))
 
     _record(out, inputs, bw)
     return out

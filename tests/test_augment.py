@@ -232,6 +232,27 @@ def test_make_view_pair_matches_rowwise_bitwise(cfg, stochastic):
     assert rng_batch.random() == rng_rows.random()
 
 
+def test_make_view_pair_transforms_once(monkeypatch):
+    # both views come from one pyramid; the student changes copies of its
+    # bands, so the teacher (built first) and the pyramid are unaffected
+    calls = []
+    forward = A.dwt_forward
+
+    def spy(signal, cfg):
+        calls.append(signal.shape)
+        return forward(signal, cfg)
+
+    batch = np.random.default_rng(3).standard_normal((5, 64)).astype(
+        np.float32)
+    cfg = A.DwtConfig(zero_out_fraction=0.5)
+    want = rowwise_view_pair(batch, cfg, np.random.default_rng(2))
+    monkeypatch.setattr(A, "dwt_forward", spy)
+    pair = A.make_view_pair(batch, cfg, np.random.default_rng(2))
+    assert calls == [(5, 64)]
+    assert pair.teacher_view.tobytes() == want[0].tobytes()
+    assert pair.student_view.tobytes() == want[1].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # stochastic transforms
 

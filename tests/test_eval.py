@@ -346,6 +346,20 @@ def test_probe_input_validation():
         E.ProbeSpec(task="imputation")
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"epochs": 0}, {"batch_size": 0}, {"batch_size": -4},
+    {"lrs": (float("nan"),)}, {"lrs": (-1.0,)}, {"lrs": (0.0,)},
+    {"lrs": (1e-3, float("inf"))}],
+    ids=["epochs_0", "batch_0", "batch_neg", "lr_nan", "lr_neg", "lr_0",
+         "lr_inf"])
+def test_probe_spec_rejects_untrainable_settings(kwargs):
+    # unchecked, epochs=0 returned an untrained head with best_val inf,
+    # batch_size=0 failed inside range(), a nan rate left the head
+    # untrained and a negative one trained uphill
+    with pytest.raises(ValueError):
+        E.ProbeSpec(task="classify", **kwargs)
+
+
 def test_forecast_probe_learns_constant_map():
     # predicting the window mean of a smooth series should beat the zero head
     rng = np.random.default_rng(7)

@@ -306,18 +306,21 @@ def test_run_experiment_writes_checkpoints(tmp_path):
     assert (header["objective"], header["seed"]) == ("mae", 1)
 
 
-@pytest.mark.parametrize("mode,passes", [("linear", 1), ("mlp", 1),
+@pytest.mark.parametrize("mode,models", [("linear", 1), ("mlp", 1),
                                          ("finetune", 3)])
-def test_probe_grid_encodes_frozen_inputs_once(mode, passes, monkeypatch,
+def test_probe_grid_encodes_frozen_inputs_once(mode, models, monkeypatch,
                                                tmp_path):
     # a frozen backbone gives every grid lr the same features; fine-tuning
-    # encodes its own copy once per lr (one epoch: every window once)
-    rows = []
+    # encodes the grid's stacked backbone copies, one per lr, in one call;
+    # so either way each window is encoded once (one epoch: every window
+    # once)
+    calls = []
     encode = E.encode
 
-    def spy(windows, *args, **kwargs):
-        rows.append(windows.shape[0])
-        return encode(windows, *args, **kwargs)
+    def spy(windows, weights, *args, **kwargs):
+        calls.append((windows.shape[0],
+                      int(np.prod(weights["embed.w"].shape[:-2]))))
+        return encode(windows, weights, *args, **kwargs)
 
     monkeypatch.setattr(E, "encode", spy)
     cfg = fast_cfg(tmp_path, probe_mode=mode, probe_epochs=1)
@@ -328,7 +331,8 @@ def test_probe_grid_encodes_frozen_inputs_once(mode, passes, monkeypatch,
     spec = E.ProbeSpec(mode=mode, task="classify", epochs=1, seed=1,
                        lrs=H.PROBE_LR_GRID, batch_size=16)
     res = E.probe_train(weights, bb, spec, x, y)
-    assert sum(rows) == passes * x.shape[0]
+    assert sum(rows for rows, _ in calls) == x.shape[0]
+    assert {m for _, m in calls} == {models}
     assert len(res.history) == 1
 
 

@@ -136,3 +136,43 @@ def test_chunked_step_matches_per_tensor_loop_bitwise(chunked, loop):
             if grads[k] is None:
                 assert got[k].data.tobytes() == before[k].tobytes(), (k, step)
     assert got["never"].data.tobytes() == start["never"].tobytes()
+
+
+# stacked parameters: a packed one, a tiled one whose model slices exceed a
+# chunk, and one whose rows do
+STACKED = {"small": (3,), "mat": (7, 5), "big": (300, 301),
+           "wide": (2, CHUNK + 3)}
+
+
+def test_per_model_rates_match_separate_adams_bitwise():
+    # one Adam over M stacked models, a rate each, steps every model as M
+    # separate Adams over its slices would, in tiles of at most CHUNK floats
+    rng = np.random.default_rng(2)
+    rates = (3e-3, 1e-2, 3e-2)
+    m = len(rates)
+    got = {k: Tensor(rng.standard_normal((m,) + s).astype(np.float32),
+                     requires_grad=True) for k, s in STACKED.items()}
+    models = [{k: Tensor(p.data[i].copy(), requires_grad=True)
+               for k, p in got.items()} for i in range(m)]
+    opt = Adam(got, lr=rates)
+    refs = [Adam(params, lr=lr) for params, lr in zip(models, rates)]
+    assert opt._flat._grad.size <= CHUNK
+    for step in range(6):
+        for k, p in got.items():
+            # "mat" has no gradient at the second step
+            g = rng.standard_normal(p.shape).astype(np.float32) * 10.0 ** -step
+            p.grad = None if (k, step) == ("mat", 1) else g
+            for params, gi in zip(models, g):
+                params[k].grad = None if p.grad is None else gi
+        opt.step()
+        for ref in refs:
+            ref.step()
+        for i, params in enumerate(models):
+            for k, p in params.items():
+                assert got[k].data[i].tobytes() == p.data.tobytes(), (i, k, step)
+
+
+def test_per_model_rates_must_match_leading_axis():
+    params = {"w": Tensor(np.zeros((2, 3), np.float32), requires_grad=True)}
+    with pytest.raises(ValueError, match="3 rates"):
+        Adam(params, lr=(1e-3, 1e-2, 1e-1))

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsrepr import tensor as T
-from tsrepr.backbone import BackboneConfig, _causal_bias, encode, init_encoder
+from tsrepr.backbone import (BackboneConfig, _causal_bias, encode,
+                             init_encoder, stack_weights)
 from tsrepr.tensor import (DomainError, NumericError, ShapeError, Tape,
                            Tensor, backward, grad_check)
 
@@ -428,3 +429,105 @@ def test_gelu_slope_only_when_recorded(op, arrays, monkeypatch):
         constant = op(*[Tensor(a) for a in arrays]).data
     assert slopes == [True, False, False]
     assert taped.tobytes() == untaped.tobytes() == constant.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a leading model axis: stacked weights run M models in lockstep
+
+
+def _slice_values_and_grads(op, arrays, weight):
+    """Forward value of ``op`` and the gradients of ``sum(out * weight)``."""
+    ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with Tape():
+        out = op(*ts)
+        backward(T.tsum(T.mul(out, weight)))
+    return out.data, [t.grad for t in ts]
+
+
+# (op, unstacked shapes); each stacked array is (M,) + its shape padded with
+# unit axes to broadcast, the layout of ``backbone.stack_weights``
+STACKED = [
+    pytest.param(T.layer_norm, [(3, 5, 8), (1, 1, 8), (1, 1, 8)],
+                 id="layer_norm"),
+    pytest.param(lambda *a: fused_attention(*a, n_heads=2),
+                 [(3, 5, 8), (3, 5, 8)] + [(8, 8)] * 4 + [(1, 8)],
+                 id="attention"),
+    pytest.param(lambda *a: fused_attention(*a, n_heads=4,
+                                            bias=_causal_bias(5)),
+                 [(3, 5, 8), (3, 5, 8)] + [(8, 8)] * 4 + [(1, 8)],
+                 id="attention_causal"),
+    pytest.param(fused_ffn, [(3, 5, 8), (3, 5, 8), (8, 32), (1, 32),
+                             (32, 8), (1, 8)], id="ffn"),
+    pytest.param(T.ffn, [(6, 8), (8, 32), (1, 32), (32, 5), (1, 5)],
+                 id="ffn_no_residual"),
+]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("op,shapes", STACKED)
+def test_stacked_op_matches_each_model_bitwise(op, shapes, m):
+    # each model's slice of a stacked call has the forward bytes and every
+    # gradient of the unstacked call on that model's arrays
+    rng = np.random.default_rng(m)
+    arrays = [(0.4 * rng.standard_normal((m,) + s)).astype(np.float32)
+              for s in shapes]
+    out_shape = op(*[Tensor(a) for a in arrays]).shape
+    weight = rng.standard_normal(out_shape).astype(np.float32)
+    val, grads = _slice_values_and_grads(op, arrays, weight)
+    for i in range(m):
+        # unstacked: biases and norm parameters are plain vectors
+        one = [a[i].reshape(a.shape[-1:]) if s[0] == 1 else a[i]
+               for a, s in zip(arrays, shapes)]
+        ref_val, ref_grads = _slice_values_and_grads(op, one, weight[i])
+        assert val[i].tobytes() == ref_val.tobytes(), i
+        for k, (g, ref) in enumerate(zip(grads, ref_grads)):
+            assert g[i].tobytes() == ref.tobytes(), (i, k)
+
+
+ENCODE_CFG = BackboneConfig(d_model=16, n_layers=2, n_heads=2, patch_len=4,
+                            max_patches=16)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("masked", [False, True])
+def test_stacked_encode_matches_each_model_bitwise(m, masked):
+    rng = np.random.default_rng(10 + m)
+    one = init_encoder(ENCODE_CFG, rng)
+    stacked = stack_weights(one, m)
+    for t in stacked.values():  # a different model on each slice
+        t.data += (0.05 * rng.standard_normal(t.shape)).astype(np.float32)
+    windows = rng.standard_normal((5, 24)).astype(np.float32)
+    mask = rng.random((5, 6)) < 0.3 if masked else None
+    weight = rng.standard_normal((m, 5, 6, 16)).astype(np.float32)
+
+    def run(weights, w):
+        with Tape():
+            out = encode(windows, weights, ENCODE_CFG, patch_mask=mask)
+            backward(T.tsum(T.mul(out, w)))
+        return out.data
+
+    val = run(stacked, weight)
+    for i in range(m):
+        model = {k: Tensor(t.data[i].reshape(one[k].shape), requires_grad=True)
+                 for k, t in stacked.items()}
+        assert val[i].tobytes() == run(model, weight[i]).tobytes(), i
+        for k, t in model.items():
+            if t.grad is None:  # the mask token, when nothing is masked
+                assert stacked[k].grad is None and not masked, k
+                continue
+            assert stacked[k].grad[i].tobytes() == (
+                t.grad.reshape(stacked[k].shape[1:]).tobytes()), (i, k)
+
+
+@pytest.mark.parametrize("masked,records", [(False, 14), (True, 18)])
+def test_unstacked_encode_record_count(masked, records):
+    # a toy encode (two layers) records 3 patch-embedding entries, 2 for
+    # the positions, 4 per layer and 1 final norm; a patch mask adds 4
+    cfg = BackboneConfig(d_model=32, n_layers=2, n_heads=4, patch_len=16,
+                         max_patches=8)
+    w = init_encoder(cfg, np.random.default_rng(0))
+    x = rand(4, 128)
+    with Tape() as tape:
+        encode(x, w, cfg, patch_mask=np.eye(4, 8, dtype=bool) if masked
+               else None)
+    assert len(tape.records) == records
