@@ -1,11 +1,12 @@
 """Teacher/student view construction and the fixed stochastic transforms.
 
 The wavelet pipeline builds a "clean" teacher view by soft-thresholding
-detail coefficients and a "hard" student view by injecting coefficient
-noise and zeroing a fraction of the finest band.  Daubechies filters are
-generated by spectral factorization; the transform uses periodized
-circular convolution, which makes the analysis operator orthogonal and
-the round trip exact to machine precision.
+detail coefficients and a "hard" student view by injecting uniform noise
+into every detail band.  Both come from one periodized db4 transform of
+up to ``LEVEL`` levels.  Daubechies filters are generated by spectral
+factorization; the transform uses periodized circular convolution, which
+makes the analysis operator orthogonal and the round trip exact to
+machine precision.
 """
 
 from __future__ import annotations
@@ -65,20 +66,10 @@ def wavelet_filters(family: str) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # periodized DWT
 
-
-@dataclass
-class DwtConfig:
-    family: str = "db4"
-    level: int = 3
-    teacher_sigma: float = 0.3
-    student_noise_range: tuple[float, float] = (0.1, 0.3)
-    zero_out_fraction: float = 0.0
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("level must be >= 1")
-        if not 0.0 <= self.zero_out_fraction <= 1.0:
-            raise ValueError("zero_out_fraction must be in [0, 1]")
+FAMILY = "db4"                # wavelet of both views
+LEVEL = 3                     # deepest level; shorter windows take fewer
+TEACHER_SIGMA = 0.3           # teacher soft-threshold scale
+STUDENT_NOISE = (0.1, 0.3)    # range of the student's per-row noise amplitude
 
 
 @dataclass
@@ -127,26 +118,29 @@ def _synthesis_step(a: np.ndarray, d: np.ndarray, h: np.ndarray,
     return x.reshape(a.shape[:-1] + (2 * half,))
 
 
-def dwt_forward(signal: np.ndarray, cfg: DwtConfig) -> Pyramid:
-    """Periodized multi-level DWT along the last axis of a (..., T) array."""
+def dwt_forward(signal: np.ndarray, level: int, family: str) -> Pyramid:
+    """Periodized ``level``-level DWT along the last axis of a (..., T)
+    array."""
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim == 0:
         raise ShapeError("dwt_forward expects a (..., T) signal")
-    h, g = wavelet_filters(cfg.family)
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    h, g = wavelet_filters(family)
     n = signal.shape[-1]
     if n < len(h):
         raise ShapeError(f"signal length {n} < filter length {len(h)}")
-    if n % (2 ** cfg.level) != 0:
+    if n % (2 ** level) != 0:
         raise ShapeError(
-            f"signal length {n} not divisible by 2^level = {2 ** cfg.level}"
+            f"signal length {n} not divisible by 2^level = {2 ** level}"
         )
     details: list[np.ndarray] = []
     a = signal
-    for _ in range(cfg.level):
+    for _ in range(level):
         a, d = _analysis_step(a, h, g)
         details.append(d)
     details.reverse()  # coarsest first
-    return Pyramid(a, details, cfg.family)
+    return Pyramid(a, details, family)
 
 
 def dwt_inverse(pyr: Pyramid) -> np.ndarray:
@@ -174,54 +168,34 @@ def soft_threshold(x: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
 
 
-def teacher_view(signal: np.ndarray, cfg: DwtConfig) -> np.ndarray:
-    """Clean view of each (..., T) row: MAD-scaled soft threshold on all
-    detail bands.
+def teacher_view(pyr: Pyramid) -> np.ndarray:
+    """Clean view of each row of ``pyr``, which it leaves as is: MAD-scaled
+    soft threshold on all detail bands.
 
-    tau = teacher_sigma * median(|finest detail|) / 0.6745 per row
+    tau = TEACHER_SIGMA * median(|finest detail|) / 0.6745 per row
     (universal threshold convention); the approximation band is untouched.
     """
-    return _teacher(dwt_forward(signal, cfg), cfg)
-
-
-def _teacher(pyr: Pyramid, cfg: DwtConfig) -> np.ndarray:
-    """:func:`teacher_view` from the rows' pyramid, which it leaves as is."""
-    tau = (cfg.teacher_sigma * np.median(np.abs(pyr.details[-1]), axis=-1,
-                                         keepdims=True) / 0.6745)
+    tau = (TEACHER_SIGMA * np.median(np.abs(pyr.details[-1]), axis=-1,
+                                     keepdims=True) / 0.6745)
     details = [soft_threshold(d, tau) for d in pyr.details]
     return dwt_inverse(Pyramid(pyr.approx, details, pyr.family)
                        ).astype(np.float32)
 
 
-def student_view(signal: np.ndarray, cfg: DwtConfig,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Hard view of each (..., T) row: uniform coefficient noise plus
-    finest-band zero-out.
+def student_view(pyr: Pyramid, rng: np.random.Generator) -> np.ndarray:
+    """Hard view of each row of ``pyr``: uniform noise in every detail
+    band, added to copies, so the pyramid is left as is.
 
-    ``rng`` is drawn row by row in the order one call per row would use:
-    the amplitude, one noise draw per band (coarsest first), then the
-    zero-out choice, so a batch gets exactly the views of its rows taken one
-    at a time.
+    ``rng`` is drawn row by row: an amplitude from ``STUDENT_NOISE``, then
+    one noise draw per band (coarsest first), so a batch gets exactly the
+    views of its rows taken one at a time.
     """
-    return _student(dwt_forward(signal, cfg), cfg, rng)
-
-
-def _student(pyr: Pyramid, cfg: DwtConfig,
-             rng: np.random.Generator) -> np.ndarray:
-    """:func:`student_view` from the rows' pyramid; it changes copies of
-    the detail bands, so the pyramid is left as is."""
     details = [d.copy() for d in pyr.details]
-    finest = details[-1]
-    lo, hi = cfg.student_noise_range
-    k = int(round(cfg.zero_out_fraction * finest.shape[-1]))
-    for row in np.ndindex(finest.shape[:-1]):
+    lo, hi = STUDENT_NOISE
+    for row in np.ndindex(details[0].shape[:-1]):
         amp = rng.uniform(lo, hi)
-        if amp > 0.0:
-            for d in details:
-                d[row] += rng.uniform(-amp, amp, size=d.shape[-1])
-        if k > 0:
-            finest[row][rng.choice(finest.shape[-1], size=k,
-                                   replace=False)] = 0.0
+        for d in details:
+            d[row] += rng.uniform(-amp, amp, size=d.shape[-1])
     return dwt_inverse(Pyramid(pyr.approx, details, pyr.family)
                        ).astype(np.float32)
 
@@ -236,23 +210,21 @@ class ViewPair:
     student_view: np.ndarray
 
 
-def make_view_pair(batch: np.ndarray, cfg: DwtConfig, rng: np.random.Generator,
+def make_view_pair(batch: np.ndarray, rng: np.random.Generator,
                    stochastic: bool = False) -> ViewPair:
     """Build (teacher, student) views for a (B, T) batch.
 
     The teacher view is the soft-thresholded reconstruction; the student
-    view carries coefficient noise and zero-out.  With ``stochastic`` the
-    teacher/global view also goes through :func:`stochastic_transforms`.
+    view carries coefficient noise.  With ``stochastic`` the teacher/global
+    view also goes through :func:`stochastic_transforms`.
     """
     batch = np.asarray(batch, dtype=np.float32)
     if batch.ndim != 2:
         raise ShapeError("make_view_pair expects a (B, T) batch")
-    lvl = max_dwt_level(batch.shape[1], cfg.level)
-    eff = DwtConfig(cfg.family, lvl, cfg.teacher_sigma,
-                    cfg.student_noise_range, cfg.zero_out_fraction)
-    pyr = dwt_forward(batch, eff)  # one transform serves both views
-    teacher = _teacher(pyr, eff)
-    student = _student(pyr, eff, rng)
+    # one transform serves both views
+    pyr = dwt_forward(batch, max_dwt_level(batch.shape[1], LEVEL), FAMILY)
+    teacher = teacher_view(pyr)
+    student = student_view(pyr, rng)
     if stochastic:
         teacher = stochastic_transforms(teacher, rng)
     return ViewPair(teacher, student)

@@ -83,15 +83,15 @@ def cmd_augment_preview(args) -> int:
         rng = np.random.default_rng(args.seed)
         batch = harness.toy_pretrain_corpus(rng, 4, 256)
     rng = np.random.default_rng(args.seed)
-    pair = augment.make_view_pair(batch, augment.DwtConfig(), rng,
-                                  stochastic=True)
+    pair = augment.make_view_pair(batch, rng, stochastic=True)
     out = _resolve(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tsb.write_tensor(out / "original.tsb", batch.astype(np.float32))
     tsb.write_tensor(out / "teacher.tsb", pair.teacher_view)
     tsb.write_tensor(out / "student.tsb", pair.student_view)
-    lvl = augment.max_dwt_level(batch.shape[1], 3)
-    pyr = augment.dwt_forward(batch[0], augment.DwtConfig(level=lvl))
+    pyr = augment.dwt_forward(
+        batch[0], augment.max_dwt_level(batch.shape[1], augment.LEVEL),
+        augment.FAMILY)
     with open(out / "coefficients.csv", "w", encoding="utf-8") as fh:
         fh.write("band,index,value\n")
         for i, v in enumerate(pyr.approx):

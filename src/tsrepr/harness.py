@@ -259,6 +259,9 @@ def ingest_csv(path, out_dir, timestamp_col: int | None = None,
             if len(row) != width:
                 raise DataError(f"line {lineno}: ragged row "
                                 f"({len(row)} cells, expected {width})")
+            if timestamp_col is not None and not 0 <= timestamp_col < width:
+                raise DataError(f"timestamp_col {timestamp_col} is outside "
+                                f"rows of {width} columns")
             try:
                 rows.append([float(cell) for i, cell in enumerate(row)
                              if i != timestamp_col])
@@ -266,6 +269,8 @@ def ingest_csv(path, out_dir, timestamp_col: int | None = None,
                 raise DataError(f"line {lineno}: non-numeric cell") from exc
     if not rows:
         raise DataError("no data rows")
+    if not rows[0]:
+        raise DataError(f"no channel beside timestamp_col {timestamp_col}")
     data = np.asarray(rows, dtype=np.float64)  # (T, C)
     train_end = max(1, int(TRAIN_SHARE * data.shape[0]))
     mu = data[:train_end].mean(axis=0)
@@ -509,8 +514,14 @@ def _backbone_for_seed(cfg: RunConfig, seed: int, ckpt_dir: Path):
     ckpt = ckpt_dir / f"backbone_seed{seed}.tsbc"
     if ckpt.exists():
         return load_backbone(ckpt)[:2]
-    result = objectives.pretrain(_pretrain_corpus(cfg, seed),
-                                 cfg.pretrain_config(seed), out_path=ckpt)
+    corpus, pcfg = _pretrain_corpus(cfg, seed), cfg.pretrain_config(seed)
+    try:  # a dataset's train part may be shorter than corpus_length
+        replace(pcfg, window_len=min(pcfg.window_len, corpus.length))
+    except ValueError as exc:
+        raise DataError(f"dataset {cfg.dataset_path} has train length "
+                        f"{corpus.length}, too short to pretrain: {exc}"
+                        ) from exc
+    result = objectives.pretrain(corpus, pcfg, out_path=ckpt)
     return result.best_weights, result.state.cfg
 
 

@@ -357,7 +357,7 @@ class PretrainConfig:
                              f"patches; window_len {self.window_len} has {n}")
         if self.objective in ("lejepa", "dino"):  # its views cut the window
             augment.make_view_pair(np.zeros((1, self.window_len)),
-                                   augment.DwtConfig(), np.random.default_rng(0))
+                                   np.random.default_rng(0))
 
     def resolved_lr(self) -> float:
         if self.lr is not None:
@@ -404,11 +404,10 @@ def compute_loss(state: ObjectiveState, batch: np.ndarray,
     if obj == "jepa":
         return jepa_loss(state, batch, rng)
     if obj == "lejepa":
-        pair = augment.make_view_pair(batch, augment.DwtConfig(), rng,
-                                      stochastic=True)
+        pair = augment.make_view_pair(batch, rng, stochastic=True)
         return lejepa_loss(state, pair, step=step)
     if obj == "dino":
-        pair = augment.make_view_pair(batch, augment.DwtConfig(), rng)
+        pair = augment.make_view_pair(batch, rng)
         return dino_loss(state, pair)
     raise ValueError(f"unknown objective {obj!r}")
 

@@ -102,26 +102,30 @@ def test_criterion_02_dwt_reconstruction_and_views():
         level = int(rng.integers(1, 5))
         n = 16 * (2 ** level)
         x = rng.standard_normal(n)
-        cfg = A.DwtConfig(family=f"db{order}", level=level)
-        back = A.dwt_inverse(A.dwt_forward(x, cfg))
+        back = A.dwt_inverse(A.dwt_forward(x, level, f"db{order}"))
         worst = max(worst, float(np.abs(back - x).max()))
 
     # teacher view: soft-threshold every detail band at the MAD-derived tau
     x = rng.standard_normal(128)
-    tcfg = A.DwtConfig(family="db4", level=3, teacher_sigma=0.3)
-    pyr = A.dwt_forward(x, tcfg)
+    pyr = A.dwt_forward(x, 3, "db4")
+    teacher = A.teacher_view(pyr).tobytes()
     tau = 0.3 * np.median(np.abs(pyr.details[-1])) / 0.6745
     pyr.details = [A.soft_threshold(d, tau) for d in pyr.details]
-    teacher_exact = (A.teacher_view(x, tcfg).tobytes()
+    teacher_exact = (teacher
                      == A.dwt_inverse(pyr).astype(np.float32).tobytes())
 
-    # student view at full zero-out: finest detail band erased, no noise
-    y = rng.standard_normal(64)
-    scfg = A.DwtConfig(family="db2", level=2, student_noise_range=(0.0, 0.0),
-                       zero_out_fraction=1.0)
-    spyr = A.dwt_forward(y, scfg)
-    spyr.details[-1][:] = 0.0
-    student_exact = (A.student_view(y, scfg, np.random.default_rng(0)).tobytes()
+    # student view as lejepa and dino train on it: per row, an amplitude
+    # u ~ U[0.1, 0.3), then U[-u, u] noise on each detail band, coarsest
+    # first, all drawn from the one rng
+    y = rng.standard_normal((3, 64)).astype(np.float32)
+    spyr = A.dwt_forward(y, 3, "db4")
+    replay = np.random.default_rng(0)
+    for i in range(y.shape[0]):
+        amp = replay.uniform(0.1, 0.3)
+        for d in spyr.details:
+            d[i] += replay.uniform(-amp, amp, size=d.shape[-1])
+    student = A.make_view_pair(y, np.random.default_rng(0)).student_view
+    student_exact = (student.tobytes()
                      == A.dwt_inverse(spyr).astype(np.float32).tobytes())
 
     _report(2, worst < 1e-6 and teacher_exact and student_exact,

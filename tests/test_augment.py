@@ -33,29 +33,27 @@ def test_wavelet_filter_orthogonality():
 
 
 def test_haar_constant_signal():
-    pyr = A.dwt_forward(np.array([1.0, 1.0, 1.0, 1.0]),
-                        A.DwtConfig(family="db1", level=1))
+    pyr = A.dwt_forward(np.array([1.0, 1.0, 1.0, 1.0]), 1, "db1")
     np.testing.assert_allclose(pyr.approx, [np.sqrt(2), np.sqrt(2)],
                                atol=1e-12)
     np.testing.assert_allclose(pyr.details[0], [0.0, 0.0], atol=1e-12)
 
 
 def test_haar_zeroed_details_give_pair_means():
-    pyr = A.dwt_forward(np.array([1.0, 2.0, 3.0, 4.0]),
-                        A.DwtConfig(family="db1", level=1))
+    pyr = A.dwt_forward(np.array([1.0, 2.0, 3.0, 4.0]), 1, "db1")
     pyr.details[0][:] = 0.0
     np.testing.assert_allclose(A.dwt_inverse(pyr), [1.5, 1.5, 3.5, 3.5],
                                atol=1e-10)
 
 
 def test_zero_pyramid_zero_signal():
-    pyr = A.dwt_forward(np.zeros(64), A.DwtConfig(family="db4", level=2))
+    pyr = A.dwt_forward(np.zeros(64), 2, "db4")
     np.testing.assert_allclose(A.dwt_inverse(pyr), np.zeros(64), atol=1e-12)
 
 
 def test_db4_level3_band_structure():
-    pyr = A.dwt_forward(np.random.default_rng(0).standard_normal(256),
-                        A.DwtConfig(family="db4", level=3))
+    pyr = A.dwt_forward(np.random.default_rng(0).standard_normal(256), 3,
+                        "db4")
     assert [d.shape[0] for d in pyr.details] == [32, 64, 128]
     assert pyr.approx.shape[0] == 32
 
@@ -65,10 +63,9 @@ def test_db4_level3_band_structure():
 def test_perfect_reconstruction(order, level):
     rng = np.random.default_rng(order * 10 + level)
     n = 16 * (2 ** level)
-    cfg = A.DwtConfig(family=f"db{order}", level=level)
     for _ in range(5):
         x = rng.standard_normal(n)
-        back = A.dwt_inverse(A.dwt_forward(x, cfg))
+        back = A.dwt_inverse(A.dwt_forward(x, level, f"db{order}"))
         assert np.abs(back - x).max() < 1e-6
 
 
@@ -76,15 +73,14 @@ def test_perfect_reconstruction(order, level):
                                           ("db4", 3), ("db8", 4)])
 def test_batched_dwt_matches_rows(family, level):
     # the last axis is transformed; leading axes are independent rows
-    cfg = A.DwtConfig(family=family, level=level)
     x = np.random.default_rng(level).standard_normal((2, 3, 336))
-    pyr = A.dwt_forward(x, cfg)
+    pyr = A.dwt_forward(x, level, family)
     assert pyr.approx.shape[-1] * 2 ** level == x.shape[-1]
     back = A.dwt_inverse(pyr)
     assert back.shape == x.shape
     assert np.abs(back - x).max() < 1e-9
     for i in np.ndindex(x.shape[:-1]):
-        row = A.dwt_forward(x[i], cfg)
+        row = A.dwt_forward(x[i], level, family)
         np.testing.assert_allclose(pyr.approx[i], row.approx, rtol=0,
                                    atol=1e-12)
         for band, row_band in zip(pyr.details, row.details):
@@ -116,10 +112,10 @@ def test_synthesis_sums_in_scatter_order(order):
 
 def test_dwt_shape_errors():
     with pytest.raises(ShapeError):
-        A.dwt_forward(np.zeros(66), A.DwtConfig(family="db1", level=2))
+        A.dwt_forward(np.zeros(66), 2, "db1")
     with pytest.raises(ShapeError):
-        A.dwt_forward(np.zeros(4), A.DwtConfig(family="db4", level=1))
-    pyr = A.dwt_forward(np.zeros(32), A.DwtConfig(family="db1", level=1))
+        A.dwt_forward(np.zeros(4), 1, "db4")
+    pyr = A.dwt_forward(np.zeros(32), 1, "db1")
     pyr.details[0] = np.zeros(7)
     with pytest.raises(ShapeError):
         A.dwt_inverse(pyr)
@@ -138,94 +134,82 @@ def test_soft_threshold_values():
 def test_teacher_view_matches_pyramid_oracle():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(128)
-    cfg = A.DwtConfig(family="db4", level=3, teacher_sigma=0.3)
-    got = A.teacher_view(x, cfg)
-    pyr = A.dwt_forward(x, cfg)
+    pyr = A.dwt_forward(x, 3, "db4")
+    got = A.teacher_view(pyr)
     tau = 0.3 * np.median(np.abs(pyr.details[-1])) / 0.6745
-    pyr.details = [A.soft_threshold(d, tau) for d in pyr.details]
-    np.testing.assert_allclose(got, A.dwt_inverse(pyr).astype(np.float32),
+    want = A.Pyramid(pyr.approx, [A.soft_threshold(d, tau)
+                                  for d in pyr.details], pyr.family)
+    np.testing.assert_allclose(got, A.dwt_inverse(want).astype(np.float32),
                                atol=1e-6)
     # deterministic
-    assert A.teacher_view(x, cfg).tobytes() == got.tobytes()
+    assert A.teacher_view(pyr).tobytes() == got.tobytes()
 
 
 def test_teacher_energy_monotone():
     rng = np.random.default_rng(2)
-    cfg = A.DwtConfig(family="db2", level=2)
     for _ in range(20):
         x = rng.standard_normal(64)
-        before = A.dwt_forward(x, cfg)
-        after = A.dwt_forward(A.teacher_view(x, cfg).astype(np.float64), cfg)
+        before = A.dwt_forward(x, 2, "db2")
+        after = A.dwt_forward(A.teacher_view(before).astype(np.float64), 2,
+                              "db2")
         e0 = sum(float(np.sum(d ** 2)) for d in before.details)
         e1 = sum(float(np.sum(d ** 2)) for d in after.details)
         assert e1 <= e0 + 1e-6
 
 
-def test_student_view_matches_zeroed_pyramid_oracle():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(64)
-    cfg = A.DwtConfig(family="db2", level=2, student_noise_range=(0.0, 0.0),
-                      zero_out_fraction=1.0)
-    got = A.student_view(x, cfg, np.random.default_rng(0))
-    pyr = A.dwt_forward(x, cfg)
-    pyr.details[-1][:] = 0.0
-    np.testing.assert_allclose(got, A.dwt_inverse(pyr).astype(np.float32),
-                               atol=1e-6)
-
-
-def test_student_view_noop_limit_and_determinism():
-    x = np.random.default_rng(4).standard_normal(64)
-    cfg = A.DwtConfig(family="db3", level=1, student_noise_range=(0.0, 0.0),
-                      zero_out_fraction=0.0)
-    np.testing.assert_allclose(A.student_view(x, cfg,
-                                              np.random.default_rng(0)),
-                               x.astype(np.float32), atol=1e-6)
-    cfg2 = A.DwtConfig(family="db3", level=1)
-    a = A.student_view(x, cfg2, np.random.default_rng(7))
-    b = A.student_view(x, cfg2, np.random.default_rng(7))
-    assert a.tobytes() == b.tobytes()
+def test_student_view_matches_noisy_pyramid_oracle():
+    # per row: one amplitude in [0.1, 0.3), then one uniform draw per
+    # detail band, coarsest first
+    x = np.random.default_rng(3).standard_normal((3, 64))
+    pyr = A.dwt_forward(x, 3, "db4")
+    kept = [d.copy() for d in pyr.details]
+    got = A.student_view(pyr, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    for i in range(3):
+        amp = rng.uniform(0.1, 0.3)
+        row = A.Pyramid(pyr.approx[i], [
+            d[i] + rng.uniform(-amp, amp, size=d.shape[-1])
+            for d in pyr.details], "db4")
+        assert got[i].tobytes() == A.dwt_inverse(row).astype(
+            np.float32).tobytes()
+    # the pyramid is left as is
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(pyr.details, kept))
 
 
 def test_make_view_pair_shapes_and_level_reduction():
-    batch = np.random.default_rng(5).standard_normal((3, 40)).astype(np.float32)
-    pair = A.make_view_pair(batch, A.DwtConfig(level=3),
-                            np.random.default_rng(0))
+    # 36 = 4 * 9: two halvings, so the views cut LEVEL to level 2
+    batch = np.random.default_rng(5).standard_normal((3, 36)).astype(np.float32)
+    assert A.max_dwt_level(36, A.LEVEL) == 2
+    assert A.max_dwt_level(40, 5) == 3
+    pair = A.make_view_pair(batch, np.random.default_rng(0))
     assert pair.teacher_view.shape == batch.shape
     assert pair.student_view.shape == batch.shape
-    # 40 = 8 * 5: three halvings, so a deeper request is cut to level 3
-    assert A.max_dwt_level(40, 5) == 3
-    deeper = A.make_view_pair(batch, A.DwtConfig(level=5),
-                              np.random.default_rng(0))
-    assert deeper.teacher_view.tobytes() == pair.teacher_view.tobytes()
-    assert deeper.student_view.tobytes() == pair.student_view.tobytes()
+    pyr = A.dwt_forward(batch, 2, "db4")
+    assert pair.teacher_view.tobytes() == A.teacher_view(pyr).tobytes()
+    assert pair.student_view.tobytes() == A.student_view(
+        pyr, np.random.default_rng(0)).tobytes()
 
 
-def rowwise_view_pair(batch, cfg, rng, stochastic=False):
+def rowwise_view_pair(batch, rng, stochastic=False):
     """make_view_pair composed one row at a time, sharing one rng."""
-    lvl = A.max_dwt_level(batch.shape[1], cfg.level)
-    eff = A.DwtConfig(cfg.family, lvl, cfg.teacher_sigma,
-                      cfg.student_noise_range, cfg.zero_out_fraction)
-    teacher = np.stack([A.teacher_view(row, eff) for row in batch])
-    student = np.stack([A.student_view(row, eff, rng) for row in batch])
+    lvl = A.max_dwt_level(batch.shape[1], A.LEVEL)
+    pyrs = [A.dwt_forward(row, lvl, A.FAMILY) for row in batch]
+    teacher = np.stack([A.teacher_view(pyr) for pyr in pyrs])
+    student = np.stack([A.student_view(pyr, rng) for pyr in pyrs])
     if stochastic:
         teacher = A.stochastic_transforms(teacher, rng)
     return teacher, student
 
 
-@pytest.mark.parametrize("cfg,stochastic", [
-    (A.DwtConfig(), False),
-    (A.DwtConfig(), True),
-    (A.DwtConfig(family="db2", zero_out_fraction=0.25), False),
-    (A.DwtConfig(student_noise_range=(0.0, 0.0), zero_out_fraction=0.5),
-     False),
-], ids=["default", "stochastic", "zero_out", "no_noise"])
-def test_make_view_pair_matches_rowwise_bitwise(cfg, stochastic):
+@pytest.mark.parametrize("stochastic", [False, True],
+                         ids=["default", "stochastic"])
+def test_make_view_pair_matches_rowwise_bitwise(stochastic):
     # a batch draws the rng stream of B one-row calls in row order
     batch = np.random.default_rng(12).standard_normal((9, 96)).astype(
         np.float32)
     rng_batch, rng_rows = np.random.default_rng(4), np.random.default_rng(4)
-    pair = A.make_view_pair(batch, cfg, rng_batch, stochastic=stochastic)
-    teacher, student = rowwise_view_pair(batch, cfg, rng_rows, stochastic)
+    pair = A.make_view_pair(batch, rng_batch, stochastic=stochastic)
+    teacher, student = rowwise_view_pair(batch, rng_rows, stochastic)
     assert pair.teacher_view.dtype == pair.student_view.dtype == np.float32
     assert pair.teacher_view.tobytes() == teacher.tobytes()
     assert pair.student_view.tobytes() == student.tobytes()
@@ -238,16 +222,15 @@ def test_make_view_pair_transforms_once(monkeypatch):
     calls = []
     forward = A.dwt_forward
 
-    def spy(signal, cfg):
+    def spy(signal, level, family):
         calls.append(signal.shape)
-        return forward(signal, cfg)
+        return forward(signal, level, family)
 
     batch = np.random.default_rng(3).standard_normal((5, 64)).astype(
         np.float32)
-    cfg = A.DwtConfig(zero_out_fraction=0.5)
-    want = rowwise_view_pair(batch, cfg, np.random.default_rng(2))
+    want = rowwise_view_pair(batch, np.random.default_rng(2))
     monkeypatch.setattr(A, "dwt_forward", spy)
-    pair = A.make_view_pair(batch, cfg, np.random.default_rng(2))
+    pair = A.make_view_pair(batch, np.random.default_rng(2))
     assert calls == [(5, 64)]
     assert pair.teacher_view.tobytes() == want[0].tobytes()
     assert pair.student_view.tobytes() == want[1].tobytes()

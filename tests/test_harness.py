@@ -157,6 +157,23 @@ def test_ingest_error_line_numbers(tmp_path):
         H.ingest_csv(tmp_path / "ghost.csv", tmp_path / "z")
 
 
+@pytest.mark.parametrize("col", [-1, 3, 7])
+def test_ingest_rejects_a_timestamp_col_outside_the_row(tmp_path, col):
+    # three columns: the time and two channels
+    path = write_csv(tmp_path / "d.csv", t=10, c=2)
+    with pytest.raises(DataError, match=f"timestamp_col {col} .* 3 columns"):
+        H.ingest_csv(path, tmp_path / "x", timestamp_col=col)
+    assert not (tmp_path / "x").exists()
+
+
+def test_ingest_rejects_a_csv_of_timestamps_only(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("time\n1\n2\n3\n")
+    with pytest.raises(DataError, match="no channel beside timestamp_col 0"):
+        H.ingest_csv(path, tmp_path / "x", timestamp_col=0)
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # metric records
 
@@ -828,6 +845,23 @@ def test_cli_data_error_exit_three(tmp_path, capsys):
                      str(tmp_path / "missing.tsb"),
                      "--out", str(tmp_path / "v")]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["real", "hybrid"])
+def test_cli_short_dataset_is_a_data_error(tmp_path, capsys, source):
+    # a generated series trains whole: 20 samples hold two 8-sample
+    # patches, where ntp needs 5
+    corpus = tmp_path / "gen"
+    assert cli.main(["generate", "--out", str(corpus), "--n-series", "3",
+                     "--length", "20"]) == 0
+    capsys.readouterr()
+    H.save_run_config(fast_cfg(tmp_path, objective="ntp", data_source=source,
+                               dataset_path=str(corpus), tasks=("classify",)),
+                      tmp_path / "c.ini")
+    assert cli.main(["evaluate", "--config", str(tmp_path / "c.ini")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert "train length 20" in err and "ntp needs windows of >= 5" in err
 
 
 def test_cli_numeric_error_exit_four(tmp_path, capsys, monkeypatch):
