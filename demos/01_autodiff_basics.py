@@ -27,7 +27,8 @@ def main():
         Tensor(np.array([1.0, 2.0, 3.0], np.float32), requires_grad=True))
     print(f"finite-difference rel err: {err:.2e}")
 
-    # scalar outputs carry a float64 shadow so FD stays accurate in fp32
+    # a full reduction (tsum, mean) keeps a float64 shadow of its value, so
+    # FD stays accurate in fp32; arithmetic on the result does not carry it
     print("float64 shadow:", y.hi)
 
 

@@ -138,11 +138,8 @@ def init_predictor(cfg: BackboneConfig, rng: np.random.Generator) -> Weights:
     return w
 
 
-def clone_weights(w: Weights, requires_grad: bool = False) -> Weights:
-    return {
-        k: Tensor(v.data.copy(), requires_grad=requires_grad, _check=False)
-        for k, v in w.items()
-    }
+def clone_weights(w: Weights) -> Weights:
+    return {k: Tensor(v.data.copy(), _check=False) for k, v in w.items()}
 
 
 # encoder weights that act on (B, N, d) activations; the others act on the

@@ -30,7 +30,7 @@ def _load_config(args) -> RunConfig:
 
 def cmd_generate(args) -> int:
     for name, low in (("length", 2), ("n_series", 1), ("channels", 0),
-                      ("workers", 1)):
+                      ("workers", 1), ("seed", 0)):
         if getattr(args, name) < low:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= {low}")
     cfg = synthgen.LcmConfig(
@@ -48,6 +48,8 @@ def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
     if cfg.objective == "none":
         raise ConfigError("pretrain requires an objective other than 'none'")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     # a seed's checkpoint does not depend on the config's other seeds
     ckpt_dir = harness.claim_run_dir(cfg) / "checkpoints"
     for seed in cfg.seeds if args.seed is None else (args.seed,):
@@ -75,6 +77,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_augment_preview(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     if args.input:
         batch = tsb.read_tensor(_resolve(args.input))
         if batch.ndim == 1:

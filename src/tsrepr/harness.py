@@ -1,14 +1,14 @@
-"""Experiment orchestration: run configs, CSV ingestion, metric records,
-the toy task suite, the runner and sweeps.
+"""Experiment orchestration: run configs, metric records, the toy task
+suite, the runner and sweeps.
 
 A run pretrains a backbone per seed on a synthetic, real or hybrid corpus
 (or skips pretraining for the baseline), evaluates a fixed task battery
 through one shared probe code path, and writes per-seed plus mean/std
-metric rows.  Real rows come from a ``tsb.write_dataset`` directory, the
-output of ``ingest_csv`` or ``tsrepr generate``.  Each (seed, task) pair
-is saved when it finishes; reruns of the same config skip saved pairs and
-load a seed's checkpoint instead of pretraining again, so interrupted runs
-resume cleanly.  A run directory refuses any other config.
+metric rows.  Real rows come from a ``tsb.write_dataset`` directory, such
+as the output of ``tsrepr generate``.  Each (seed, task) pair is saved
+when it finishes; reruns of the same config skip saved pairs and load a
+seed's checkpoint instead of pretraining again, so interrupted runs resume
+cleanly.  A run directory refuses any other config.
 """
 
 from __future__ import annotations
@@ -99,6 +99,8 @@ class RunConfig:
             raise ConfigError(f"tasks must be a non-empty subset of {TASKS}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if min(self.seeds) < 0:  # SeedSequence takes no negative entropy
+            raise ConfigError(f"seeds must be >= 0: {list(self.seeds)}")
         for name in ("seeds", "tasks"):  # one metric row per (seed, task)
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -223,61 +225,6 @@ def _parse_value(key: str, raw: str):
         return raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-
-
-# ---------------------------------------------------------------------------
-# dataset ingestion
-
-
-TRAIN_SHARE = 0.6  # leading share of an ingested series used for pretraining
-
-
-def ingest_csv(path, out_dir, timestamp_col: int | None = None,
-               has_header: bool = True) -> tsb.Manifest:
-    """Parse a numeric CSV into a ``tsb.write_dataset`` directory with one
-    standardized row per channel, (C, T).
-
-    Channels are standardized with the statistics of the leading
-    ``TRAIN_SHARE`` of the series, which the manifest's ``train_end``
-    marks.  Non-numeric cells and ragged rows raise DataError with the
-    1-based line number.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        width = None
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if lineno == 1 and has_header:
-                width = len(row)
-                continue
-            if not row:
-                continue
-            if width is None:
-                width = len(row)
-            if len(row) != width:
-                raise DataError(f"line {lineno}: ragged row "
-                                f"({len(row)} cells, expected {width})")
-            if timestamp_col is not None and not 0 <= timestamp_col < width:
-                raise DataError(f"timestamp_col {timestamp_col} is outside "
-                                f"rows of {width} columns")
-            try:
-                rows.append([float(cell) for i, cell in enumerate(row)
-                             if i != timestamp_col])
-            except ValueError as exc:
-                raise DataError(f"line {lineno}: non-numeric cell") from exc
-    if not rows:
-        raise DataError("no data rows")
-    if not rows[0]:
-        raise DataError(f"no channel beside timestamp_col {timestamp_col}")
-    data = np.asarray(rows, dtype=np.float64)  # (T, C)
-    train_end = max(1, int(TRAIN_SHARE * data.shape[0]))
-    mu = data[:train_end].mean(axis=0)
-    sd = np.maximum(data[:train_end].std(axis=0), 1e-8)
-    data = ((data - mu) / sd).astype(np.float32)
-    return tsb.write_dataset(out_dir, data.T, {"train_end": train_end,
-                                               "source": path.name})
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +552,7 @@ def claim_run_dir(cfg: RunConfig) -> Path:
     return run_dir
 
 
-def run_experiment(cfg: RunConfig, log=None) -> list[MetricRecord]:
+def run_experiment(cfg: RunConfig) -> list[MetricRecord]:
     """Pretrain + probe per seed, with crash-safe resume.
 
     Each (seed, task) pair writes its rows under records/ as soon as it
@@ -632,8 +579,6 @@ def run_experiment(cfg: RunConfig, log=None) -> list[MetricRecord]:
                                  metric, value, str(seed))
                     for dataset, metric, value in rows])
             records += _read_record_file(path)
-        if log is not None:
-            log({"seed": seed, "done": list(cfg.tasks)})
 
     records += aggregate_records(records)
     write_metrics(run_dir / "metrics.csv", records)

@@ -341,6 +341,11 @@ class PretrainConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         if not 0.0 <= self.lejepa_lambda <= 1.0:
             raise ValueError("lejepa_lambda must be in [0, 1]")
+        if not 0.0 <= self.ema_momentum <= 1.0:
+            raise ValueError("ema_momentum must be in [0, 1]")
+        for name in ("sigreg_projections", "dino_prototypes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

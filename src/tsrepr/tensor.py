@@ -131,8 +131,9 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        # optional float64 shadow of a scalar value, kept by reductions so
-        # finite-difference checks are not limited by float32 rounding
+        # float64 value of a one-element reduction (tsum, mean, the SIGReg
+        # statistic), so finite-difference checks are not limited by
+        # float32 rounding; arithmetic on it does not carry it
         self.hi: float | None = None
 
     # -- basic introspection ------------------------------------------------
@@ -191,24 +192,6 @@ def _f32(arr) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
-def _scalar_hi(t: "Tensor"):
-    if t.hi is not None:
-        return t.hi
-    if t.size == 1:
-        return float(np.asarray(t.data).reshape(()))
-    return None
-
-
-def _set_hi(out: "Tensor", a: "Tensor", b: "Tensor", op) -> None:
-    """Carry the float64 scalar shadow through scalar arithmetic."""
-    if out.size != 1:
-        return
-    ha, hb = _scalar_hi(a), _scalar_hi(b)
-    if ha is not None and hb is not None:
-        out.hi = op(ha, hb)
-
-
-
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
@@ -220,7 +203,6 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(g)
 
-    _set_hi(out, a, b, lambda x, y: x + y)
     _record(out, (a, b), bw)
     return out
 
@@ -235,7 +217,6 @@ def sub(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(-g)
 
-    _set_hi(out, a, b, lambda x, y: x - y)
     _record(out, (a, b), bw)
     return out
 
@@ -250,7 +231,6 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(g * a.data)
 
-    _set_hi(out, a, b, lambda x, y: x * y)
     _record(out, (a, b), bw)
     return out
 
@@ -267,7 +247,6 @@ def div(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(-g * a.data / (b.data * b.data))
 
-    _set_hi(out, a, b, lambda x, y: x / y)
     _record(out, (a, b), bw)
     return out
 
@@ -277,27 +256,19 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """``a @ b`` for operands of rank >= 2, batched over leading axes."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 1 or b.ndim < 1:
-        raise ShapeError("matmul requires rank >= 1 operands")
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError("matmul requires rank >= 2 operands")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul contraction mismatch: {a.shape} @ {b.shape}")
     out = Tensor(np.matmul(a.data, b.data), _check=False)
 
     def bw(g):
-        bd = b.data if b.ndim > 1 else b.data[:, None]
-        ad = a.data if a.ndim > 1 else a.data[None, :]
-        gg = g
-        if a.ndim == 1:
-            gg = np.expand_dims(g, -2)
-        if b.ndim == 1:
-            gg = np.expand_dims(gg, -1)
         if a.requires_grad:
-            ga = np.matmul(gg, np.swapaxes(bd, -1, -2))
-            a._accumulate(np.squeeze(ga, -2) if a.ndim == 1 else ga)
+            a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(ad, -1, -2), gg)
-            b._accumulate(np.squeeze(gb, -1) if b.ndim == 1 else gb)
+            b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     _record(out, (a, b), bw)
     return out
@@ -380,15 +351,15 @@ def concat(tensors, axis: int = 0) -> Tensor:
 # reductions (float64 accumulators)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
-    val = a.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64)
+    val = a.data.sum(axis=axis, dtype=np.float64)
     out = Tensor(_f32(val), _check=False)
-    if np.ndim(val) == 0 or np.size(val) == 1:
+    if np.size(val) == 1:
         out.hi = float(np.asarray(val).reshape(()))
 
     def bw(g):
-        ge = g if axis is None or keepdims else np.expand_dims(g, axis)
+        ge = g if axis is None else np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(ge, a.shape))
 
     _record(out, (a,), bw)
@@ -399,7 +370,7 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     val = a.data.mean(axis=axis, keepdims=keepdims, dtype=np.float64)
     out = Tensor(_f32(val), _check=False)
-    if np.ndim(val) == 0 or np.size(val) == 1:
+    if np.size(val) == 1:
         out.hi = float(np.asarray(val).reshape(()))
     if axis is None:
         count = a.size

@@ -1,4 +1,4 @@
-"""Run configs, ingestion, metric records, the runner, sweeps, and the CLI."""
+"""Run configs, metric records, the runner, sweeps, and the CLI."""
 
 from dataclasses import replace
 
@@ -110,68 +110,6 @@ def test_config_validation():
         RunConfig(d_model=0)
     with pytest.raises(ConfigError):
         RunConfig(anomaly_percentile=100.0)
-
-
-# ---------------------------------------------------------------------------
-# ingestion
-
-
-def write_csv(path, t=50, c=3, header=True, mutate=None):
-    rng = np.random.default_rng(0)
-    lines = (["time," + ",".join(f"ch{i}" for i in range(c))] if header
-             else [])
-    for row in range(t):
-        vals = rng.standard_normal(c) * 5 + 2
-        lines.append(f"{row}," + ",".join(f"{v:.6f}" for v in vals))
-    if mutate:
-        lines = mutate(lines)
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def test_ingest_shapes_and_standardization(tmp_path):
-    csv_path = write_csv(tmp_path / "d.csv", t=100, c=3)
-    man = H.ingest_csv(csv_path, tmp_path / "ing", timestamp_col=0)
-    assert man.counts == [3]
-    assert (tmp_path / "ing" / "manifest.txt").read_bytes() == (
-        b"series_length=100\ntrain_end=60\nchecksum=3793cbd5c4199974\n"
-        b"source=d.csv\nshard=shard_00000.tsb:3\n")
-    fields, data = tsb.read_dataset(tmp_path / "ing")
-    assert fields == man.fields
-    assert data.shape == (3, 100)  # one row per channel
-    # train-split statistics only
-    np.testing.assert_allclose(data[:, :60].mean(axis=1), 0.0, atol=1e-5)
-    np.testing.assert_allclose(data[:, :60].std(axis=1), 1.0, atol=1e-4)
-
-
-def test_ingest_error_line_numbers(tmp_path):
-    bad = write_csv(tmp_path / "r.csv", t=10,
-                    mutate=lambda ls: ls[:5] + ["1,2"] + ls[5:])
-    with pytest.raises(DataError, match="line 6"):
-        H.ingest_csv(bad, tmp_path / "x", timestamp_col=0)
-    bad2 = write_csv(tmp_path / "n.csv", t=10,
-                     mutate=lambda ls: ls[:3] + ["2,oops,1,1"] + ls[4:])
-    with pytest.raises(DataError, match="line 4"):
-        H.ingest_csv(bad2, tmp_path / "y", timestamp_col=0)
-    with pytest.raises(DataError, match="not found"):
-        H.ingest_csv(tmp_path / "ghost.csv", tmp_path / "z")
-
-
-@pytest.mark.parametrize("col", [-1, 3, 7])
-def test_ingest_rejects_a_timestamp_col_outside_the_row(tmp_path, col):
-    # three columns: the time and two channels
-    path = write_csv(tmp_path / "d.csv", t=10, c=2)
-    with pytest.raises(DataError, match=f"timestamp_col {col} .* 3 columns"):
-        H.ingest_csv(path, tmp_path / "x", timestamp_col=col)
-    assert not (tmp_path / "x").exists()
-
-
-def test_ingest_rejects_a_csv_of_timestamps_only(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("time\n1\n2\n3\n")
-    with pytest.raises(DataError, match="no channel beside timestamp_col 0"):
-        H.ingest_csv(path, tmp_path / "x", timestamp_col=0)
-    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -510,21 +448,20 @@ def test_sweep_counts_and_failure_recording(tmp_path, monkeypatch):
 
 
 def test_real_and_hybrid_pretraining_paths(tmp_path):
-    # 3 channels, 200 steps: the train split is the first 120
-    ingested = tmp_path / "ing"
-    H.ingest_csv(write_csv(tmp_path / "d.csv", t=200, c=3), ingested,
-                 timestamp_col=0)
+    # 3 rows of 200 steps: the train split is the first 120
+    dataset = tmp_path / "ing"
+    rows = np.random.default_rng(0).standard_normal((3, 200), np.float32)
+    tsb.write_dataset(dataset, rows, {"train_end": 120})
     synthetic = fast_cfg(tmp_path)
-    real = fast_cfg(tmp_path, data_source="real", dataset_path=str(ingested))
+    real = fast_cfg(tmp_path, data_source="real", dataset_path=str(dataset))
     hybrid = fast_cfg(tmp_path, data_source="hybrid",
-                      dataset_path=str(ingested))
-    _, data = tsb.read_dataset(ingested)
+                      dataset_path=str(dataset))
     synth = H._pretrain_corpus(synthetic, 1).series
     real_rows = H._pretrain_corpus(real, 1).series
     hybrid_rows = H._pretrain_corpus(hybrid, 1).series
-    # real: one row per channel, cut to the train split (120 < 128 steps)
+    # real: every row, cut to the train split (120 < 128 steps)
     assert real_rows.shape == (3, 120)
-    np.testing.assert_array_equal(real_rows, data[:, :120])
+    np.testing.assert_array_equal(real_rows, rows[:, :120])
     # hybrid: the synthetic rows then the real rows, at the common width
     assert synth.shape == (8, 128) and hybrid_rows.shape == (11, 120)
     np.testing.assert_array_equal(hybrid_rows[:8], synth[:, :120])
@@ -717,7 +654,7 @@ def test_cli_generate_channels_zero_is_univariate(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--length", "1"), ("--n-series", "0"), ("--channels", "-3"),
-    ("--workers", "0")])
+    ("--workers", "0"), ("--seed", "-1")])
 def test_cli_generate_rejects_bad_arguments(tmp_path, capsys, flag, value):
     out = tmp_path / "corpus"
     assert cli.main(["generate", "--out", str(out), "--n-series", "2",
@@ -780,6 +717,20 @@ def test_cli_pretrain_takes_its_settings_from_the_config(tmp_path, capsys):
                   "--layers", "0"])
     assert exc.value.code == 2
     assert "--layers" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_negative_seed_exit_two(tmp_path, capsys):
+    # SeedSequence once raised ValueError (a traceback, exit 1) after the
+    # run directory was made
+    path = tmp_path / "c.ini"
+    H.save_run_config(fast_cfg(tmp_path, run_id="neg"), path)
+    assert cli.main(["pretrain", "--config", str(path), "--seed", "-1"]) == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    path.write_text(path.read_text().replace("seeds = 1", "seeds = -1"))
+    for command in ("pretrain", "evaluate"):
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert "seeds must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 
@@ -888,6 +839,11 @@ def test_cli_augment_preview(tmp_path, capsys):
                  "coefficients.csv"):
         assert (tmp_path / "v" / name).exists()
     capsys.readouterr()
+    # a negative seed was once a ValueError traceback (exit 1)
+    assert cli.main(["augment-preview", "--out", str(tmp_path / "w"),
+                     "--seed", "-1"]) == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
 
 
 def test_cli_export_metrics_merge(tmp_path, capsys):

@@ -301,6 +301,17 @@ def test_pretrain_rejects_unknown_objective():
             O.PretrainConfig(**bad)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("ema_momentum", 1.5), ("ema_momentum", -0.1),
+    ("sigreg_projections", 0), ("dino_prototypes", 0)])
+def test_pretrain_config_rejects_ablation_values_the_loss_cannot_run(
+        field, value):
+    # each once failed only at the first training step, after the state
+    # was built
+    with pytest.raises(ValueError, match=field):
+        O.PretrainConfig(**{field: value})
+
+
 @pytest.mark.parametrize("objective", O.OBJECTIVES)
 def test_pretrain_config_rejects_windows_the_loss_cannot_use(objective):
     # mae and diffusion need 2 patches, jepa more than its mask blocks, ntp

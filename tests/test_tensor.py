@@ -77,6 +77,24 @@ def test_shape_errors():
         T.reshape(Tensor(rand(2, 3)), (7,))
     with pytest.raises(ShapeError):
         T.concat([Tensor(rand(2, 3)), Tensor(rand(2, 4))], axis=0)
+    for a, b in (((3,), (3, 2)), ((2, 3), (3,))):  # no 1-D operand
+        with pytest.raises(ShapeError, match="rank >= 2"):
+            T.matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
+
+
+def test_only_full_reductions_keep_a_float64_shadow():
+    # a local stream, so the shared RNG's later draws do not move
+    x = Tensor(np.random.default_rng(1).standard_normal((5, 3)))
+    for op, want in ((T.tsum, x.data.sum(dtype=np.float64)),
+                     (T.mean, x.data.mean(dtype=np.float64))):
+        out = op(x)
+        assert out.hi == float(want)
+        assert float(out.data) == np.float32(want)
+    # scalar arithmetic does not carry the shadow on
+    s = T.tsum(x)
+    for op in (T.add, T.sub, T.mul, T.div):
+        assert op(s, 2.0).hi is None
+        assert op(s, s).hi is None
 
 
 def test_domain_errors():
