@@ -236,16 +236,15 @@ def run_predictor(latents: Tensor, weights: Weights, cfg: BackboneConfig
 
 
 def ema_update(teacher: Weights, student: Weights, momentum: float) -> None:
-    """teacher <- momentum * teacher + (1 - momentum) * student, in place."""
+    """teacher <- momentum * teacher + (1 - momentum) * student, in place,
+    for each key the teacher holds; the student may hold more."""
     if not 0.0 <= momentum <= 1.0:
         raise ValueError("momentum must be in [0, 1]")
-    if set(teacher) != set(student):
-        raise ShapeError("teacher/student parameter sets differ")
     m = np.float32(momentum)
-    for k in teacher:
-        t, s = teacher[k], student[k]
-        if t.data.shape != s.data.shape:
-            raise ShapeError(f"shape mismatch for {k}")
+    for k, t in teacher.items():
+        s = student.get(k)
+        if s is None or t.data.shape != s.data.shape:
+            raise ShapeError(f"student lacks {k} of shape {t.data.shape}")
         t.data *= m
         t.data += (np.float32(1.0) - m) * s.data
 
@@ -277,7 +276,10 @@ def save_backbone(path, weights: Weights, cfg: BackboneConfig, *,
 
 def load_backbone(path) -> tuple[Weights, BackboneConfig, dict]:
     header, tensors = tsb.load_checkpoint(path)
-    cfg = BackboneConfig(**header["config"])
+    try:
+        cfg = BackboneConfig(**header["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise tsb.FormatError(f"{path}: bad header config: {exc}") from exc
     weights = {k: Tensor(v, requires_grad=True, _check=False)
                for k, v in tensors.items()}
     return weights, cfg, header

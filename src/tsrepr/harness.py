@@ -198,7 +198,7 @@ def load_run_config(path) -> RunConfig:
     parser.optionxform = str
     try:
         parser.read_string(path.read_text(encoding="utf-8"))
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
     kwargs = {}
     for section in parser.sections():
@@ -272,25 +272,28 @@ def write_metrics(path, records: list[MetricRecord]) -> None:
         if rec.key() in seen:
             raise DataError(f"duplicate metric row {rec.key()}")
         seen.add(rec.key())
-    path = Path(path)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRIC_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.to_row())
-    os.replace(tmp, path)
+    _write_rows(Path(path), [METRIC_COLUMNS] + [r.to_row() for r in records])
 
 
 def read_metrics(path) -> list[MetricRecord]:
+    rows = _read_rows(path)
+    if not rows or tuple(rows[0][1]) != METRIC_COLUMNS:
+        raise DataError(f"{path}: line 1 is not the metric header")
+    return _parse_rows(path, rows[1:])
+
+
+def _write_rows(path: Path, rows) -> None:
+    """Write csv ``rows`` to ``path`` atomically, via a temporary file."""
+    tmp = path.with_suffix(".tmp")
+    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    os.replace(tmp, path)
+
+
+def _read_rows(path) -> list[tuple[int, list[str]]]:
+    """(line number, csv row) pairs of ``path``."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty metrics file")
-        if tuple(header) != METRIC_COLUMNS:
-            raise DataError(f"unexpected metric header {header}")
-        return _parse_rows(path, enumerate(reader, start=2))
+        return list(enumerate(csv.reader(fh), start=1))
 
 
 def _parse_rows(path, numbered_rows) -> list[MetricRecord]:
@@ -339,13 +342,17 @@ def toy_pretrain_corpus(rng: np.random.Generator, n_series: int = 100,
     t = np.arange(length) / 128.0
     out = np.empty((n_series, length), dtype=np.float32)
     for i in range(n_series):
-        f0 = rng.uniform(2, 8)
-        fc = rng.uniform(10, 26)
-        x = 2.0 * np.sin(2 * np.pi * f0 * t + rng.uniform(0, 2 * np.pi))
-        x += 1.0 * np.sin(2 * np.pi * fc * t + rng.uniform(0, 2 * np.pi))
-        x += 0.5 * rng.standard_normal(length)
-        out[i] = x
+        out[i] = _two_tone(rng, t, rng.uniform(2, 8), rng.uniform(10, 26))
     return out
+
+
+def _two_tone(rng: np.random.Generator, t: np.ndarray, f0: float, fc: float
+              ) -> np.ndarray:
+    """Slow tone ``f0``, fast tone ``fc``, random phases, plus white noise."""
+    x = 2.0 * np.sin(2 * np.pi * f0 * t + rng.uniform(0, 2 * np.pi))
+    x += 1.0 * np.sin(2 * np.pi * fc * t + rng.uniform(0, 2 * np.pi))
+    x += 0.5 * rng.standard_normal(len(t))
+    return x
 
 
 def toy_classification(rng: np.random.Generator, n_per_class: int = 100,
@@ -361,11 +368,7 @@ def toy_classification(rng: np.random.Generator, n_per_class: int = 100,
     xs, ys = [], []
     for cls, fc in enumerate(class_freqs):
         for _ in range(n_per_class):
-            f0 = rng.uniform(2, 8)
-            x = 2.0 * np.sin(2 * np.pi * f0 * t + rng.uniform(0, 2 * np.pi))
-            x += 1.0 * np.sin(2 * np.pi * fc * t + rng.uniform(0, 2 * np.pi))
-            x += 0.5 * rng.standard_normal(length)
-            xs.append(x)
+            xs.append(_two_tone(rng, t, rng.uniform(2, 8), fc))
             ys.append(cls)
     order = rng.permutation(len(xs))
     return (np.asarray(xs, dtype=np.float32)[order],
@@ -573,30 +576,16 @@ def run_experiment(cfg: RunConfig) -> list[MetricRecord]:
                 if backbone is None:
                     backbone = _backbone_for_seed(cfg, seed, ckpt_dir)
                 rows = _evaluate_task(*backbone, cfg, seed, task)
-                _write_record_file(path, [
+                _write_rows(path, [
                     MetricRecord(cfg.run_id, cfg.objective, cfg.data_source,
                                  cfg.n_layers, task, dataset, cfg.probe_mode,
-                                 metric, value, str(seed))
+                                 metric, value, str(seed)).to_row()
                     for dataset, metric, value in rows])
-            records += _read_record_file(path)
+            records += _parse_rows(path, _read_rows(path))
 
     records += aggregate_records(records)
     write_metrics(run_dir / "metrics.csv", records)
     return records
-
-
-def _write_record_file(path: Path, records: list[MetricRecord]) -> None:
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for rec in records:
-            writer.writerow(rec.to_row())
-    os.replace(tmp, path)
-
-
-def _read_record_file(path: Path) -> list[MetricRecord]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return _parse_rows(path, enumerate(csv.reader(fh), start=1))
 
 
 # keys that name the run itself rather than a setting of it

@@ -149,9 +149,7 @@ class ObjectiveState:
 
     def ema_step(self) -> None:
         if self.teacher is not None:
-            student = (self.trainable() if self.pcfg.objective == "dino"
-                       else self.encoder)
-            ema_update(self.teacher, student, self.pcfg.ema_momentum)
+            ema_update(self.teacher, self.trainable(), self.pcfg.ema_momentum)
 
 
 def _pool(latents: Tensor) -> Tensor:

@@ -1,14 +1,14 @@
 """Optimizers and the one-cycle learning-rate schedule.
 
-Both optimizers keep their moments in one flat float32 buffer, laid out
-in the order of the parameter dict, and step over it in chunks of at most
+Both optimizers keep their moments in one flat float32 buffer, laid out in
+the order of the parameter dict, and step over it in chunks of at most
 ``CHUNK`` floats: small tensors are packed into one chunk, their gradients
-gathered into a reusable buffer; large tensors are split into tiles of
-whole first-axis rows.  Each element goes through the same float32
-operations, in the same order, as a per-tensor loop would apply, so the
-result is bitwise equal to it; a chunk costs a dozen numpy calls plus two
-per packed tensor, where the loop made a dozen per tensor.  The layout is
-private to this module: parameters stay separate arrays.
+gathered into a reusable buffer; a large tensor is cut into ranges of
+``CHUNK`` C-order elements, so parameters must be C-contiguous.  Each
+element goes through the same float32 operations, in the same order, as a
+per-tensor loop would apply, so the result is bitwise equal to it; a chunk
+costs a dozen numpy calls plus two per packed tensor, where the loop made
+a dozen per tensor.  The layout is private: parameters stay separate arrays.
 """
 
 from __future__ import annotations
@@ -35,48 +35,30 @@ class _FlatState:
     chunked walk that subtracts an update from the parameters."""
 
     def __init__(self, params: Params, n_state: int, n_scratch: int):
-        # a chunk lists pieces (tensor, index key or None for the whole
-        # tensor, flat offset, size); tensors up to CHUNK floats share
-        # chunks, a larger one is split into tiles of whole rows along its
-        # first axis whose rows fit in a chunk, e.g. a stacked (M, d, 4d)
-        # weight into tiles of one model's rows; each tile is a chunk of
-        # its own, so its gradient is read in place
+        # a chunk lists pieces (tensor, start, stop, flat offset), ranges of
+        # C-order elements: tensors up to CHUNK floats share chunks, a larger
+        # one is cut into CHUNK-float ranges, each a chunk of its own
         self._chunks: list[list[tuple]] = []
         fill, off = CHUNK + 1, 0  # no chunk open
-        for p in params.values():
-            n, shape = p.data.size, p.data.shape
+        for name, p in params.items():
+            if not p.data.flags.c_contiguous:  # reshape(-1) would copy it
+                raise ValueError(f"parameter {name!r} is not C-contiguous")
+            n = p.data.size
             if n > CHUNK:
-                k = 1
-                while math.prod(shape[k:]) > CHUNK:
-                    k += 1
-                row, rows = math.prod(shape[k:]), shape[k - 1]
-                step = max(1, CHUNK // row)
-                self._chunks += [
-                    [(p, outer + (slice(a, a + step),),
-                      off + (i * rows + a) * row, min(step, rows - a) * row)]
-                    for i, outer in enumerate(np.ndindex(shape[:k - 1]))
-                    for a in range(0, rows, step)]
+                self._chunks += [[(p, a, min(a + CHUNK, n), off + a)]
+                                 for a in range(0, n, CHUNK)]
                 fill = CHUNK + 1
             else:
                 if fill + n > CHUNK:
                     self._chunks.append([])
                     fill = 0
-                self._chunks[-1].append((p, None, off, n))
+                self._chunks[-1].append((p, 0, n, off))
                 fill += n
             off += n
         self.state = [np.zeros(off, np.float32) for _ in range(n_state)]
-        cap = max([min(off, CHUNK)] + [c[0][3] for c in self._chunks])
+        cap = min(off, CHUNK)
         self._grad = np.empty(cap, np.float32)
         self._scratch = [np.empty(cap, np.float32) for _ in range(n_scratch)]
-        # each piece's place in the gathered gradient and in the update
-        # (scratch buffer 0), shaped like the piece
-        for chunk in self._chunks:
-            base = chunk[0][2]
-            for i, (p, key, off, n) in enumerate(chunk):
-                shape = p.data.shape if key is None else p.data[key].shape
-                at = slice(off - base, off - base + n)
-                chunk[i] = (p, key, off, n, self._grad[at].reshape(shape),
-                            self._scratch[0][at].reshape(shape))
 
     def _runs(self):
         """(run, chunk offset) for the runs of a chunk's pieces that have a
@@ -87,10 +69,10 @@ class _FlatState:
                 if piece[0].grad is not None:
                     run.append(piece)
                 elif run:
-                    yield run, chunk[0][2]
+                    yield run, chunk[0][3]
                     run = []
             if run:
-                yield run, chunk[0][2]
+                yield run, chunk[0][3]
 
     def step(self, update) -> None:
         """Per run: call ``update(g, state, scratch)``, where ``g`` is the
@@ -98,23 +80,19 @@ class _FlatState:
         the run's elements in each buffer; it writes the update into
         ``scratch[0]``, which is then subtracted from the parameters."""
         for run, base in self._runs():
-            lo, hi = run[0][2], run[-1][2] + run[-1][3]
-            p, key = run[0][:2]
-            g = p.grad if key is None else p.grad[key]
-            if len(run) == 1 and g.flags.c_contiguous:
-                g = g.reshape(-1)
-            else:
-                for p, key, _, _, dst, _ in run:
-                    np.copyto(dst, p.grad if key is None else p.grad[key])
+            p, a, b, lo = run[0]
+            hi = run[-1][3] + run[-1][2] - run[-1][1]
+            if len(run) == 1:  # copies only a grad that is not C-contiguous
+                g = p.grad.reshape(-1)[a:b]
+            else:  # whole tensors, gathered
+                for p, _, n, off in run:
+                    self._grad[off - base : off - base + n] = p.grad.reshape(-1)
                 g = self._grad[lo - base : hi - base]
             update(g, [s[lo:hi] for s in self.state],
                    [s[lo - base : hi - base] for s in self._scratch])
-            for p, key, _, _, _, delta in run:
-                if key is None:
-                    p.data -= delta
-                else:
-                    dst = p.data[key]
-                    dst -= delta
+            for p, a, b, off in run:
+                data = p.data.reshape(-1)[a:b]
+                data -= self._scratch[0][off - base : off - base + b - a]
 
 
 class MomentumSGD:

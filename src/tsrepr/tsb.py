@@ -113,7 +113,15 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
                 f"checkpoint format version {version} unsupported "
                 f"(expected {CKPT_VERSION})"
             )
-        header = json.loads(_read(fh, hlen, "header").decode("utf-8"))
+        raw = _read(fh, hlen, "header")
+        try:
+            header = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError is one too
+            raise FormatError(f"checkpoint header is not UTF-8 JSON: {exc}"
+                              ) from exc
+        if not isinstance(header, dict) or not isinstance(
+                header.get("tensor_names"), list):
+            raise FormatError("checkpoint header holds no tensor_names list")
         tensors: dict[str, np.ndarray] = {}
         for name in header["tensor_names"]:
             (nlen,) = struct.unpack("<H", _read(fh, 2, "tensor name length"))

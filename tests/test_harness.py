@@ -734,6 +734,37 @@ def test_cli_negative_seed_exit_two(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_cli_config_not_utf8_exit_two(tmp_path, capsys):
+    # reading it once raised UnicodeDecodeError (a traceback, exit 1)
+    path = tmp_path / "c.ini"
+    H.save_run_config(fast_cfg(tmp_path, run_id="bytes"), path)
+    path.write_bytes(path.read_bytes().replace(b"run_id = bytes",
+                                               b"run_id = \xff\xfe"))
+    assert cli.main(["evaluate", "--config", str(path)]) == 2
+    assert "config parse error" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("old, new", [
+    (b'"config": {', b'"config": ['),    # no longer JSON
+    (b'"n_heads": 2', b'"n_heads": 3'),  # a config the backbone refuses
+], ids=["not_json", "bad_config"])
+def test_evaluate_rejects_a_garbled_checkpoint_header(tmp_path, capsys, old,
+                                                      new):
+    # one byte changed, the header's length kept: resuming once raised
+    # JSONDecodeError or ValueError (a traceback, exit 1)
+    path = tmp_path / "c.ini"
+    cfg = fast_cfg(tmp_path, run_id="garbled", tasks=("forecast",))
+    H.save_run_config(cfg, path)
+    assert cli.main(["pretrain", "--config", str(path)]) == 0
+    ckpt = cfg.run_dir() / "checkpoints" / "backbone_seed1.tsbc"
+    raw = ckpt.read_bytes()
+    assert raw.count(old) == 1
+    ckpt.write_bytes(raw.replace(old, new))
+    assert cli.main(["evaluate", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
 def test_cli_repeated_seeds_exit_two(tmp_path, capsys):
     path = tmp_path / "c.ini"
     H.save_run_config(fast_cfg(tmp_path, run_id="rep"), path)

@@ -90,22 +90,26 @@ class LoopAdam:
             p.data -= update
 
 
-# one element, below a chunk, several tensors packed into one chunk, tiles
-# of whole rows, a 1-D tensor over several chunks, a row longer than a chunk
+# one element, below a chunk, several tensors packed into one chunk, ranges
+# that end inside a row, a 1-D tensor over several chunks, a row longer than
+# a chunk
 SHAPES = {"one": (1,), "small": (3,), "mat": (7, 5), "never": (4, 4),
           "late": (6,), "tiled": (300, 301), "long": (CHUNK * 2 + 5,),
-          "wide": (2, CHUNK + 3), "tail": (2, 3)}
+          "wide": (2, CHUNK + 3), "bcast": (3, CHUNK // 2 + 1),
+          "tail": (2, 3)}
 NO_GRAD = {0: {"never", "late"}, 1: {"never", "small", "tiled"}}
 
 
 def _grads(rng, step):
     """Gradients of one step: ``never`` gets none, ``late`` none at the
     first step, ``small`` and ``tiled`` none at the second only; two are
-    Fortran-ordered, so they must be gathered."""
+    Fortran-ordered and ``bcast``'s repeats one row with stride 0, so
+    their elements are not read in place."""
     out = {}
     for k, shape in SHAPES.items():
         g = rng.standard_normal(shape).astype(np.float32) * 10.0 ** -step
         out[k] = np.asfortranarray(g) if k in ("mat", "tiled") else g
+    out["bcast"] = np.broadcast_to(out["bcast"][0], SHAPES["bcast"])
     for k in NO_GRAD.get(step, {"never"}):
         out[k] = None
     return out
@@ -138,15 +142,15 @@ def test_chunked_step_matches_per_tensor_loop_bitwise(chunked, loop):
     assert got["never"].data.tobytes() == start["never"].tobytes()
 
 
-# stacked parameters: a packed one, a tiled one whose model slices exceed a
-# chunk, and one whose rows do
+# stacked parameters: two packed ones, and two cut into chunks that cross
+# from one model's slice into the next
 STACKED = {"small": (3,), "mat": (7, 5), "big": (300, 301),
            "wide": (2, CHUNK + 3)}
 
 
 def test_per_model_rates_match_separate_adams_bitwise():
     # one Adam over M stacked models, a rate each, steps every model as M
-    # separate Adams over its slices would, in tiles of at most CHUNK floats
+    # separate Adams over its slices would, in chunks of at most CHUNK floats
     rng = np.random.default_rng(2)
     rates = (3e-3, 1e-2, 3e-2)
     m = len(rates)
@@ -176,3 +180,12 @@ def test_per_model_rates_must_match_leading_axis():
     params = {"w": Tensor(np.zeros((2, 3), np.float32), requires_grad=True)}
     with pytest.raises(ValueError, match="3 rates"):
         Adam(params, lr=(1e-3, 1e-2, 1e-1))
+
+
+def test_parameter_must_be_c_contiguous():
+    # the update is subtracted through reshape(-1), a copy of such data
+    w = Tensor(np.asfortranarray(np.ones((3, 4), np.float32)),
+               requires_grad=True)
+    for opt in (Adam, MomentumSGD):
+        with pytest.raises(ValueError, match="'w' is not C-contiguous"):
+            opt({"b": Tensor(np.ones(2, np.float32)), "w": w})

@@ -97,6 +97,24 @@ def test_checkpoint_bad_magic(tmp_path):
         tsb.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("header", [
+    b'{"tensor_names": ["x"]',     # one byte short of JSON
+    b'{"tensor_names": ["\xff"]}',  # not UTF-8
+    b'{"names": ["x"]}',
+    b'["x"]',
+    b'{"tensor_names": 1}',
+], ids=["not_json", "not_utf8", "no_names", "not_object", "names_not_list"])
+def test_checkpoint_bad_header_refused(tmp_path, header):
+    path = tmp_path / "c.tsbc"
+    tsb.save_checkpoint(path, {}, {"x": np.ones(2, np.float32)})
+    good = path.read_bytes()
+    (hlen,) = struct.unpack("<I", good[6:10])
+    path.write_bytes(good[:6] + struct.pack("<I", len(header)) + header
+                     + good[10 + hlen:])
+    with pytest.raises(tsb.FormatError, match="checkpoint header"):
+        tsb.load_checkpoint(path)
+
+
 def test_tensor_bytes_matches_file(tmp_path):
     arr = np.random.default_rng(2).standard_normal((3, 3)).astype(np.float32)
     path = tmp_path / "t.tsb"
