@@ -41,7 +41,8 @@ class BackboneConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
+            raise ValueError(f"n_heads {self.n_heads} does not divide "
+                             f"d_model {self.d_model}")
 
 
 # ---------------------------------------------------------------------------

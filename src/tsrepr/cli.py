@@ -8,18 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import augment, harness, synthgen, tsb
 from .harness import ConfigError, DataError, RunConfig, data_root
 from .tensor import DomainError, NumericError, ShapeError
-
-
-def _resolve(path: str) -> Path:
-    p = Path(path)
-    return p if p.is_absolute() else data_root() / p
 
 
 def _load_config(args) -> RunConfig:
@@ -36,11 +30,12 @@ def cmd_generate(args) -> int:
     cfg = synthgen.LcmConfig(
         n_channels=max(1, args.channels),
         series_length=args.length, series_count=args.n_series)
+    out = data_root() / args.out
     manifest = synthgen.generate_corpus(
-        cfg, univariate=args.channels == 0, out_dir=_resolve(args.out),
+        cfg, univariate=args.channels == 0, out_dir=out,
         n_workers=args.workers, seed=args.seed)
     print(f"wrote {sum(manifest.counts)} series "
-          f"({len(manifest.shards)} shards) to {_resolve(args.out)}")
+          f"({len(manifest.shards)} shards) to {out}")
     return 0
 
 
@@ -80,7 +75,7 @@ def cmd_augment_preview(args) -> int:
     if args.seed < 0:
         raise ConfigError("--seed must be >= 0")
     if args.input:
-        batch = tsb.read_tensor(_resolve(args.input))
+        batch = tsb.read_tensor(data_root() / args.input)
         if batch.ndim == 1:
             batch = batch[None, :]
     else:
@@ -88,7 +83,7 @@ def cmd_augment_preview(args) -> int:
         batch = harness.toy_pretrain_corpus(rng, 4, 256)
     rng = np.random.default_rng(args.seed)
     pair = augment.make_view_pair(batch, rng, stochastic=True)
-    out = _resolve(args.out)
+    out = data_root() / args.out
     out.mkdir(parents=True, exist_ok=True)
     tsb.write_tensor(out / "original.tsb", batch.astype(np.float32))
     tsb.write_tensor(out / "teacher.tsb", pair.teacher_view)
@@ -111,11 +106,11 @@ def cmd_augment_preview(args) -> int:
 
 
 def cmd_export_metrics(args) -> int:
-    records = []
+    records, out = [], data_root() / args.out
     for path in args.inputs:
-        records += harness.read_metrics(_resolve(path))
-    harness.write_metrics(_resolve(args.out), records)
-    print(f"{len(records)} rows -> {_resolve(args.out)}")
+        records += harness.read_metrics(data_root() / path)
+    harness.write_metrics(out, records)
+    print(f"{len(records)} rows -> {out}")
     return 0
 
 

@@ -34,7 +34,17 @@ _DTYPE_CODES = {np.dtype("<f4"): 0}
 
 
 class FormatError(ValueError):
-    """Malformed or unsupported binary file."""
+    """Malformed or unsupported file."""
+
+
+def read_text(path, newline: str | None = None) -> str:
+    """The UTF-8 text of ``path``, opened with ``newline``; text that is
+    not UTF-8 raises FormatError naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def write_tensor_stream(fh, arr: np.ndarray) -> None:
@@ -125,7 +135,10 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         tensors: dict[str, np.ndarray] = {}
         for name in header["tensor_names"]:
             (nlen,) = struct.unpack("<H", _read(fh, 2, "tensor name length"))
-            stored = _read(fh, nlen, "tensor name").decode("utf-8")
+            try:
+                stored = _read(fh, nlen, "tensor name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"tensor name is not UTF-8: {exc}") from exc
             if stored != name:
                 raise FormatError(f"tensor name mismatch: {stored!r} != {name!r}")
             tensors[name] = read_tensor_stream(fh)
@@ -181,27 +194,31 @@ def write_dataset(out_dir, rows: np.ndarray, fields: dict[str, object],
 def read_dataset(out_dir) -> tuple[dict[str, str], np.ndarray]:
     """(manifest fields, rows) of a ``write_dataset`` directory.
 
-    Raises FormatError when a shard's row count, the checksum or the
-    series length disagrees with the manifest."""
+    Raises FormatError when the manifest is not UTF-8 or names a shard
+    that is no file directly in the directory, or when a shard's row
+    count, the checksum or the series length disagrees with it."""
     out_dir = Path(out_dir)
     fields: dict[str, str] = {}
-    shards: list[tuple[str, str]] = []
-    for line in (out_dir / "manifest.txt").read_text(
-            encoding="utf-8").splitlines():
+    shards: list[tuple[Path, str]] = []
+    for line in read_text(out_dir / "manifest.txt").splitlines():
         key, _, value = line.partition("=")
         if key == "shard":
             name, _, count = value.rpartition(":")
-            shards.append((name, count))
+            path = out_dir / name
+            if path.parent != out_dir or not path.is_file():
+                raise FormatError(f"{out_dir}: shard {name!r} is no file "
+                                  "directly in the dataset directory")
+            shards.append((path, count))
         elif line.strip():
             fields[key] = value
     digest = hashlib.sha256()
     blocks = []
-    for name, count in shards:
-        blob = (out_dir / name).read_bytes()
+    for path, count in shards:
+        blob = path.read_bytes()
         digest.update(blob)
         blocks.append(read_tensor_stream(io.BytesIO(blob)))
         if blocks[-1].ndim < 2 or str(blocks[-1].shape[0]) != count:
-            raise FormatError(f"{out_dir / name}: shape {blocks[-1].shape}, "
+            raise FormatError(f"{path}: shape {blocks[-1].shape}, "
                               f"manifest says {count} rows")
     if not blocks or digest.hexdigest()[:16] != fields.get("checksum"):
         raise FormatError(f"{out_dir}: shards do not match the manifest "

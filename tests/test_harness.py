@@ -112,6 +112,25 @@ def test_config_validation():
         RunConfig(anomaly_percentile=100.0)
 
 
+@pytest.mark.parametrize("bad, part", [
+    (dict(probe_mode="zero-shot"), "probe"),
+    (dict(probe_epochs=0), "probe"),
+    (dict(objective="cpc"), "pretraining"),
+    (dict(d_model=30, n_heads=4), "backbone"),
+])
+def test_config_errors_name_their_part(bad, part):
+    # RunConfig checks a field that a part owns only by building the part
+    with pytest.raises(ConfigError, match=f"^{part}: "):
+        RunConfig(**bad)
+
+
+def test_none_run_builds_no_pretraining_config():
+    # the baseline never pretrains, so its pretraining keys are not checked
+    RunConfig(objective="none", epochs=0)
+    with pytest.raises(ConfigError, match="^pretraining: epochs"):
+        RunConfig(objective="mae", epochs=0)
+
+
 # ---------------------------------------------------------------------------
 # metric records
 
@@ -743,6 +762,40 @@ def test_cli_config_not_utf8_exit_two(tmp_path, capsys):
     assert cli.main(["evaluate", "--config", str(path)]) == 2
     assert "config parse error" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("reader", ["metrics", "record", "manifest",
+                                    "config"])
+def test_text_that_is_not_utf8_names_its_file(tmp_path, capsys, reader):
+    # the first three once raised UnicodeDecodeError (a traceback, exit 1)
+    cfg = fast_cfg(tmp_path, run_id="text", tasks=("forecast",))
+    H.save_run_config(cfg, tmp_path / "c.ini")
+    command = ["evaluate", "--config", str(tmp_path / "c.ini")]
+    if reader == "metrics":
+        path = tmp_path / "m.csv"
+        H.write_metrics(path, [rec()])
+        command = ["export-metrics", "--out", str(tmp_path / "o.csv"),
+                   str(path)]
+    elif reader == "record":
+        assert cli.main(command) == 0
+        path = cfg.run_dir() / "records" / "seed1_forecast.csv"
+    elif reader == "manifest":
+        corpus = tmp_path / "gen"
+        assert cli.main(["generate", "--out", str(corpus), "--n-series", "2",
+                         "--length", "128"]) == 0
+        path = corpus / "manifest.txt"
+        H.save_run_config(replace(cfg, data_source="real",
+                                  dataset_path=str(corpus)),
+                          tmp_path / "c.ini")
+        command[0] = "pretrain"
+    else:
+        path = tmp_path / "c.ini"
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    capsys.readouterr()
+    assert cli.main(command) == (2 if reader == "config" else 3)
+    err = capsys.readouterr().err
+    assert f"{path} is not UTF-8 text" in err and "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("old, new", [

@@ -115,6 +115,19 @@ def test_checkpoint_bad_header_refused(tmp_path, header):
         tsb.load_checkpoint(path)
 
 
+def test_checkpoint_tensor_name_not_utf8_refused(tmp_path):
+    # the stored name once raised UnicodeDecodeError (a traceback, exit 1)
+    path = tmp_path / "c.tsbc"
+    tsb.save_checkpoint(path, {}, {"x": np.ones(2, np.float32)})
+    raw = bytearray(path.read_bytes())
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    assert raw[10 + hlen + 2] == ord("x")  # after the name's u16 length
+    raw[10 + hlen + 2] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(tsb.FormatError, match="tensor name is not UTF-8"):
+        tsb.load_checkpoint(path)
+
+
 def test_tensor_bytes_matches_file(tmp_path):
     arr = np.random.default_rng(2).standard_normal((3, 3)).astype(np.float32)
     path = tmp_path / "t.tsb"
@@ -163,3 +176,21 @@ def test_dataset_bad_manifest_fields(tmp_path, edit):
     path.write_text(edit(path.read_text()))
     with pytest.raises(tsb.FormatError):
         tsb.read_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../shard_00000.tsb",
+                                  "sub/shard_00000.tsb"])
+def test_dataset_shard_is_a_file_directly_in_the_directory(tmp_path, name):
+    # "" once raised IsADirectoryError, and "../shard_00000.tsb" read a
+    # file outside the dataset directory
+    data = tmp_path / "d"
+    tsb.write_dataset(data, np.zeros((3, 8), np.float32), {})
+    (data / "sub").mkdir()
+    for copy in (tmp_path, data / "sub"):  # the same bytes elsewhere
+        (copy / "shard_00000.tsb").write_bytes(
+            (data / "shard_00000.tsb").read_bytes())
+    manifest = data / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(
+        "shard=shard_00000.tsb:", f"shard={name}:"))
+    with pytest.raises(tsb.FormatError, match="is no file directly in"):
+        tsb.read_dataset(data)
