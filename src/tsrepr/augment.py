@@ -168,6 +168,27 @@ def soft_threshold(x: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
 
 
+def _teacher_details(pyr: Pyramid) -> list[np.ndarray]:
+    tau = (TEACHER_SIGMA * np.median(np.abs(pyr.details[-1]), axis=-1,
+                                     keepdims=True) / 0.6745)
+    return [soft_threshold(d, tau) for d in pyr.details]
+
+
+def _student_details(pyr: Pyramid, rng: np.random.Generator
+                     ) -> list[np.ndarray]:
+    # one rng.random call takes, row by row, the doubles of one
+    # rng.uniform(lo, hi) amplitude and one rng.uniform(-amp, amp) draw per
+    # band, coarsest first; uniform(low, high) is low + (high - low) * u,
+    # and for (-amp, amp) that is exactly 2 * amp * u - amp
+    sizes = [d.shape[-1] for d in pyr.details]
+    u = rng.random(pyr.approx.shape[:-1] + (1 + sum(sizes),))
+    lo, hi = STUDENT_NOISE
+    amp = lo + (hi - lo) * u[..., :1]
+    noise = 2 * amp * u[..., 1:] - amp
+    cuts = np.cumsum(sizes)[:-1]
+    return [d + n for d, n in zip(pyr.details, np.split(noise, cuts, axis=-1))]
+
+
 def teacher_view(pyr: Pyramid) -> np.ndarray:
     """Clean view of each row of ``pyr``, which it leaves as is: MAD-scaled
     soft threshold on all detail bands.
@@ -175,10 +196,7 @@ def teacher_view(pyr: Pyramid) -> np.ndarray:
     tau = TEACHER_SIGMA * median(|finest detail|) / 0.6745 per row
     (universal threshold convention); the approximation band is untouched.
     """
-    tau = (TEACHER_SIGMA * np.median(np.abs(pyr.details[-1]), axis=-1,
-                                     keepdims=True) / 0.6745)
-    details = [soft_threshold(d, tau) for d in pyr.details]
-    return dwt_inverse(Pyramid(pyr.approx, details, pyr.family)
+    return dwt_inverse(Pyramid(pyr.approx, _teacher_details(pyr), pyr.family)
                        ).astype(np.float32)
 
 
@@ -190,14 +208,8 @@ def student_view(pyr: Pyramid, rng: np.random.Generator) -> np.ndarray:
     one noise draw per band (coarsest first), so a batch gets exactly the
     views of its rows taken one at a time.
     """
-    details = [d.copy() for d in pyr.details]
-    lo, hi = STUDENT_NOISE
-    for row in np.ndindex(details[0].shape[:-1]):
-        amp = rng.uniform(lo, hi)
-        for d in details:
-            d[row] += rng.uniform(-amp, amp, size=d.shape[-1])
-    return dwt_inverse(Pyramid(pyr.approx, details, pyr.family)
-                       ).astype(np.float32)
+    return dwt_inverse(Pyramid(pyr.approx, _student_details(pyr, rng),
+                               pyr.family)).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +228,20 @@ def make_view_pair(batch: np.ndarray, rng: np.random.Generator,
 
     The teacher view is the soft-thresholded reconstruction; the student
     view carries coefficient noise.  With ``stochastic`` the teacher/global
-    view also goes through :func:`stochastic_transforms`.
+    view also goes through :func:`stochastic_transforms`.  The bits are
+    those of :func:`teacher_view` and :func:`student_view` on the batch's
+    pyramid.
     """
     batch = np.asarray(batch, dtype=np.float32)
     if batch.ndim != 2:
         raise ShapeError("make_view_pair expects a (B, T) batch")
-    # one transform serves both views
+    # one transform serves both views, and one inverse rebuilds both: the
+    # synthesis works row by row, so stacking the two keeps each one's bits
     pyr = dwt_forward(batch, max_dwt_level(batch.shape[1], LEVEL), FAMILY)
-    teacher = teacher_view(pyr)
-    student = student_view(pyr, rng)
+    bands = zip(_teacher_details(pyr), _student_details(pyr, rng))
+    teacher, student = dwt_inverse(Pyramid(
+        np.broadcast_to(pyr.approx, (2,) + pyr.approx.shape),
+        [np.stack(pair) for pair in bands], pyr.family)).astype(np.float32)
     if stochastic:
         teacher = stochastic_transforms(teacher, rng)
     return ViewPair(teacher, student)

@@ -107,6 +107,8 @@ def cmd_augment_preview(args) -> int:
 
 def cmd_export_metrics(args) -> int:
     records, out = [], data_root() / args.out
+    if out.is_dir():
+        raise ConfigError(f"--out {out} is a directory")
     for path in args.inputs:
         records += harness.read_metrics(data_root() / path)
     harness.write_metrics(out, records)

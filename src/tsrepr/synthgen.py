@@ -154,12 +154,15 @@ def sample_gp(gram: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
     The jitter starts at 1e-6 of the diagonal scale and grows tenfold per
     failed factorization.  It goes on the diagonal of one private copy of
-    ``gram``; the caller's array is not modified.
+    ``gram``; the caller's array is not modified.  The copy is the
+    transpose's contiguous copy, which is Fortran-ordered, so LAPACK takes
+    it in with a contiguous copy instead of a strided one; ``gram`` is
+    symmetric, so it is the same matrix and the factor has the same bits.
     """
     t = gram.shape[0]
     diag = np.diag(gram)
     scale = max(1.0, float(np.max(diag)))
-    jittered = gram.copy()
+    jittered = gram.T.copy(order="K")
     j = 1e-6
     while j <= 1e-4 * scale:
         np.fill_diagonal(jittered, diag + j * scale)

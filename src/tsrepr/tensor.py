@@ -54,6 +54,7 @@ class NumericError(FloatingPointError):
 
 _INV_SQRT_2 = np.float32(1.0 / math.sqrt(2.0))
 _INV_SQRT_2PI = np.float32(1.0 / math.sqrt(2.0 * math.pi))
+_ONE_BITS = np.float32(1.0).view(np.int32)
 # Abramowitz & Stegun 7.1.26: for z >= 0, erfc(z) = t * poly(t) * exp(-z^2)
 # with t = 1 / (1 + p z), |error| <= 1.5e-7; the coefficients are halved
 # so that the product is Phi(-sqrt(2) z) = erfc(z) / 2
@@ -443,8 +444,10 @@ def _gelu_kernel(x: np.ndarray, slope: bool
     set, its derivative (else None); the value's bits do not depend on it.
 
     Phi comes from the Abramowitz-Stegun erfc of ``|x| / sqrt(2)``, all in
-    float32 and branch-free: ``Phi(x) = [x >= 0] - sign(x) Phi(-|x|)``
-    keeps the lower tail accurate.
+    float32 and branch-free: ``Phi(x)`` is ``1 - Phi(-|x|)`` where the sign
+    bit of x is clear and ``Phi(-|x|)`` where it is set, which keeps the
+    lower tail accurate.  It is computed as ``|c - Phi(-|x|)|``, with c the
+    1.0 or 0.0 that int32 ops make from the sign bit of x.
     """
     # three fresh buffers: fresh pages cost more than the arithmetic here
     z = np.abs(x)
@@ -460,8 +463,11 @@ def _gelu_kernel(x: np.ndarray, slope: bool
         phi += c
         phi *= t
     phi *= e  # Phi(-|x|)
-    np.copysign(phi, x, out=phi)
-    np.subtract(~np.signbit(x), phi, out=phi)  # Phi(x)
+    one = np.right_shift(x.view(np.int32), 31, out=t.view(np.int32))
+    np.invert(one, out=one)
+    one &= _ONE_BITS  # 1.0 where the sign bit of x is clear, else 0.0
+    np.subtract(t, phi, out=phi)  # 1 - Phi(-|x|), or -Phi(-|x|) exactly
+    np.abs(phi, out=phi)  # Phi(x)
     if slope:
         e *= x
         e *= _INV_SQRT_2PI
@@ -520,15 +526,22 @@ def layer_norm(a, gamma=None, beta=None, eps: float = 1e-5) -> Tensor:
     gamma = None if gamma is None else as_tensor(gamma)
     beta = None if beta is None else as_tensor(beta)
     x = a.data
-    d = x - _f32(x.mean(axis=-1, keepdims=True, dtype=np.float64))
-    var = _f32(np.mean(d * d, axis=-1, keepdims=True, dtype=np.float64))
-    inv = np.float32(1.0) / np.sqrt(var + np.float32(eps))
-    normed = d * inv
-    val = normed
+    k = x.shape[-1]
+    # np.add.reduce(...) / k is np.mean without its wrapper; temporaries
+    # are reused in place
+    d = x - _f32(np.add.reduce(x, axis=-1, dtype=np.float64, keepdims=True)
+                 / k)
+    var = _f32(np.add.reduce(d * d, axis=-1, dtype=np.float64,
+                             keepdims=True) / k)
+    var += np.float32(eps)
+    inv = np.reciprocal(np.sqrt(var, out=var), out=var)
+    normed = np.multiply(d, inv, out=d)
     if gamma is not None:
-        val = val * gamma.data
-    if beta is not None:
-        val = val + beta.data
+        val = normed * gamma.data
+        if beta is not None:
+            val += beta.data
+    else:
+        val = normed if beta is None else normed + beta.data
     out = Tensor(val, _check=False)
 
     def bw(g):
@@ -537,10 +550,17 @@ def layer_norm(a, gamma=None, beta=None, eps: float = 1e-5) -> Tensor:
         if beta is not None and beta.requires_grad:
             beta._accumulate(g)
         if a.requires_grad:
+            # inv * (gn - m1 - normed * m2), g itself left as is; np.mean
+            # would divide the float32 sums in float64 and round, which
+            # gives the same float32 as dividing in float32
             gn = g * gamma.data if gamma is not None else g
-            m1 = gn.mean(axis=-1, keepdims=True)
-            m2 = (gn * normed).mean(axis=-1, keepdims=True)
-            a._accumulate(inv * (gn - m1 - normed * m2))
+            m1 = np.add.reduce(gn, axis=-1, keepdims=True) / k
+            tmp = gn * normed
+            m2 = np.add.reduce(tmp, axis=-1, keepdims=True) / k
+            dx = np.subtract(gn, m1, out=None if gn is g else gn)
+            dx -= np.multiply(normed, m2, out=tmp)
+            dx *= inv
+            a._accumulate(dx)
 
     inputs = tuple(t for t in (a, gamma, beta) if t is not None)
     _record(out, inputs, bw)
@@ -554,6 +574,25 @@ def layer_norm(a, gamma=None, beta=None, eps: float = 1e-5) -> Tensor:
 def _tr(m: np.ndarray) -> np.ndarray:
     """Each matrix of a stack transposed; ``m.T`` for one matrix."""
     return m.swapaxes(-1, -2)
+
+
+def _row_max(s: np.ndarray) -> np.ndarray:
+    """``s.max(axis=-1, keepdims=True)`` from elementwise ``np.maximum``:
+    rows longer than 16 are halved (the halves may share their middle
+    column), then the columns left are taken one by one.
+
+    A reduction along a short last axis pays numpy's per-row overhead;
+    these are a few calls over whole arrays.  A max is exact, so only the
+    sign of a ±0 tie can differ, and ``exp(s - max)`` does not see it.
+    """
+    while s.shape[-1] > 16:
+        n = s.shape[-1]
+        h = (n + 1) // 2
+        s = np.maximum(s[..., :h], s[..., n - h:])
+    m = s[..., :1].copy()
+    for j in range(1, s.shape[-1]):
+        np.maximum(m, s[..., j:j + 1], out=m)
+    return m
 
 
 def attention(x, wq, wk, wv, wo, bo, n_heads: int, bias=None, *,
@@ -597,7 +636,7 @@ def attention(x, wq, wk, wv, wo, bo, n_heads: int, bias=None, *,
     scores *= scale
     if bias is not None:
         scores += bias
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= _row_max(scores)
     e = np.exp(scores, out=scores)
     probs = e / _f32(e.sum(axis=-1, keepdims=True, dtype=np.float64))
     ctx = merge(probs @ v)

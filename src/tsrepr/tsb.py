@@ -38,11 +38,13 @@ class FormatError(ValueError):
 
 
 def read_text(path, newline: str | None = None) -> str:
-    """The UTF-8 text of ``path``, opened with ``newline``; text that is
-    not UTF-8 raises FormatError naming the file."""
+    """The UTF-8 text of ``path``, opened with ``newline``; a directory,
+    or text that is not UTF-8, raises FormatError naming the path."""
     try:
         with open(path, encoding="utf-8", newline=newline) as fh:
             return fh.read()
+    except IsADirectoryError as exc:
+        raise FormatError(f"{path} is a directory, not a file") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
 

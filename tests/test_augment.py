@@ -217,21 +217,27 @@ def test_make_view_pair_matches_rowwise_bitwise(stochastic):
 
 
 def test_make_view_pair_transforms_once(monkeypatch):
-    # both views come from one pyramid; the student changes copies of its
-    # bands, so the teacher (built first) and the pyramid are unaffected
+    # both views come from one pyramid and are rebuilt by one inverse over
+    # the stacked teacher and student bands; the student changes copies of
+    # its bands, so the teacher and the pyramid are unaffected
     calls = []
-    forward = A.dwt_forward
+    forward, inverse = A.dwt_forward, A.dwt_inverse
 
     def spy(signal, level, family):
         calls.append(signal.shape)
         return forward(signal, level, family)
 
+    def spy_inverse(pyr):
+        calls.append(("inverse", pyr.approx.shape))
+        return inverse(pyr)
+
     batch = np.random.default_rng(3).standard_normal((5, 64)).astype(
         np.float32)
     want = rowwise_view_pair(batch, np.random.default_rng(2))
     monkeypatch.setattr(A, "dwt_forward", spy)
+    monkeypatch.setattr(A, "dwt_inverse", spy_inverse)
     pair = A.make_view_pair(batch, np.random.default_rng(2))
-    assert calls == [(5, 64)]
+    assert calls == [(5, 64), ("inverse", (2, 5, 8))]
     assert pair.teacher_view.tobytes() == want[0].tobytes()
     assert pair.student_view.tobytes() == want[1].tobytes()
 

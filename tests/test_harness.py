@@ -930,6 +930,32 @@ def test_cli_augment_preview(tmp_path, capsys):
     assert not (tmp_path / "w").exists()
 
 
+@pytest.mark.parametrize("reader", ["config", "metrics"])
+def test_a_directory_given_as_input_names_its_path(tmp_path, capsys, reader):
+    # both once raised IsADirectoryError (a traceback, exit 1)
+    path = tmp_path / "dir"
+    path.mkdir()
+    if reader == "config":
+        command, code = ["evaluate", "--config", str(path)], 2
+    else:
+        command, code = ["export-metrics", "--out", str(tmp_path / "o.csv"),
+                         str(path)], 3
+    assert cli.main(command) == code
+    assert f"{path} is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+
+
+def test_export_metrics_refuses_a_directory_as_out(tmp_path, capsys):
+    H.write_metrics(tmp_path / "a.csv", [rec()])
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main(["export-metrics", "--out", str(out),
+                     str(tmp_path / "a.csv")]) == 2
+    assert f"--out {out} is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "out"]
+    assert not any(out.iterdir())
+
+
 def test_cli_export_metrics_merge(tmp_path, capsys):
     H.write_metrics(tmp_path / "a.csv", [rec(seed="1")])
     H.write_metrics(tmp_path / "b.csv", [rec(seed="2")])

@@ -268,6 +268,39 @@ def test_sample_gp_leaves_gram_unchanged():
     assert np.array_equal(gram, before)
 
 
+def test_sample_gp_factor_bitwise_equal_to_c_order_factor(monkeypatch):
+    # the private copy is Fortran-ordered; it must hold the caller's gram
+    # (the diagonal jittered) and factor to the bits of a C-order copy
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def spy(a):
+        calls.append([a.copy(order="K"), None])
+        calls[-1][1] = cholesky(a)  # LinAlgError leaves None
+        return calls[-1][1]
+
+    monkeypatch.setattr(G.np.linalg, "cholesky", spy)
+    grams = [G.gram_matrix(comp, 64) for comp in sampled_compositions(40, 22)]
+    # eigenvalue -2e-5: jitters 1e-6 and 1e-5 fail, 1e-4 factors
+    grams.append(np.ones((32, 32)))
+    grams[-1][0, 1] = grams[-1][1, 0] = 1.0 + 2e-5
+    for gram in grams:
+        before = gram.copy()
+        calls.clear()
+        x = G.sample_gp(gram, np.random.default_rng(4))
+        assert gram.tobytes() == before.tobytes() and gram.flags.c_contiguous
+        jittered, factor = calls[-1]
+        assert jittered.flags.f_contiguous
+        want = gram.copy()
+        np.fill_diagonal(want, np.diag(jittered))
+        assert np.ascontiguousarray(jittered).tobytes() == want.tobytes()
+        want = cholesky(want)
+        assert factor.tobytes() == want.tobytes()
+        xi = np.random.default_rng(4).standard_normal(len(gram))
+        assert x.tobytes() == (want @ xi).tobytes()
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("atom", [G.KernelAtom("constant", (np.inf,)),
                                   G.KernelAtom("dot_product", (np.inf,))])
 def test_non_finite_atom_raises(atom):

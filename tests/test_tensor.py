@@ -452,6 +452,139 @@ def test_gelu_slope_only_when_recorded(op, arrays, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# kernels bitwise equal to the formulas they replaced, which are copied here
+
+
+def _gelu_kernel_copysign(x, slope):
+    """The GELU kernel as it was: Phi(x) = [x >= 0] - copysign(Phi(-|x|), x)."""
+    z = np.abs(x)
+    z *= T._INV_SQRT_2
+    t = z * T._AS_P
+    t += np.float32(1.0)
+    np.reciprocal(t, out=t)
+    np.square(z, out=z)
+    np.negative(z, out=z)
+    e = np.exp(z, out=z)
+    phi = t * T._AS_HALF_COEFFS[0]
+    for c in T._AS_HALF_COEFFS[1:]:
+        phi += c
+        phi *= t
+    phi *= e
+    np.copysign(phi, x, out=phi)
+    np.subtract(~np.signbit(x), phi, out=phi)
+    if slope:
+        e *= x
+        e *= T._INV_SQRT_2PI
+        e += phi
+    return np.multiply(x, phi, out=t), e if slope else None
+
+
+def _layer_norm_with_mean(x, gamma, beta, g, eps=1e-5):
+    """layer_norm's value and its x, gamma and beta gradients for output
+    gradient ``g``, as computed with the ``np.mean`` wrappers."""
+    d = x - np.asarray(x.mean(axis=-1, keepdims=True, dtype=np.float64),
+                       dtype=np.float32)
+    var = np.asarray(np.mean(d * d, axis=-1, keepdims=True, dtype=np.float64),
+                     dtype=np.float32)
+    inv = np.float32(1.0) / np.sqrt(var + np.float32(eps))
+    normed = d * inv
+    val = normed
+    if gamma is not None:
+        val = val * gamma
+    if beta is not None:
+        val = val + beta
+    gn = g * gamma if gamma is not None else g
+    m1 = gn.mean(axis=-1, keepdims=True)
+    m2 = (gn * normed).mean(axis=-1, keepdims=True)
+    dx = inv * (gn - m1 - normed * m2)
+    dgamma = None if gamma is None else T._unbroadcast(g * normed,
+                                                        gamma.shape)
+    dbeta = None if beta is None else T._unbroadcast(g, beta.shape)
+    return val, dx, dgamma, dbeta
+
+
+def _bits(a):
+    return None if a is None else np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 21, 32, 128])
+def test_row_max_bitwise_after_exp(n):
+    rng = np.random.default_rng(n)
+    s = rng.standard_normal((3, 4, 7, n)).astype(np.float32)
+    # rows whose max is a tie of +0 and -0, in either order
+    s[0, 0, :4] = -np.abs(s[0, 0, :4])
+    s[0, 0, :2, 0], s[0, 0, :2, -1] = -0.0, 0.0
+    s[0, 0, 2:4, 0], s[0, 0, 2:4, -1] = 0.0, -0.0
+    s[1, 1, 0] = -0.0
+    s[2, 2, 3] = rng.standard_normal() * np.ones(n, np.float32)
+    want = s.max(axis=-1, keepdims=True)
+    got = T._row_max(s)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert _bits(np.exp(s - got)) == _bits(np.exp(s - want))
+
+
+def test_attention_bits_do_not_depend_on_the_row_max(monkeypatch):
+    cases = [(n, bias) for n in (5, 21) for bias in (None, _causal_bias(n))]
+    arrays = {n: [rand(3, n, 8), rand(3, n, 8)]
+              + [0.4 * rand(8, 8) for _ in range(4)] + [rand(8)]
+              for n in (5, 21)}
+
+    def run():
+        return [_values_and_grads(
+            lambda *a: fused_attention(*a, n_heads=2, bias=bias), arrays[n])
+            for n, bias in cases]
+
+    got = run()
+    monkeypatch.setattr(T, "_row_max",
+                        lambda s: s.max(axis=-1, keepdims=True))
+    for (val, grads), (ref_val, ref_grads) in zip(got, run()):
+        assert _bits(val) == _bits(ref_val)
+        assert [_bits(g) for g in grads] == [_bits(g) for g in ref_grads]
+
+
+def test_gelu_kernel_bitwise_equal_to_copysign_form():
+    tiny = np.finfo(np.float32).smallest_subnormal
+    edges = np.array([0.0, tiny, 1e-40, 1.1754942e-38, 1e-30, 0.5, 1.0,
+                      20.0, 20.5, 26.0, 1e4, 1e30, 3e38], dtype=np.float32)
+    x = np.concatenate([edges, -edges, rand(4096) * 4.0,
+                        rand(512) * 30.0]).astype(np.float32)
+    kept = x.copy()
+    for slope in (False, True):
+        with np.errstate(over="ignore"):  # x^2 overflows past 1.8e19
+            val, d = T._gelu_kernel(x, slope)
+            ref_val, ref_d = _gelu_kernel_copysign(x, slope)
+        assert _bits(val) == _bits(ref_val)
+        assert _bits(d) == _bits(ref_d)
+    assert _bits(x) == _bits(kept)
+    # a strided (transposed) input takes the same path
+    m = rand(33, 17) * 5.0
+    assert _bits(T._gelu_kernel(m.T, True)[1]) == _bits(
+        _gelu_kernel_copysign(m.T, True)[1])
+
+
+@pytest.mark.parametrize("d", [24, 32, 48, 256])
+@pytest.mark.parametrize("affine", ["gamma_beta", "gamma", "beta", "none"])
+def test_layer_norm_bitwise_equal_to_mean_form(d, affine):
+    rng = np.random.default_rng(d)
+    x = (rng.standard_normal((4, 7, d)) * 3.0 + 1.5).astype(np.float32)
+    g = rng.standard_normal((4, 7, d)).astype(np.float32)
+    gamma = (1.0 + rng.standard_normal(d)).astype(np.float32)
+    beta = rng.standard_normal(d).astype(np.float32)
+    gamma = gamma if "gamma" in affine else None
+    beta = beta if "beta" in affine else None
+    ts = [Tensor(a.copy(), requires_grad=True)
+          for a in (x, gamma, beta) if a is not None]
+    with Tape():
+        out = T.layer_norm(*ts) if affine != "beta" else T.layer_norm(
+            ts[0], None, ts[1])
+        backward(T.tsum(T.mul(out, g)))
+    want = _layer_norm_with_mean(x, gamma, beta, g)
+    assert _bits(out.data) == _bits(want[0])
+    assert [_bits(t.grad) for t in ts] == [
+        _bits(w) for w in want[1:] if w is not None]
+
+
+# ---------------------------------------------------------------------------
 # a leading model axis: stacked weights run M models in lockstep
 
 
