@@ -27,10 +27,10 @@ def cmd_generate(args) -> int:
                       ("workers", 1), ("seed", 0)):
         if getattr(args, name) < low:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= {low}")
+    out = harness.check_out_dir(data_root() / args.out, "--out")
     cfg = synthgen.LcmConfig(
         n_channels=max(1, args.channels),
         series_length=args.length, series_count=args.n_series)
-    out = data_root() / args.out
     manifest = synthgen.generate_corpus(
         cfg, univariate=args.channels == 0, out_dir=out,
         n_workers=args.workers, seed=args.seed)
@@ -74,6 +74,7 @@ def cmd_sweep(args) -> int:
 def cmd_augment_preview(args) -> int:
     if args.seed < 0:
         raise ConfigError("--seed must be >= 0")
+    out = harness.check_out_dir(data_root() / args.out, "--out")
     if args.input:
         batch = tsb.read_tensor(data_root() / args.input)
         if batch.ndim == 1:
@@ -83,7 +84,6 @@ def cmd_augment_preview(args) -> int:
         batch = harness.toy_pretrain_corpus(rng, 4, 256)
     rng = np.random.default_rng(args.seed)
     pair = augment.make_view_pair(batch, rng, stochastic=True)
-    out = data_root() / args.out
     out.mkdir(parents=True, exist_ok=True)
     tsb.write_tensor(out / "original.tsb", batch.astype(np.float32))
     tsb.write_tensor(out / "teacher.tsb", pair.teacher_view)
@@ -109,6 +109,7 @@ def cmd_export_metrics(args) -> int:
     records, out = [], data_root() / args.out
     if out.is_dir():
         raise ConfigError(f"--out {out} is a directory")
+    harness.check_out_dir(out.parent, "the directory of --out")
     for path in args.inputs:
         records += harness.read_metrics(data_root() / path)
     harness.write_metrics(out, records)

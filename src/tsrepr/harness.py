@@ -46,6 +46,16 @@ def data_root() -> Path:
     return Path(os.environ.get("TSB_DATA_ROOT", "."))
 
 
+def check_out_dir(path: Path, what: str) -> Path:
+    """``path``, where a directory can be made; ConfigError naming it when
+    it, or its nearest existing parent, is not a directory."""
+    p = next((p for p in (path, *path.parents) if p.exists()), path)
+    if not p.is_dir():
+        raise ConfigError(f"{what} {path} is not a directory"
+                          + ("" if p == path else f": {p} is a file"))
+    return path
+
+
 # ---------------------------------------------------------------------------
 # run configuration
 
@@ -532,9 +542,11 @@ def claim_run_dir(cfg: RunConfig) -> Path:
 
     A directory whose config.ini holds a different config raises
     ConfigError naming the changed keys, before anything is written,
-    because its records and checkpoints belong to that config.
+    because its records and checkpoints belong to that config; so does
+    an output_root or run directory that is a file.
     """
-    run_dir = cfg.run_dir()
+    check_out_dir(Path(cfg.output_root), "output_root")
+    run_dir = check_out_dir(cfg.run_dir(), "run directory")
     if (run_dir / "config.ini").exists():
         old = load_run_config(run_dir / "config.ini")
         changed = [f.name for f in fields(RunConfig)
@@ -592,9 +604,9 @@ def sweep(key: str, values, base: RunConfig
     replaced by ``_``; returns (records, [(value, error), ...]).
 
     Values parse as in a config file.  Every child config is built first,
-    so a refused key, a bad or invalid value, or two values that give one
-    child id raise ConfigError and run nothing; a child that fails while
-    it runs is recorded."""
+    so a refused key, a bad or invalid value, two values that give one
+    child id or an ``output_root`` that is a file raise ConfigError and
+    run nothing; a child that fails while it runs is recorded."""
     if key not in _FIELD_TYPES or key in _RUN_KEYS:
         raise ConfigError(f"cannot sweep {key!r}: sweep a RunConfig key "
                           f"other than {', '.join(_RUN_KEYS)}")
@@ -606,6 +618,7 @@ def sweep(key: str, values, base: RunConfig
                           f"{list(values)}")
     children = [replace(base, run_id=run_id, **{key: value})
                 for run_id, value in zip(ids, parsed)]
+    out_dir = check_out_dir(Path(base.output_root), "output_root")
     combined: list[MetricRecord] = []
     failures: list[tuple[str, str]] = []
     for value, child in zip(parsed, children):
@@ -613,7 +626,6 @@ def sweep(key: str, values, base: RunConfig
             combined += run_experiment(child)
         except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
             failures.append((str(value), f"{type(exc).__name__}: {exc}"))
-    out_dir = Path(base.output_root)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics(out_dir / f"{base.run_id}_{key}_sweep.csv", combined)
     failed = out_dir / f"{base.run_id}_{key}_failures.txt"

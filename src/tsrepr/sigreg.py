@@ -86,13 +86,9 @@ def epps_pulley_statistic(embeddings, n_projections: int,
     per_projection, dproj = _residuals(z.data.astype(np.float64) @ directions.T,
                                        grad=taped)
     stat = float(per_projection.mean())
-    out = Tensor(np.float32(stat), _check=False)
+    out = T._op(np.float32(stat), (z,), (lambda g: (dproj @ directions) * (
+        float(g) / len(directions)),))
     out.hi = stat
-
-    def bw(g):
-        z._accumulate((dproj @ directions) * (float(g) / len(directions)))
-
-    T._record(out, (z,), bw)
     return out
 
 

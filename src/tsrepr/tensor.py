@@ -12,6 +12,13 @@ saved are freed once that step is done, and each intermediate ``grad`` is
 dropped once it has been passed on.  Leaf gradients accumulate across
 tapes until ``optim.zero_grads`` clears them.
 
+A primitive gives :func:`_op` its value and one vector-Jacobian product
+(VJP) per input, ``g -> gradient of that input``.  Backward calls the VJP
+of an input only when the input requires grad, in input order, so a
+constant operand costs nothing.  ``layer_norm`` and the SIGReg statistic
+are primitives too; the fused ``attention`` and ``ffn`` keep one backward
+closure each, because their VJPs share intermediates.
+
 The Transformer hot path is three fused ops, each one tape record with an
 analytic backward: :func:`layer_norm`, :func:`attention` (the whole
 multi-head self-attention block) and :func:`ffn` (the GELU feed-forward).
@@ -114,6 +121,23 @@ def _record(out: "Tensor", inputs: tuple["Tensor", ...], bw) -> None:
         tape.records.append((out, inputs, bw))
 
 
+def _op(val: np.ndarray, inputs: tuple["Tensor", ...], vjps) -> "Tensor":
+    """The output of a primitive with value ``val``; its backward adds
+    ``vjps[i](g)`` to each ``inputs[i]`` that requires grad, in order."""
+    out = Tensor(val, _check=False)
+
+    def bw(g):
+        for t, vjp in zip(inputs, vjps):
+            if t.requires_grad:
+                t._accumulate(vjp(g))
+
+    # a record is named after its op (``mul.<locals>.<lambda>``), which
+    # is what profiles of the tape count
+    bw.__qualname__ = vjps[0].__qualname__
+    _record(out, inputs, bw)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # tensor
 
@@ -196,60 +220,27 @@ def _f32(arr) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data, _check=False)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g)
-
-    _record(out, (a, b), bw)
-    return out
+    return _op(a.data + b.data, (a, b), (lambda g: g, lambda g: g))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data, _check=False)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(-g)
-
-    _record(out, (a, b), bw)
-    return out
+    return _op(a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data, _check=False)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
-
-    _record(out, (a, b), bw)
-    return out
+    return _op(a.data * b.data, (a, b),
+               (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if np.any(b.data == 0.0):
         raise DomainError("division by zero")
-    out = Tensor(a.data / b.data, _check=False)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g / b.data)
-        if b.requires_grad:
-            b._accumulate(-g * a.data / (b.data * b.data))
-
-    _record(out, (a, b), bw)
-    return out
+    return _op(a.data / b.data, (a, b),
+               (lambda g: g / b.data,
+                lambda g: -g * a.data / (b.data * b.data)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,43 +254,25 @@ def matmul(a, b) -> Tensor:
         raise ShapeError("matmul requires rank >= 2 operands")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul contraction mismatch: {a.shape} @ {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data), _check=False)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        if b.requires_grad:
-            b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
-
-    _record(out, (a, b), bw)
-    return out
+    return _op(np.matmul(a.data, b.data), (a, b),
+               (lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g)))
 
 
 def transpose(a, axes=None) -> Tensor:
     a = as_tensor(a)
     ax = axes if axes is not None else tuple(reversed(range(a.ndim)))
-    out = Tensor(np.transpose(a.data, ax), _check=False)
-    inv = np.argsort(ax)
-
-    def bw(g):
-        a._accumulate(np.transpose(g, inv))
-
-    _record(out, (a,), bw)
-    return out
+    return _op(np.transpose(a.data, ax), (a,),
+               (lambda g: np.transpose(g, np.argsort(ax)),))
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     try:
-        out = Tensor(a.data.reshape(shape), _check=False)
+        val = a.data.reshape(shape)
     except ValueError as e:
         raise ShapeError(str(e)) from None
-
-    def bw(g):
-        a._accumulate(g.reshape(a.shape))
-
-    _record(out, (a,), bw)
-    return out
+    return _op(val, (a,), (lambda g: g.reshape(a.shape),))
 
 
 def _basic_key(key) -> bool:
@@ -313,9 +286,8 @@ def _basic_key(key) -> bool:
 
 def tslice(a, key) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.ascontiguousarray(a.data[key]), _check=False)
 
-    def bw(g):
+    def vjp(g):
         full = np.zeros_like(a.data)
         g = g.astype(np.float32, copy=False)
         if _basic_key(key):
@@ -324,28 +296,23 @@ def tslice(a, key) -> Tensor:
         else:
             # index arrays may repeat an index
             np.add.at(full, key, g)
-        a._accumulate(full)
+        return full
 
-    _record(out, (a,), bw)
-    return out
+    return _op(np.ascontiguousarray(a.data[key]), (a,), (vjp,))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
+    ts = tuple(as_tensor(t) for t in tensors)
     try:
-        out = Tensor(np.concatenate([t.data for t in ts], axis=axis), _check=False)
+        val = np.concatenate([t.data for t in ts], axis=axis)
     except ValueError as e:
         raise ShapeError(str(e)) from None
-    sizes = [t.shape[axis] for t in ts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bw(g):
-        for t, piece in zip(ts, np.split(g, splits, axis=axis)):
-            if t.requires_grad:
-                t._accumulate(piece)
-
-    _record(out, tuple(ts), bw)
-    return out
+    # input i's gradient is its block of g along the axis, the view that
+    # np.split gives
+    ends = np.cumsum([t.shape[axis] for t in ts])
+    head = (slice(None),) * (axis % val.ndim)
+    return _op(val, ts, [lambda g, block=slice(end - t.shape[axis], end):
+                         g[head + (block,)] for t, end in zip(ts, ends)])
 
 
 # ---------------------------------------------------------------------------
@@ -355,35 +322,26 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
     val = a.data.sum(axis=axis, dtype=np.float64)
-    out = Tensor(_f32(val), _check=False)
+    out = _op(_f32(val), (a,), (lambda g: np.broadcast_to(
+        g if axis is None else np.expand_dims(g, axis), a.shape),))
     if np.size(val) == 1:
         out.hi = float(np.asarray(val).reshape(()))
-
-    def bw(g):
-        ge = g if axis is None else np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(ge, a.shape))
-
-    _record(out, (a,), bw)
     return out
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     val = a.data.mean(axis=axis, keepdims=keepdims, dtype=np.float64)
-    out = Tensor(_f32(val), _check=False)
-    if np.size(val) == 1:
-        out.hi = float(np.asarray(val).reshape(()))
     if axis is None:
         count = a.size
     else:
         axes = (axis,) if isinstance(axis, int) else axis
         count = int(np.prod([a.shape[ax] for ax in axes]))
-
-    def bw(g):
-        ge = g if axis is None or keepdims else np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(ge / count, a.shape))
-
-    _record(out, (a,), bw)
+    out = _op(_f32(val), (a,), (lambda g: np.broadcast_to(
+        (g if axis is None or keepdims else np.expand_dims(g, axis)) / count,
+        a.shape),))
+    if np.size(val) == 1:
+        out.hi = float(np.asarray(val).reshape(()))
     return out
 
 
@@ -396,46 +354,23 @@ def sqrt(a) -> Tensor:
     if np.any(a.data < 0.0):
         raise DomainError("sqrt of negative value")
     val = np.sqrt(a.data)
-    out = Tensor(val, _check=False)
-
-    def bw(g):
-        a._accumulate(g * 0.5 / np.maximum(val, np.float32(1e-12)))
-
-    _record(out, (a,), bw)
-    return out
+    return _op(val, (a,),
+               (lambda g: g * 0.5 / np.maximum(val, np.float32(1e-12)),))
 
 
 def cos(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.cos(a.data), _check=False)
-
-    def bw(g):
-        a._accumulate(-g * np.sin(a.data))
-
-    _record(out, (a,), bw)
-    return out
+    return _op(np.cos(a.data), (a,), (lambda g: -g * np.sin(a.data),))
 
 
 def sin(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.sin(a.data), _check=False)
-
-    def bw(g):
-        a._accumulate(g * np.cos(a.data))
-
-    _record(out, (a,), bw)
-    return out
+    return _op(np.sin(a.data), (a,), (lambda g: g * np.cos(a.data),))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0), _check=False)
-
-    def bw(g):
-        a._accumulate(g * (a.data > 0.0))
-
-    _record(out, (a,), bw)
-    return out
+    return _op(np.maximum(a.data, 0.0), (a,), (lambda g: g * (a.data > 0.0),))
 
 
 def _gelu_kernel(x: np.ndarray, slope: bool
@@ -479,13 +414,7 @@ def gelu(a) -> Tensor:
     """Exact GELU: x * Phi(x), computed in float32 (see :func:`_gelu_kernel`)."""
     a = as_tensor(a)
     val, slope = _gelu_kernel(a.data, _recording_tape((a,)) is not None)
-    out = Tensor(val, _check=False)
-
-    def bw(g):
-        a._accumulate(g * slope)
-
-    _record(out, (a,), bw)
-    return out
+    return _op(val, (a,), (lambda g: g * slope,))
 
 
 def softmax(a) -> Tensor:
@@ -494,14 +423,8 @@ def softmax(a) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     val = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
-    out = Tensor(val, _check=False)
-
-    def bw(g):
-        dot = (g * val).sum(axis=-1, keepdims=True)
-        a._accumulate(val * (g - dot))
-
-    _record(out, (a,), bw)
-    return out
+    return _op(val, (a,), (lambda g: val * (
+        g - (g * val).sum(axis=-1, keepdims=True)),))
 
 
 def log_softmax(a) -> Tensor:
@@ -509,15 +432,8 @@ def log_softmax(a) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True, dtype=np.float64))
     val = _f32(shifted - lse)
-    out = Tensor(val, _check=False)
-    sm = np.exp(val)
-
-    def bw(g):
-        tot = g.sum(axis=-1, keepdims=True)
-        a._accumulate(g - sm * tot)
-
-    _record(out, (a,), bw)
-    return out
+    return _op(val, (a,), (
+        lambda g: g - np.exp(val) * g.sum(axis=-1, keepdims=True),))
 
 
 def layer_norm(a, gamma=None, beta=None, eps: float = 1e-5) -> Tensor:
@@ -542,29 +458,23 @@ def layer_norm(a, gamma=None, beta=None, eps: float = 1e-5) -> Tensor:
             val += beta.data
     else:
         val = normed if beta is None else normed + beta.data
-    out = Tensor(val, _check=False)
 
-    def bw(g):
-        if gamma is not None and gamma.requires_grad:
-            gamma._accumulate(g * normed)
-        if beta is not None and beta.requires_grad:
-            beta._accumulate(g)
-        if a.requires_grad:
-            # inv * (gn - m1 - normed * m2), g itself left as is; np.mean
-            # would divide the float32 sums in float64 and round, which
-            # gives the same float32 as dividing in float32
-            gn = g * gamma.data if gamma is not None else g
-            m1 = np.add.reduce(gn, axis=-1, keepdims=True) / k
-            tmp = gn * normed
-            m2 = np.add.reduce(tmp, axis=-1, keepdims=True) / k
-            dx = np.subtract(gn, m1, out=None if gn is g else gn)
-            dx -= np.multiply(normed, m2, out=tmp)
-            dx *= inv
-            a._accumulate(dx)
+    def da(g):
+        # inv * (gn - m1 - normed * m2), g itself left as is; np.mean
+        # would divide the float32 sums in float64 and round, which
+        # gives the same float32 as dividing in float32
+        gn = g * gamma.data if gamma is not None else g
+        m1 = np.add.reduce(gn, axis=-1, keepdims=True) / k
+        tmp = gn * normed
+        m2 = np.add.reduce(tmp, axis=-1, keepdims=True) / k
+        dx = np.subtract(gn, m1, out=None if gn is g else gn)
+        dx -= np.multiply(normed, m2, out=tmp)
+        dx *= inv
+        return dx
 
-    inputs = tuple(t for t in (a, gamma, beta) if t is not None)
-    _record(out, inputs, bw)
-    return out
+    parts = [(t, vjp) for t, vjp in ((a, da), (gamma, lambda g: g * normed),
+                                     (beta, lambda g: g)) if t is not None]
+    return _op(val, *zip(*parts))
 
 
 # ---------------------------------------------------------------------------

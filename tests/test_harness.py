@@ -956,6 +956,61 @@ def test_export_metrics_refuses_a_directory_as_out(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["generate", "augment-preview"])
+def test_cli_out_that_is_a_file_exit_two(tmp_path, capsys, command):
+    # an existing file as --out once raised FileExistsError (exit 1)
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    args = ["--n-series", "2", "--length", "32"] if command == "generate" \
+        else []
+    assert cli.main([command, "--out", str(out)] + args) == 2
+    assert f"{out} is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "pretrain", "sweep"])
+def test_cli_output_root_that_is_a_file_exit_two(tmp_path, capsys, command):
+    # it once raised NotADirectoryError in claim_run_dir (evaluate,
+    # pretrain), or recorded every sweep child as failed and then raised
+    # FileExistsError (exit 1)
+    root = tmp_path / "runs"
+    root.write_text("kept\n")
+    H.save_run_config(fast_cfg(tmp_path), tmp_path / "c.ini")
+    args = ["n_layers", "1,2"] if command == "sweep" else []
+    assert cli.main([command, "--config", str(tmp_path / "c.ini")]
+                    + args) == 2
+    err = capsys.readouterr().err
+    assert f"output_root {root} is not a directory" in err
+    assert "Error" not in err
+    assert root.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "runs"]
+
+
+def test_run_directory_that_is_a_file_or_under_one_is_refused(tmp_path):
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "runs" / "run").write_text("kept\n")
+    with pytest.raises(ConfigError, match="run directory .* is not a dir"):
+        H.claim_run_dir(fast_cfg(tmp_path))
+    cfg = fast_cfg(tmp_path, output_root=str(tmp_path / "runs" / "run" / "x"))
+    with pytest.raises(ConfigError) as err:
+        H.claim_run_dir(cfg)
+    assert str(err.value).endswith(f": {tmp_path / 'runs' / 'run'} is a file")
+    assert [p.name for p in (tmp_path / "runs").iterdir()] == ["run"]
+
+
+def test_export_metrics_refuses_an_out_under_a_file(tmp_path, capsys):
+    # it once raised NotADirectoryError opening its temporary file (exit 1)
+    H.write_metrics(tmp_path / "a.csv", [rec()])
+    (tmp_path / "file").write_text("kept\n")
+    out = tmp_path / "file" / "o.csv"
+    assert cli.main(["export-metrics", "--out", str(out),
+                     str(tmp_path / "a.csv")]) == 2
+    assert f"--out {tmp_path / 'file'} is not a directory" in \
+        capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "file"]
+
+
 def test_cli_export_metrics_merge(tmp_path, capsys):
     H.write_metrics(tmp_path / "a.csv", [rec(seed="1")])
     H.write_metrics(tmp_path / "b.csv", [rec(seed="2")])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsrepr import tensor as T
+from tsrepr import sigreg, tensor as T
 from tsrepr.backbone import (BackboneConfig, _causal_bias, encode,
                              init_encoder, stack_weights)
 from tsrepr.tensor import (DomainError, NumericError, ShapeError, Tape,
@@ -584,6 +584,184 @@ def test_layer_norm_bitwise_equal_to_mean_form(d, affine):
         _bits(w) for w in want[1:] if w is not None]
 
 
+# a stream of its own, so the shared RNG's later draws do not move
+CLOSED_RNG = np.random.default_rng(33)
+
+
+def crand(*shape):
+    return CLOSED_RNG.standard_normal(shape).astype(np.float32)
+
+
+def _split_grads(g, arrays, axis):
+    """Each concat input's piece of the output gradient."""
+    return np.split(g, np.cumsum([a.shape[axis] for a in arrays])[:-1],
+                    axis=axis)
+
+
+def _add_at_form(g, x, key):
+    full = np.zeros_like(x)
+    np.add.at(full, key, g)
+    return x[key], [full]
+
+
+def _softmax_form(g, x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    val = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    dot = (g * val).sum(axis=-1, keepdims=True)
+    return val, [val * (g - dot)]
+
+
+def _log_softmax_form(g, x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True, dtype=np.float64))
+    val = np.asarray(shifted - lse, dtype=np.float32)
+    return val, [g - np.exp(val) * g.sum(axis=-1, keepdims=True)]
+
+
+def _sigreg_form(g, z, n_projections=6, step=3):
+    directions = sigreg.sample_projections(z.shape[1], n_projections,
+                                           step).astype(np.float64)
+    per_projection, dproj = sigreg._residuals(
+        z.astype(np.float64) @ directions.T, grad=True)
+    val = np.float32(float(per_projection.mean()))
+    return val, [(dproj @ directions) * (float(g) / len(directions))]
+
+
+def _sqrt_form(g, x):
+    val = np.sqrt(x)
+    return val, [g * 0.5 / np.maximum(val, np.float32(1e-12))]
+
+
+def _mean_form(g, x, axis, keepdims):
+    val = np.asarray(x.mean(axis=axis, keepdims=keepdims, dtype=np.float64),
+                     dtype=np.float32)
+    count = int(np.prod([x.shape[ax] for ax in axis]))
+    ge = g if keepdims else np.expand_dims(g, axis)
+    return val, [np.broadcast_to(ge / count, x.shape)]
+
+
+SLICE_KEY = (np.array([2, 0, 2, 2]), slice(1, None))
+# (op, input arrays, closed form: (g, *arrays) -> (value, input gradients
+# before broadcast axes are summed)); the forms are the primitives' numpy
+# expressions, so each primitive is checked bit for bit
+CLOSED_FORMS = [
+    pytest.param(T.add, [crand(4, 3), crand(1, 3)],
+                 lambda g, a, b: (a + b, [g, g]), id="add_broadcast"),
+    pytest.param(T.sub, [crand(3), crand(2, 4, 3)],
+                 lambda g, a, b: (a - b, [g, -g]), id="sub_broadcast"),
+    pytest.param(T.mul, [crand(4, 1), crand(1, 5)],
+                 lambda g, a, b: (a * b, [g * b, g * a]), id="mul_broadcast"),
+    pytest.param(lambda x: T.mul(x, x), [crand(4, 3)],
+                 lambda g, x: (x * x, [g * x + g * x]), id="mul_repeated"),
+    pytest.param(T.div, [crand(2, 3), 2.0 + np.abs(crand(3))],
+                 lambda g, a, b: (a / b, [g / b, -g * a / (b * b)]),
+                 id="div_broadcast"),
+    pytest.param(T.matmul, [crand(2, 4, 3), crand(3, 5)],
+                 lambda g, a, b: (np.matmul(a, b), [
+                     np.matmul(g, np.swapaxes(b, -1, -2)),
+                     np.matmul(np.swapaxes(a, -1, -2), g)]),
+                 id="matmul_broadcast"),
+    pytest.param(lambda x: T.transpose(x, (2, 0, 1)), [crand(2, 3, 4)],
+                 lambda g, x: (np.transpose(x, (2, 0, 1)),
+                               [np.transpose(g, np.argsort((2, 0, 1)))]),
+                 id="transpose"),
+    pytest.param(lambda x: T.reshape(x, (3, -1)), [crand(2, 3, 4)],
+                 lambda g, x: (x.reshape(3, -1), [g.reshape(x.shape)]),
+                 id="reshape"),
+    pytest.param(lambda x: T.tslice(x, SLICE_KEY), [crand(3, 5)],
+                 lambda g, x: _add_at_form(g, x, SLICE_KEY),
+                 id="tslice_repeated_index"),
+    pytest.param(lambda a, b: T.concat([a, b, a], axis=1),
+                 [crand(2, 3, 4), crand(2, 1, 4)],
+                 lambda g, a, b: (np.concatenate([a, b, a], axis=1), [
+                     (p := _split_grads(g, [a, b, a], 1))[0] + p[2], p[1]]),
+                 id="concat_axis1"),
+    pytest.param(lambda a, b: T.concat([a, b], axis=-1),
+                 [crand(2, 3, 4), crand(2, 3, 2)],
+                 lambda g, a, b: (np.concatenate([a, b], axis=-1),
+                                  _split_grads(g, [a, b], -1)),
+                 id="concat_axis-1"),
+    pytest.param(lambda x: T.tsum(x, axis=(0, -1)), [crand(2, 3, 4)],
+                 lambda g, x: (np.asarray(x.sum(axis=(0, -1), dtype=np.float64),
+                                          dtype=np.float32),
+                               [np.broadcast_to(np.expand_dims(g, (0, -1)),
+                                                x.shape)]),
+                 id="tsum_tuple_negative_axes"),
+    pytest.param(lambda x: T.mean(x, axis=(-1, 1), keepdims=True),
+                 [crand(2, 3, 4)], lambda g, x: _mean_form(g, x, (-1, 1), True),
+                 id="mean_keepdims"),
+    pytest.param(lambda x: T.mean(x, axis=(-2,)), [crand(2, 3, 4)],
+                 lambda g, x: _mean_form(g, x, (-2,), False),
+                 id="mean_negative_axis"),
+    pytest.param(T.sqrt, [0.1 + np.abs(crand(3, 4))], _sqrt_form, id="sqrt"),
+    pytest.param(T.cos, [crand(3, 4)],
+                 lambda g, x: (np.cos(x), [-g * np.sin(x)]), id="cos"),
+    pytest.param(T.sin, [crand(3, 4)],
+                 lambda g, x: (np.sin(x), [g * np.cos(x)]), id="sin"),
+    pytest.param(T.relu, [crand(3, 4)],
+                 lambda g, x: (np.maximum(x, 0.0), [g * (x > 0.0)]), id="relu"),
+    pytest.param(T.gelu, [3.0 * crand(3, 4)],
+                 lambda g, x: ((k := T._gelu_kernel(x, True))[0], [g * k[1]]),
+                 id="gelu"),
+    pytest.param(T.softmax, [crand(3, 5)], _softmax_form, id="softmax"),
+    pytest.param(T.log_softmax, [crand(3, 5)], _log_softmax_form,
+                 id="log_softmax"),
+    pytest.param(lambda z: sigreg.epps_pulley_statistic(z, 6, 3),
+                 [crand(12, 4)], _sigreg_form, id="sigreg"),
+]
+
+
+@pytest.mark.parametrize("op,arrays,form", CLOSED_FORMS)
+def test_primitive_bitwise_equal_to_closed_form(op, arrays, form):
+    out_shape = op(*[Tensor(a) for a in arrays]).shape
+    weight = np.random.default_rng(7).standard_normal(out_shape).astype(
+        np.float32)
+    val, grads = _slice_values_and_grads(op, arrays, weight)
+    want, want_grads = form(weight, *[a.copy() for a in arrays])
+    assert _bits(val) == _bits(np.asarray(want, dtype=np.float32))
+    assert [_bits(g) for g in grads] == [
+        _bits(T._unbroadcast(w, a.shape).astype(np.float32))
+        for w, a in zip(want_grads, arrays)]
+
+
+def test_backward_skips_the_vjp_of_a_constant_input(monkeypatch):
+    constant = Tensor(crand(4, 3))
+    w = Tensor(crand(3, 2), requires_grad=True)
+    calls = []
+    matmul = np.matmul
+    with Tape():
+        loss = T.tsum(T.matmul(constant, w))
+        monkeypatch.setattr(np, "matmul",
+                            lambda *a, **k: calls.append(1) or matmul(*a, **k))
+        backward(loss)
+    monkeypatch.undo()
+    assert len(calls) == 1  # constant^T @ g, for w only
+    assert w.grad.tobytes() == (constant.data.T @ np.ones((4, 2), np.float32)
+                                ).tobytes()
+
+    class Watched(np.ndarray):
+        """Counts the ufuncs that read it."""
+        reads = 0
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            Watched.reads += 1
+            inputs = [np.asarray(i) if isinstance(i, Watched) else i
+                      for i in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    # the mask's VJP, g * x, is the only backward step that reads x
+    x = Tensor(crand(4, 3), requires_grad=True)
+    x.data = x.data.view(Watched)
+    mask = Tensor((crand(4, 3) > 0.0).astype(np.float32))
+    with Tape():
+        loss = T.tsum(T.mul(x, mask))
+        Watched.reads = 0
+        backward(loss)
+    assert Watched.reads == 0
+    assert x.grad.tobytes() == mask.data.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # a leading model axis: stacked weights run M models in lockstep
 
@@ -679,7 +857,7 @@ def test_unstacked_encode_record_count(masked, records):
     cfg = BackboneConfig(d_model=32, n_layers=2, n_heads=4, patch_len=16,
                          max_patches=8)
     w = init_encoder(cfg, np.random.default_rng(0))
-    x = rand(4, 128)
+    x = crand(4, 128)
     with Tape() as tape:
         encode(x, w, cfg, patch_mask=np.eye(4, 8, dtype=bool) if masked
                else None)
