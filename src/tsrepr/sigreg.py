@@ -82,9 +82,9 @@ def epps_pulley_statistic(embeddings, n_projections: int,
         raise ValueError("embeddings must be (N >= 2, D)")
     directions = sample_projections(z.shape[1], n_projections,
                                     step).astype(np.float64)
-    taped = z.requires_grad and T.Tape.active() is not None
-    per_projection, dproj = _residuals(z.data.astype(np.float64) @ directions.T,
-                                       grad=taped)
+    per_projection, dproj = _residuals(
+        z.data.astype(np.float64) @ directions.T,
+        grad=T._recording_tape((z,)) is not None)
     stat = float(per_projection.mean())
     out = T._op(np.float32(stat), (z,), (lambda g: (dproj @ directions) * (
         float(g) / len(directions)),))

@@ -12,12 +12,15 @@ saved are freed once that step is done, and each intermediate ``grad`` is
 dropped once it has been passed on.  Leaf gradients accumulate across
 tapes until ``optim.zero_grads`` clears them.
 
-A primitive gives :func:`_op` its value and one vector-Jacobian product
-(VJP) per input, ``g -> gradient of that input``.  Backward calls the VJP
-of an input only when the input requires grad, in input order, so a
-constant operand costs nothing.  ``layer_norm`` and the SIGReg statistic
-are primitives too; the fused ``attention`` and ``ffn`` keep one backward
-closure each, because their VJPs share intermediates.
+Every op records through :func:`_op`, the one writer of the tape.  An
+op gives it its value and one vector-Jacobian product (VJP) per input.
+When no tape is active or no input requires grad, ``_op`` returns the
+bare output and builds no backward.  Otherwise the backward runs the op's
+optional shared step ``prep(g)``, then, in input order, the VJP of each
+input that requires grad on its result, so a constant operand costs
+nothing.  The fused ``attention`` and ``ffn`` compute what their VJPs
+share in ``prep``; ``layer_norm`` and the SIGReg statistic record this
+way too.
 
 The Transformer hot path is three fused ops, each one tape record with an
 analytic backward: :func:`layer_norm`, :func:`attention` (the whole
@@ -108,33 +111,34 @@ class Tape:
 def _recording_tape(inputs: tuple["Tensor", ...]) -> "Tape | None":
     """The tape an op on ``inputs`` records into, or None when it records
     nothing: no tape is active or no input requires grad."""
-    tape = Tape.active()
+    tape = _ACTIVE.get()
     if tape is not None and any(t.requires_grad for t in inputs):
         return tape
     return None
 
 
-def _record(out: "Tensor", inputs: tuple["Tensor", ...], bw) -> None:
-    tape = _recording_tape(inputs)
-    if tape is not None:
-        out.requires_grad = True
-        tape.records.append((out, inputs, bw))
-
-
-def _op(val: np.ndarray, inputs: tuple["Tensor", ...], vjps) -> "Tensor":
-    """The output of a primitive with value ``val``; its backward adds
-    ``vjps[i](g)`` to each ``inputs[i]`` that requires grad, in order."""
+def _op(val: np.ndarray, inputs: tuple["Tensor", ...], vjps,
+        prep=None) -> "Tensor":
+    """The output of a primitive with value ``val``.  When the op records,
+    its backward adds ``vjps[i](r)`` to each ``inputs[i]`` that requires
+    grad, in order, where ``r`` is ``prep(g)`` (``g`` itself without
+    ``prep``); an op that records nothing builds no backward."""
     out = Tensor(val, _check=False)
+    tape = _recording_tape(inputs)
+    if tape is None:
+        return out
 
     def bw(g):
+        r = g if prep is None else prep(g)
         for t, vjp in zip(inputs, vjps):
             if t.requires_grad:
-                t._accumulate(vjp(g))
+                t._accumulate(vjp(r))
 
     # a record is named after its op (``mul.<locals>.<lambda>``), which
     # is what profiles of the tape count
     bw.__qualname__ = vjps[0].__qualname__
-    _record(out, inputs, bw)
+    out.requires_grad = True
+    tape.records.append((out, inputs, bw))
     return out
 
 
@@ -554,35 +558,24 @@ def attention(x, wq, wk, wv, wo, bo, n_heads: int, bias=None, *,
     val += bo.data
     val = val.reshape(x.shape)
     val += residual.data
-    out = Tensor(val, _check=False)
 
-    def bw(g):
-        if residual.requires_grad:
-            residual._accumulate(g)
-        g = g.reshape(flat.shape)
-        if wo.requires_grad:
-            wo._accumulate(_tr(ctx) @ g)
-        if bo.requires_grad:
-            bo._accumulate(g)
-        dctx = split(g @ _tr(wo.data))
+    def prep(g):
+        # g, g as rows, then the merged gradients of q, k and v
+        rows = g.reshape(flat.shape)
+        dctx = split(rows @ _tr(wo.data))
         dprobs = dctx @ _tr(v)
         dscores = dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)
         dscores *= probs
         dscores *= scale
-        grads = (merge(dscores @ k), merge(_tr(dscores) @ q),
-                 merge(_tr(probs) @ dctx))
-        dx = None
-        for w, gm in zip((wq, wk, wv), grads):
-            if w.requires_grad:
-                w._accumulate(_tr(flat) @ gm)
-            if x.requires_grad:
-                part = gm @ _tr(w.data)
-                dx = part if dx is None else dx + part
-        if dx is not None:
-            x._accumulate(dx.reshape(x.shape))
+        return (g, rows, merge(dscores @ k), merge(_tr(dscores) @ q),
+                merge(_tr(probs) @ dctx))
 
-    _record(out, (x, wq, wk, wv, wo, bo, residual), bw)
-    return out
+    return _op(val, (x, wq, wk, wv, wo, bo, residual), (
+        lambda r: (r[2] @ _tr(wq.data) + r[3] @ _tr(wk.data)
+                   + r[4] @ _tr(wv.data)).reshape(x.shape),
+        lambda r: _tr(flat) @ r[2], lambda r: _tr(flat) @ r[3],
+        lambda r: _tr(flat) @ r[4], lambda r: _tr(ctx) @ r[1],
+        lambda r: r[1], lambda r: r[0]), prep)
 
 
 def ffn(x, w1, b1, w2, b2, *, residual=None) -> Tensor:
@@ -608,27 +601,19 @@ def ffn(x, w1, b1, w2, b2, *, residual=None) -> Tensor:
     val = val.reshape(x.shape[:-1] + (w2.shape[-1],))
     if residual is not None:
         val += residual.data
-    out = Tensor(val, _check=False)
 
-    def bw(g):
-        if residual is not None and residual.requires_grad:
-            residual._accumulate(g)
-        g = g.reshape(act.shape[:-1] + (w2.shape[-1],))
-        if w2.requires_grad:
-            w2._accumulate(_tr(act) @ g)
-        if b2.requires_grad:
-            b2._accumulate(g)
-        dpre = g @ _tr(w2.data)
+    def prep(g):
+        # g, g as rows, then the gradient of the GELU's input
+        rows = g.reshape(act.shape[:-1] + (w2.shape[-1],))
+        dpre = rows @ _tr(w2.data)
         dpre *= slope
-        if w1.requires_grad:
-            w1._accumulate(_tr(flat) @ dpre)
-        if b1.requires_grad:
-            b1._accumulate(dpre)
-        if x.requires_grad:
-            x._accumulate((dpre @ _tr(w1.data)).reshape(x.shape))
+        return g, rows, dpre
 
-    _record(out, inputs, bw)
-    return out
+    # without a residual, inputs has no sixth entry for the last VJP
+    return _op(val, inputs, (
+        lambda r: (r[2] @ _tr(w1.data)).reshape(x.shape),
+        lambda r: _tr(flat) @ r[2], lambda r: r[2],
+        lambda r: _tr(act) @ r[1], lambda r: r[1], lambda r: r[0]), prep)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 TSB1 layout: magic ``TSB1``, u8 dtype code (0 = float32), u8 rank,
 rank x u64 little-endian extents, then the raw little-endian payload.
+A header whose extents claim more payload than its file holds is a
+FormatError, found before anything is allocated.
 
 Checkpoints are ``TSBC`` files: a versioned JSON header followed by named
 TSB1 blobs.  Loaders refuse mismatched format versions.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import struct
 from pathlib import Path
 from typing import NamedTuple
@@ -74,10 +77,18 @@ def read_tensor_stream(fh) -> np.ndarray:
     if code not in _DTYPES:
         raise FormatError(f"unknown dtype code {code}")
     shape = struct.unpack(f"<{rank}Q", _read(fh, 8 * rank, "shape"))
-    dtype = _DTYPES[code]
-    n = int(np.prod(shape)) if rank else 1
-    payload = _read(fh, n * dtype.itemsize, "payload")
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    nbytes = math.prod(shape) * _DTYPES[code].itemsize
+    start = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - start
+    fh.seek(start)
+    if nbytes > left:
+        raise FormatError(f"header claims a payload of {nbytes} bytes; "
+                          f"{left} are left")
+    payload = np.frombuffer(fh.read(nbytes), dtype=_DTYPES[code])
+    try:
+        return payload.reshape(shape).copy()
+    except ValueError as exc:  # an empty payload beside a huge extent
+        raise FormatError(f"extents {shape} fit no array: {exc}") from exc
 
 
 def write_tensor(path, arr: np.ndarray) -> None:

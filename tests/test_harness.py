@@ -1,9 +1,11 @@
 """Run configs, metric records, the runner, sweeps, and the CLI."""
 
+import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_tsb import OVER_CLAIMS, claim_extent
 
 from tsrepr import cli, evaluate as E, harness as H, synthgen as G, tsb
 from tsrepr.backbone import init_encoder, load_backbone
@@ -880,6 +882,81 @@ def test_cli_data_error_exit_three(tmp_path, capsys):
                      str(tmp_path / "missing.tsb"),
                      "--out", str(tmp_path / "v")]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+NAN32 = np.float32(np.nan).tobytes()
+
+
+def _mutations(raw: bytes, rng) -> list[bytes]:
+    """A bit flip, a truncation, an inserted ``\\xff``, an overwritten byte
+    and a float32 NaN written a multiple of 4 bytes before the end of
+    ``raw`` (where TSB1 payloads lie), at seeded places."""
+    at = int(rng.integers(len(raw)))
+    flipped = bytearray(raw)
+    flipped[at] ^= 1 << int(rng.integers(8))
+    overwritten = bytearray(raw)
+    overwritten[int(rng.integers(len(raw)))] = int(rng.integers(256))
+    nan_at = len(raw) - 4 * int(rng.integers(1, len(raw) // 4 + 1))
+    return [bytes(flipped), raw[:int(rng.integers(len(raw)))],
+            raw[:at] + b"\xff" + raw[at:], bytes(overwritten),
+            raw[:nan_at] + NAN32 + raw[nan_at + 4:]]
+
+
+# a mutated float may overflow the arithmetic of augment-preview's views
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_survives_mutated_input_files(tmp_path, capsys):
+    # every kind of file the CLI reads, mutated in seeded ways: a command
+    # returns an exit code and raises nothing, and only weights that decode
+    # to non-finite values may fail numerically (exit 4)
+    corpus = tmp_path / "gen"
+    assert cli.main(["generate", "--out", str(corpus), "--n-series", "4",
+                     "--length", "128"]) == 0
+    cfg = fast_cfg(tmp_path, run_id="fuzz", data_source="real",
+                   dataset_path=str(corpus), tasks=("forecast",))
+    config = tmp_path / "c.ini"
+    H.save_run_config(cfg, config)
+    evaluate = ["evaluate", "--config", str(config)]
+    assert cli.main(evaluate) == 0
+    batch = tmp_path / "batch.tsb"
+    tsb.write_tensor(batch, np.random.default_rng(0).standard_normal(
+        (2, 64)).astype(np.float32))
+    ckpt = cfg.run_dir() / "checkpoints" / "backbone_seed1.tsbc"
+    record = cfg.run_dir() / "records" / "seed1_forecast.csv"
+    metrics = cfg.run_dir() / "metrics.csv"
+    pretrain = ["pretrain", "--config", str(config)]
+    # file -> (command that reads it, files removed first so that it does)
+    kinds = {
+        config: (evaluate, ()),
+        corpus / "manifest.txt": (pretrain, (ckpt,)),
+        corpus / "shard_00000.tsb": (pretrain, (ckpt,)),
+        ckpt: (evaluate, (record,)),  # a resumed run loads its checkpoint
+        record: (evaluate, ()),
+        metrics: (["export-metrics", "--out", str(tmp_path / "merged.csv"),
+                   str(metrics)], ()),
+        batch: (["augment-preview", "--input", str(batch),
+                 "--out", str(tmp_path / "views")], ()),
+    }
+    pristine = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    for path, (command, removed) in kinds.items():
+        raw = pristine[path]
+        rng = np.random.default_rng(zlib.crc32(path.name.encode()))
+        cases = [(case, (0, 2, 3, 4) if path == ckpt else (0, 2, 3))
+                 for _ in range(4) for case in _mutations(raw, rng)]
+        if raw[:4] in (tsb.MAGIC, tsb.CKPT_MAGIC):
+            cases += [(claim_extent(raw, e), (3,)) for e in OVER_CLAIMS]
+        for i, (case, codes) in enumerate(cases):
+            for p in removed:
+                p.unlink()
+            path.write_bytes(case)
+            assert cli.main(command) in codes, (path.name, i)
+            capsys.readouterr()
+            # back to the pristine files for the next case
+            for p in tmp_path.rglob("*"):
+                if p.is_file() and p not in pristine:
+                    p.unlink()
+            for p, data in pristine.items():
+                p.write_bytes(data)
+    assert cli.main(evaluate) == 0
 
 
 @pytest.mark.parametrize("source", ["real", "hybrid"])

@@ -762,6 +762,52 @@ def test_backward_skips_the_vjp_of_a_constant_input(monkeypatch):
     assert x.grad.tobytes() == mask.data.tobytes()
 
 
+# (op name, input shapes, op); each op is recorded once on inputs that all
+# require grad
+NAMED_OPS = [
+    ("add", [(2, 3), (2, 3)], T.add),
+    ("sub", [(2, 3), (2, 3)], T.sub),
+    ("mul", [(2, 3), (2, 3)], T.mul),
+    ("div", [(2, 3)], lambda a: T.div(a, 2.0)),
+    ("matmul", [(2, 3), (3, 4)], T.matmul),
+    ("transpose", [(2, 3)], T.transpose),
+    ("reshape", [(2, 3)], lambda a: T.reshape(a, (3, 2))),
+    ("tslice", [(2, 3)], lambda a: a[1:, :2]),
+    ("concat", [(2, 3), (1, 3)], lambda a, b: T.concat([a, b])),
+    ("tsum", [(2, 3)], T.tsum),
+    ("mean", [(2, 3)], lambda a: T.mean(a, axis=0)),
+    ("sqrt", [(2, 3)], T.sqrt),
+    ("cos", [(2, 3)], T.cos),
+    ("sin", [(2, 3)], T.sin),
+    ("relu", [(2, 3)], T.relu),
+    ("gelu", [(2, 3)], T.gelu),
+    ("softmax", [(2, 3)], T.softmax),
+    ("log_softmax", [(2, 3)], T.log_softmax),
+    ("layer_norm", [(2, 3), (3,), (3,)], T.layer_norm),
+    ("attention", [(1, 2, 4)] + [(4, 4)] * 4 + [(4,), (1, 2, 4)],
+     lambda x, *w: T.attention(x, *w[:5], 2, residual=w[5])),
+    ("ffn", [(2, 4), (4, 8), (8,), (8, 4), (4,)], T.ffn),
+    ("ffn", [(2, 4), (4, 8), (8,), (8, 4), (4,), (2, 4)],
+     lambda *a: T.ffn(*a[:5], residual=a[5])),
+    ("epps_pulley_statistic", [(6, 3)],
+     lambda z: sigreg.epps_pulley_statistic(z, 4)),
+]
+
+
+@pytest.mark.parametrize("name,shapes,op", NAMED_OPS,
+                         ids=[f"{p[0]}_{len(p[1])}" for p in NAMED_OPS])
+def test_each_record_is_named_after_its_op(name, shapes, op):
+    # profiles of the tape count records by the backward's qualified name
+    # up to ``.<locals>``; positive inputs suit every op's domain
+    rng = np.random.default_rng(0)
+    inputs = [Tensor(rng.uniform(0.5, 1.5, s), requires_grad=True)
+              for s in shapes]
+    with Tape() as tape:
+        op(*inputs)
+    [(_out, _inputs, bw)] = tape.records
+    assert bw.__qualname__.split(".<locals>", 1)[0] == name
+
+
 # ---------------------------------------------------------------------------
 # a leading model axis: stacked weights run M models in lockstep
 

@@ -62,6 +62,51 @@ def test_truncated_header_or_shape(tmp_path, capsys, raw):
     assert "data error" in capsys.readouterr().err
 
 
+def claim_extent(raw: bytes, extent: int) -> bytes:
+    """``raw`` with the first extent of its first TSB1 blob set to
+    ``extent``."""
+    at = raw.index(tsb.MAGIC) + 6
+    return raw[:at] + struct.pack("<Q", extent) + raw[at + 8:]
+
+
+# first extents whose payload no file here holds: the reader once tried
+# to allocate it (MemoryError) or overflowed computing its size
+OVER_CLAIMS = [2 ** 40, 2 ** 62, 2 ** 64 - 1]
+
+
+@pytest.mark.parametrize("extent", OVER_CLAIMS)
+def test_header_claiming_more_than_the_file_holds(tmp_path, capsys, extent):
+    rows = np.ones((2, 64), np.float32)
+    path = tmp_path / "t.tsb"
+    tsb.write_tensor(path, rows)
+    path.write_bytes(claim_extent(path.read_bytes(), extent))
+    with pytest.raises(tsb.FormatError, match="payload"):
+        tsb.read_tensor(path)
+    assert cli.main(["augment-preview", "--input", str(path),
+                     "--out", str(tmp_path / "v")]) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+
+    ckpt = tmp_path / "c.tsbc"
+    tsb.save_checkpoint(ckpt, {}, {"x": rows})
+    ckpt.write_bytes(claim_extent(ckpt.read_bytes(), extent))
+    with pytest.raises(tsb.FormatError, match="payload"):
+        tsb.load_checkpoint(ckpt)
+
+    tsb.write_dataset(tmp_path / "d", rows, {})
+    shard = tmp_path / "d" / "shard_00000.tsb"
+    shard.write_bytes(claim_extent(shard.read_bytes(), extent))
+    with pytest.raises(tsb.FormatError, match="payload"):
+        tsb.read_dataset(tmp_path / "d")
+
+
+def test_zero_extent_beside_a_huge_one_is_refused(tmp_path):
+    # the claimed payload is empty, but no array has such a shape
+    path = tmp_path / "t.tsb"
+    path.write_bytes(b"TSB1\x00\x02" + struct.pack("<2Q", 0, 2 ** 64 - 1))
+    with pytest.raises(tsb.FormatError, match="extents"):
+        tsb.read_tensor(path)
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     tensors = {"a.w": rng.standard_normal((4, 4)).astype(np.float32),
